@@ -32,10 +32,6 @@ def dkey_slack_fraction(node: PrefixNode, slack: float) -> float:
     return max(0.0, 0.5 * slack)
 
 
-def conformal_wrap(estimator: DkeyEstimator) -> DkeyEstimator:
-    """Named no-op calibration hook."""
-    return estimator
-
 _ESTIMATORS: dict[str, DkeyEstimator] = {
     "zero": dkey_zero,
     "slack_fraction": dkey_slack_fraction,
@@ -67,7 +63,7 @@ class ModelCatalogEntry:
             raise ValueError(f"unknown dkey estimator {self.dkey_estimator!r}")
 
     def dkey(self, node: PrefixNode, slack: float) -> float:
-        return conformal_wrap(_ESTIMATORS[self.dkey_estimator])(node, slack)
+        return _ESTIMATORS[self.dkey_estimator](node, slack)
 
 
 def load_catalog(path: str) -> list[ModelCatalogEntry]:

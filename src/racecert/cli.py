@@ -122,6 +122,8 @@ def cmd_suite(args) -> int:
             print(f"compile certificate failed for seed {seed}",
                   file=sys.stderr)
             return 2
+        # The graph travels with its ledgers: validate needs it (--graph).
+        shared.save(os.path.join(ledger_dir, f"{args.suite}-{seed}.graph.json"))
         cfg = _run_config(args, seed, graph)
         lookup = stream_lookup(RngStream(seed), cfg.scripted_uniforms, graph)
         winner, _ = oracle_optimum(graph, lookup)

@@ -28,7 +28,6 @@ GUARD_NAMES = {
     "NumClamp",
     "Timeout",
     "BudgetFail",
-    "CapExceeded",
 }
 
 # field -> (lo, hi) for raw-integer decimal-string fields.

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 from .fixedpoint import q0_64_value
@@ -25,29 +23,6 @@ PRF_DOMAIN_TAG = b"racecert/prf/v1"
 
 class RateZeroError(ValueError):
     """Exponential rate 0: the node has no leaves and must be pruned."""
-
-
-class ArrivalSource(Enum):
-    EXACT_RACE = "ExactRace"
-    SURROGATE_RACE = "SurrogateRace"
-    RESIDUAL = "Residual"
-
-
-@dataclass(frozen=True)
-class Arrival:
-    """A realized (or surrogate) race time plus the uniform that made it.
-
-    ``raw`` is the Q0.64 raw uniform, or None when the arrival was inherited
-    (winner reuse consumes no new randomness).
-    """
-
-    t: float
-    source: ArrivalSource
-    raw: int | None
-
-    @property
-    def neg_log_t(self) -> float:
-        return -math.log(self.t)
 
 
 def _mix64(z: int) -> int:
@@ -120,8 +95,8 @@ def offset_propagate(
     winner_idx: int,
     child_counts: Sequence[int],
     residual_uniforms: Sequence[float],
-) -> list[Arrival]:
-    """Child arrivals after conditioning on the parent's first arrival.
+) -> list[float]:
+    """Child arrival times after conditioning on the parent's first arrival.
 
     The winner reuses ``t_parent``; every non-winner adds an independent
     Exp(N(child)) residual from its uniform.  ``residual_uniforms`` holds one
@@ -129,15 +104,13 @@ def offset_propagate(
     """
     if len(residual_uniforms) != len(child_counts) - 1:
         raise ValueError("need one residual uniform per non-winner child")
-    arrivals: list[Arrival] = []
+    arrivals: list[float] = []
     res = iter(residual_uniforms)
     for i, count in enumerate(child_counts):
         if i == winner_idx:
-            arrivals.append(Arrival(t_parent, ArrivalSource.EXACT_RACE, None))
+            arrivals.append(t_parent)
         else:
-            u = next(res)
-            t = t_parent + exp_from_uniform(u, count)
-            arrivals.append(Arrival(t, ArrivalSource.RESIDUAL, None))
+            arrivals.append(t_parent + exp_from_uniform(next(res), count))
     return arrivals
 
 
@@ -145,10 +118,10 @@ class PruneEmptyError(ValueError):
     """Upper-bound count 0: the subtree is empty and is pruned."""
 
 
-def surrogate_arrival(u: float, n_ub: int, raw: int | None = None) -> Arrival:
+def surrogate_arrival(u: float, n_ub: int) -> float:
     if n_ub == 0:
         raise PruneEmptyError("n_ub=0, prune")
-    return Arrival(exp_from_uniform(u, n_ub), ArrivalSource.SURROGATE_RACE, raw)
+    return exp_from_uniform(u, n_ub)
 
 
 def prf_raw(salt: bytes, domain: str, leaf_id: bytes) -> int:

@@ -1,11 +1,20 @@
-"""Best-first engine: Exact / Surrogate / Fallback modes.
+"""Best-first engine: Exact / Surrogate / Fallback modes in one search loop.
 
-The priority key couples an admissible deterministic bound with the realized
-exponential race: ``key(v) = mtau(v) - log t(v)``.  Exact mode propagates the
-race lazily (winner reuse plus independent residuals); Surrogate mode knows
-only upper-bound counts, disables winner reuse and anchors child keys at the
-parent's surrogate arrival; Fallback ranks by a PRF-derived perturbed value
-and makes no run-wise claim.  Every uniform, count, key, guard and budget
+All three modes share one frontier heap, one stop rule, one set of caps and
+one way of writing push, pop, leaf_eval and stop records.  A mode decides
+only how a pushed node is keyed and how a popped leaf is valued:
+
+* Exact couples an admissible deterministic bound with the realized
+  exponential race, ``key(v) = mtau(v) - log t(v)``, and propagates the race
+  lazily (winner reuse plus independent residuals);
+* Surrogate knows only upper-bound counts, disables winner reuse and anchors
+  child keys at the parent's surrogate arrival;
+* Fallback (NoCert) keys a leaf by its PRF-perturbed value and an internal
+  node by the exact leaf-wise LSE bound over those values; it makes no
+  run-wise claim but stays deterministic and replayable.
+
+A CountFail or BudgetFail that leaves no certified mode restarts the search
+from the root under Fallback.  Every uniform, count, key, guard and budget
 event is appended to the ledger in execution order.
 """
 
@@ -22,7 +31,6 @@ from . import fixedpoint as fp
 from .bounds import (
     ExpansionCheck,
     MtauConfig,
-    MtauRecipe,
     PhiConfig,
     check_expansion,
     mtau,
@@ -31,8 +39,6 @@ from .bounds import (
 from .ledger import Ledger, LedgerRecord, Uuid7Source
 from .prefix_dag import CountFailError, PrefixDag, PrefixNode
 from .race import (
-    Arrival,
-    ArrivalSource,
     RngStream,
     exact_leaf_coupling,
     exp_from_uniform,
@@ -66,10 +72,8 @@ class FrontierEntry:
     digest: bytes
     key: float
     key_q: int
-    provisional: bool
-    arrival: Arrival | None
+    t: float | None  # race (or surrogate) arrival; None under Fallback
     tie_token: int | None = None
-    claim_type: ClaimType = ClaimType.RUN_WISE_EXACT
 
 
 @dataclass
@@ -186,8 +190,10 @@ class _Engine:
         self.ledger = Ledger(cfg.header_obj(graph, mode))
         self.uuid = Uuid7Source(self.stream, cfg.deterministic_ids)
         self.node_ids: dict[bytes, str] = {}
-        self.claim = ClaimType.NO_CERT if mode is Mode.FALLBACK else ClaimType.RUN_WISE_EXACT
-        self.heap: list[tuple[int, bytes, FrontierEntry]] = []
+        self.claim = ClaimType.RUN_WISE_EXACT
+        # Entries order by (-key_q, not is_leaf, digest): equal keys pop
+        # leaves first, then lower digests.
+        self.heap: list[tuple[int, bool, bytes, FrontierEntry]] = []
         self.incumbent_q = fp.NEG_INF_Q64_64
         self.incumbent = float("-inf")
         self.incumbent_leaf: str | None = None
@@ -198,6 +204,7 @@ class _Engine:
         )
         self.n_ub: dict[bytes, int] = {}
         self.budget = cfg.budget
+        self.fallback_keys: dict[bytes, float] = {}
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -233,36 +240,46 @@ class _Engine:
         fields.update(extra)
         self.record(**fields)
 
-    def push(self, entry: FrontierEntry, node: PrefixNode, rate: int,
-             uniform_raw: int | None) -> None:
-        heapq.heappush(self.heap, (-entry.key_q, entry.digest, entry))
-        self.result.pushed_keys[entry.digest.hex()] = entry.key_q
-        if entry.arrival is not None:
-            self.result.arrivals[entry.digest.hex()] = entry.arrival.t
+    def push(self, node: PrefixNode, key: float, t: float | None,
+             rate: int | None = None, uniform_raw: int | None = None) -> None:
+        key_q, clamped = _encode_key(key)
+        if clamped:
+            self.guard("NumClamp", node, reason="key overflowed Q64.64")
+        entry = FrontierEntry(node.ctx_digest, key, key_q, t)
+        heapq.heappush(self.heap, (-key_q, not node.is_leaf, node.ctx_digest, entry))
+        digest_hex = node.ctx_digest.hex()
+        self.result.pushed_keys[digest_hex] = key_q
+        if t is not None:
+            self.result.arrivals[digest_hex] = t
+        if node.is_leaf:
+            self.result.evaluated_leaves.append(digest_hex)
         parent = node.parent
         self.record(
             event="push",
-            ctx_digest=node.ctx_digest.hex(),
+            ctx_digest=digest_hex,
             node_id=self.node_id(node.ctx_digest),
             parent_id=self.node_id(parent) if parent is not None else None,
             mode=self.mode.value,
             claim_type=self.claim.value,
-            key_raw=entry.key_q,
+            key_raw=key_q,
             Nub=rate,
             U=uniform_raw,
         )
 
     def pop(self) -> FrontierEntry:
-        _, _, entry = heapq.heappop(self.heap)
-        tie_token = None
-        if self.heap and self.heap[0][2].key_q == entry.key_q:
-            _, _, token = resolve_tie(entry, self.heap[0][2])
-            tie_token = token
-        entry.tie_token = tie_token
+        entry = heapq.heappop(self.heap)[3]
+        if self.heap and self.heap[0][3].key_q == entry.key_q:
+            entry.tie_token = resolve_tie(entry, self.heap[0][3])[2]
         return entry
 
+    def pop_record(self, node: PrefixNode, entry: FrontierEntry, **extra) -> None:
+        self.record(event="pop", ctx_digest=node.ctx_digest.hex(),
+                    node_id=self.node_id(node.ctx_digest),
+                    mode=self.mode.value, claim_type=self.claim.value,
+                    key_raw=entry.key_q, tie_token=entry.tie_token, **extra)
+
     def max_key_q(self) -> int | None:
-        return self.heap[0][2].key_q if self.heap else None
+        return -self.heap[0][0] if self.heap else None
 
     def stop_check(self) -> StopDecision:
         top = self.max_key_q()
@@ -274,12 +291,43 @@ class _Engine:
 
     # -- mode mechanics ---------------------------------------------------
 
-    def key_for(self, node: PrefixNode, neg_log_t: float) -> tuple[float, int]:
-        value = mtau(node, self.cfg.mtau) + neg_log_t
-        key_q, clamped = _encode_key(value)
-        if clamped:
-            self.guard("NumClamp", node, reason="key overflowed Q64.64")
-        return value, key_q
+    def key_for(self, node: PrefixNode, t: float) -> float:
+        return mtau(node, self.cfg.mtau) - math.log(t)
+
+    def fallback_key(self, node: PrefixNode) -> float:
+        """Fallback key: a leaf's perturbed value ``g/tau + s - log E``; an
+        internal node's exact leaf-wise LSE bound over those values."""
+        digest = node.ctx_digest
+        cached = self.fallback_keys.get(digest)
+        if cached is None:
+            cfg = self.cfg
+            if node.is_leaf:
+                u = open_uniform(prf_raw(cfg.salt, cfg.prf_domain, digest))
+                g = gumbel_from_uniform(u)
+                e_p = -math.log1p(-u)
+                cached = g / cfg.tau + node.prefix_score - math.log(e_p)
+            else:
+                values = [self.fallback_key(self.graph.node(leaf))
+                          for leaf in self.graph.iter_leaves(digest)]
+                m = max(values)
+                cached = m + math.log(math.fsum(math.exp(v - m) for v in values))
+            self.fallback_keys[digest] = cached
+        return cached
+
+    def leaf_value(self, node: PrefixNode, entry: FrontierEntry) -> tuple[float, int]:
+        """A popped leaf's value and the Q0.64 uniform behind it."""
+        cfg = self.cfg
+        if self.mode is Mode.EXACT:
+            u_p, e_p, _ = exact_leaf_coupling(entry.t)
+            return node.prefix_score - math.log(e_p), _quantize_uniform(u_p)
+        if self.mode is Mode.FALLBACK:
+            return self.fallback_key(node), prf_raw(cfg.salt, cfg.prf_domain, node.ctx_digest)
+        if cfg.surrogate_leaf_prf:
+            u_p_raw = prf_raw(cfg.salt, cfg.prf_domain, node.ctx_digest)
+        else:
+            u_p_raw = self.uniforms.raw(node, "leaf")
+        e_p = -math.log1p(-open_uniform(u_p_raw))
+        return node.prefix_score - math.log(e_p), u_p_raw
 
     def ensure_counts(self) -> bool:
         try:
@@ -337,17 +385,28 @@ class _Engine:
             incumbent=self.incumbent_q,
         )
 
-    def budget_step(self, node: PrefixNode, slack: float) -> None:
+    def switch_to_fallback(self) -> None:
+        """Restart from the root under the PRF heuristic (NoCert).  The
+        incumbent found so far is kept."""
+        self.mode = Mode.FALLBACK
+        self.claim = ClaimType.NO_CERT
+        self.budget = None
+        self.heap.clear()
+        root = self.graph.node(self.graph.root)
+        self.push(root, self.fallback_key(root), None)
+
+    def budget_step(self, node: PrefixNode, slack: float) -> bool:
+        """Charge the budget for one expansion; True if it was exhausted."""
         if self.budget is None:
-            return
+            return False
         outcome = self.budget.on_expansion(node, slack)
         self.record(event="budget", ctx_digest=node.ctx_digest.hex(),
                     mode=self.mode.value, claim_type=self.claim.value,
                     **outcome.record_fields)
         if outcome.exhausted:
             self.guard("BudgetFail", node, reason="all catalog entries infeasible")
-            self.mode = Mode.FALLBACK
-            self.result.mode_final = Mode.FALLBACK
+            self.switch_to_fallback()
+        return outcome.exhausted
 
     def finish(self, decision: StopDecision) -> RunResult:
         top = self.max_key_q()
@@ -358,8 +417,9 @@ class _Engine:
         self.result.incumbent_leaf = self.incumbent_leaf
         self.result.stop_slack = slack
         self.result.claim_type = self.claim
+        self.result.mode_final = self.mode
         self.result.frontier_at_stop = [
-            (e.digest.hex(), e.key_q) for _, _, e in sorted(self.heap)
+            (e.digest.hex(), e.key_q) for *_, e in sorted(self.heap)
         ]
         self.record(
             event="stop",
@@ -372,141 +432,95 @@ class _Engine:
         )
         return self.result
 
-    # -- main loops -------------------------------------------------------
+    # -- main loop --------------------------------------------------------
 
-    def run_exact_surrogate(self) -> RunResult:
-        graph, cfg = self.graph, self.cfg
+    def start(self) -> None:
+        """Pick the strongest mode the counts allow and push the root."""
+        graph = self.graph
         if self.mode is Mode.EXACT and not self.ensure_counts():
             # Counts failed: mandatory downgrade to Surrogate (still certified
             # if upper bounds exist), else NoCert fallback.
-            if self.build_n_ub():
-                self.mode = Mode.SURROGATE
-                self.result.mode_final = Mode.SURROGATE
-            else:
-                self.mode = Mode.FALLBACK
-                self.result.mode_final = Mode.FALLBACK
-                self.claim = ClaimType.NO_CERT
-                return _FallbackEngine(self).run()
+            self.mode = Mode.SURROGATE
         if self.mode is Mode.SURROGATE and not self.build_n_ub():
             self.mode = Mode.FALLBACK
-            self.result.mode_final = Mode.FALLBACK
-            self.claim = ClaimType.NO_CERT
-            return _FallbackEngine(self).run()
-
+        if self.mode is Mode.FALLBACK:
+            self.switch_to_fallback()
+            return
         root = graph.node(graph.root)
         if self.mode is Mode.EXACT:
             rate = graph.suffix_count(graph.root)
         else:
             rate = self.n_ub[graph.root]
         raw = self.uniforms.raw(root, "race")
-        u = open_uniform(raw)
-        t_root = exp_from_uniform(u, rate)
-        source = ArrivalSource.EXACT_RACE if self.mode is Mode.EXACT else ArrivalSource.SURROGATE_RACE
-        arrival = Arrival(t_root, source, raw)
-        key, key_q = self.key_for(root, -math.log(t_root))
-        self.push(FrontierEntry(root.ctx_digest, key, key_q, False, arrival),
-                  root, rate, raw)
+        t_root = exp_from_uniform(open_uniform(raw), rate)
+        self.push(root, self.key_for(root, t_root), t_root, rate, raw)
 
+    def run(self) -> RunResult:
+        graph, cfg = self.graph, self.cfg
+        self.start()
         started = time.monotonic()
         while True:
             decision = self.stop_check()
             if decision is not StopDecision.CONTINUE:
                 return self.finish(decision)
-            if self.cfg.expansion_cap is not None and self.result.expansions >= self.cfg.expansion_cap:
+            if cfg.expansion_cap is not None and self.result.expansions >= cfg.expansion_cap:
                 self.guard("Timeout", reason="expansion cap reached")
                 return self.finish(StopDecision.STOP_HEURISTIC)
-            if self.cfg.wall_cap_s is not None and time.monotonic() - started > self.cfg.wall_cap_s:
+            if cfg.wall_cap_s is not None and time.monotonic() - started > cfg.wall_cap_s:
                 self.guard("Timeout", reason="wall clock cap reached")
                 return self.finish(StopDecision.STOP_HEURISTIC)
 
             entry = self.pop()
             node = graph.node(entry.digest)
             self.result.expansions += 1
-            slack = entry.key - fp.decode_q64_64(self.incumbent_q)
 
             if node.is_leaf:
-                self.record(event="pop", ctx_digest=node.ctx_digest.hex(),
-                            node_id=self.node_id(node.ctx_digest),
-                            mode=self.mode.value, claim_type=self.claim.value,
-                            key_raw=entry.key_q, tie_token=entry.tie_token)
-                if self.mode is Mode.EXACT:
-                    u_p, e_p, _ = exact_leaf_coupling(entry.arrival.t)
-                    u_p_raw = _quantize_uniform(u_p)
-                else:
-                    if cfg.surrogate_leaf_prf:
-                        u_p_raw = prf_raw(cfg.salt, cfg.prf_domain, node.ctx_digest)
-                    else:
-                        u_p_raw = self.uniforms.raw(node, "leaf")
-                    u_p = open_uniform(u_p_raw)
-                    e_p = -math.log1p(-u_p)
-                value = node.prefix_score - math.log(e_p)
-                self.update_incumbent(node, value, u_p_raw)
+                self.pop_record(node, entry)
+                self.update_incumbent(node, *self.leaf_value(node, entry))
                 continue
 
             self.result.internal_expansions += 1
-            self.budget_step(node, slack)
-            if self.mode is Mode.FALLBACK:
-                # Budget exhausted mid-run: restart under the PRF heuristic.
-                return _FallbackEngine(self).run()
+            slack = entry.key - fp.decode_q64_64(self.incumbent_q)
+            if self.budget_step(node, slack):
+                continue  # budget exhausted: restarted under Fallback
             children = [graph.node(c) for c in node.children]
             if not children:
                 # Internal node with no descendants: empty subtree, prune.
-                self.record(event="pop", ctx_digest=node.ctx_digest.hex(),
-                            node_id=self.node_id(node.ctx_digest),
-                            mode=self.mode.value, claim_type=self.claim.value,
-                            key_raw=entry.key_q, tie_token=entry.tie_token)
+                self.pop_record(node, entry)
                 continue
-            phi_extra = self.phi_fields(node, children)
 
+            if self.mode is Mode.FALLBACK:
+                self.pop_record(node, entry)
+                for child in children:
+                    self.push(child, self.fallback_key(child), None)
+                continue
+
+            phi_extra = self.phi_fields(node, children)
             if self.mode is Mode.EXACT:
                 counts = [graph.suffix_count(c.ctx_digest) for c in children]
                 if len(children) > 1:
                     w_raw = self.uniforms.raw(node, "winner")
-                    w = open_uniform(w_raw)
-                    winner = quantile_cat(w, counts)
+                    winner = quantile_cat(open_uniform(w_raw), counts)
                 else:
                     w_raw, winner = None, 0
-                self.record(event="pop", ctx_digest=node.ctx_digest.hex(),
-                            node_id=self.node_id(node.ctx_digest),
-                            mode=self.mode.value, claim_type=self.claim.value,
-                            key_raw=entry.key_q, W=w_raw,
-                            tie_token=entry.tie_token, **phi_extra)
+                self.pop_record(node, entry, W=w_raw, **phi_extra)
                 for i, child in enumerate(children):
                     if i == winner:
-                        arrival = Arrival(entry.arrival.t, ArrivalSource.EXACT_RACE, None)
-                        raw_i = None
+                        t, raw_i = entry.t, None
                     else:
                         raw_i = self.uniforms.raw(child, "residual")
-                        u_i = open_uniform(raw_i)
-                        t_i = entry.arrival.t + exp_from_uniform(u_i, counts[i])
-                        arrival = Arrival(t_i, ArrivalSource.RESIDUAL, raw_i)
-                    ckey, ckey_q = self.key_for(child, -math.log(arrival.t))
-                    self.push(
-                        FrontierEntry(child.ctx_digest, ckey, ckey_q, False,
-                                      arrival, claim_type=self.claim),
-                        child, counts[i], raw_i,
-                    )
-            else:  # Surrogate: parent-anchored provisional children.
+                        t = entry.t + exp_from_uniform(open_uniform(raw_i), counts[i])
+                    self.push(child, self.key_for(child, t), t, counts[i], raw_i)
+            else:  # Surrogate: children anchored at the parent's arrival.
                 rate_v = self.n_ub[node.ctx_digest]
                 v_raw = self.uniforms.raw(node, "race")
-                u_v = open_uniform(v_raw)
-                t_hat = exp_from_uniform(u_v, rate_v)
-                self.record(event="pop", ctx_digest=node.ctx_digest.hex(),
-                            node_id=self.node_id(node.ctx_digest),
-                            mode=self.mode.value, claim_type=self.claim.value,
-                            key_raw=entry.key_q, U=v_raw, Nub=rate_v,
-                            tie_token=entry.tie_token, **phi_extra)
-                anchor = Arrival(t_hat, ArrivalSource.SURROGATE_RACE, v_raw)
-                neg_log = -math.log(t_hat)
+                t_hat = exp_from_uniform(open_uniform(v_raw), rate_v)
+                self.pop_record(node, entry, U=v_raw, Nub=rate_v, **phi_extra)
                 for child in children:
-                    if self.n_ub.get(child.ctx_digest, 0) == 0:
+                    n_ub = self.n_ub.get(child.ctx_digest, 0)
+                    if n_ub == 0:
                         continue  # empty subtree: pruned immediately
-                    ckey, ckey_q = self.key_for(child, neg_log)
-                    self.push(
-                        FrontierEntry(child.ctx_digest, ckey, ckey_q, True,
-                                      anchor, claim_type=self.claim),
-                        child, self.n_ub[child.ctx_digest], None,
-                    )
+                    self.push(child, self.key_for(child, t_hat), t_hat, n_ub)
 
 
 def _quantize_uniform(u: float) -> int:
@@ -515,154 +529,11 @@ def _quantize_uniform(u: float) -> int:
     return min(max(raw, 0), fp.Q0_64_MAX)
 
 
-class _FallbackEngine:
-    """PRF-per-leaf heuristic mode (NoCert): node PQ by an exact leaf-wise
-    LSE bound over perturbed values, plus a materialized-leaf PQ."""
-
-    def __init__(self, engine: _Engine):
-        self.e = engine
-        self.e.mode = Mode.FALLBACK
-        self.e.claim = ClaimType.NO_CERT
-        self.e.result.mode_final = Mode.FALLBACK
-        self._vpam: dict[bytes, float] = {}
-        self._bound: dict[bytes, float] = {}
-
-    def vpam(self, digest: bytes) -> float:
-        cached = self._vpam.get(digest)
-        if cached is None:
-            cfg = self.e.cfg
-            node = self.e.graph.node(digest)
-            u = open_uniform(prf_raw(cfg.salt, cfg.prf_domain, digest))
-            g = gumbel_from_uniform(u)
-            e_p = -math.log1p(-u)
-            cached = g / cfg.tau + node.prefix_score - math.log(e_p)
-            self._vpam[digest] = cached
-        return cached
-
-    def bound(self, digest: bytes) -> float:
-        cached = self._bound.get(digest)
-        if cached is None:
-            values = [self.vpam(leaf) for leaf in self.e.graph.iter_leaves(digest)]
-            m = max(values)
-            cached = m + math.log(math.fsum(math.exp(v - m) for v in values))
-            self._bound[digest] = cached
-        return cached
-
-    def run(self) -> RunResult:
-        e = self.e
-        graph = e.graph
-        nodes: list[tuple[int, bytes]] = []
-        leaves: list[tuple[int, bytes]] = []
-
-        def push_internal(digest: bytes):
-            node = graph.node(digest)
-            b = self.bound(digest)
-            b_q, clamped = _encode_key(b)
-            if clamped:
-                e.guard("NumClamp", node, reason="bound overflowed Q64.64")
-            heapq.heappush(nodes, (-b_q, digest))
-            e.result.pushed_keys[digest.hex()] = b_q
-            e.record(event="push", ctx_digest=digest.hex(),
-                     node_id=e.node_id(digest),
-                     parent_id=e.node_id(node.parent) if node.parent else None,
-                     mode=Mode.FALLBACK.value, claim_type=ClaimType.NO_CERT.value,
-                     key_raw=b_q)
-
-        def materialize(digest: bytes):
-            node = graph.node(digest)
-            raw = prf_raw(e.cfg.salt, e.cfg.prf_domain, digest)
-            v = self.vpam(digest)
-            v_q, clamped = _encode_key(v)
-            if clamped:
-                e.guard("NumClamp", node, reason="leaf value overflowed Q64.64")
-            heapq.heappush(leaves, (-v_q, digest))
-            e.result.evaluated_leaves.append(digest.hex())
-            e.record(event="leaf_eval", ctx_digest=digest.hex(),
-                     node_id=e.node_id(digest),
-                     mode=Mode.FALLBACK.value, claim_type=ClaimType.NO_CERT.value,
-                     U=raw, value=v_q, incumbent=e.incumbent_q)
-
-        root = graph.node(graph.root)
-        if root.is_leaf:
-            materialize(graph.root)
-        else:
-            push_internal(graph.root)
-
-        while nodes or leaves:
-            top_node = -nodes[0][0] if nodes else None
-            top_leaf = -leaves[0][0] if leaves else None
-            best = max(x for x in (top_node, top_leaf) if x is not None)
-            if best <= e.incumbent_q:
-                break  # heuristic stop: no tracked bound beats the incumbent
-            if top_leaf is not None and (top_node is None or top_leaf >= top_node):
-                v_q, digest = heapq.heappop(leaves)
-                node = graph.node(digest)
-                e.result.expansions += 1
-                e.record(event="pop", ctx_digest=digest.hex(),
-                         node_id=e.node_id(digest),
-                         mode=Mode.FALLBACK.value,
-                         claim_type=ClaimType.NO_CERT.value, key_raw=-v_q)
-                if -v_q > e.incumbent_q:
-                    e.incumbent_q = -v_q
-                    e.incumbent = self.vpam(digest)
-                    e.incumbent_leaf = digest.hex()
-                e.result.popped_leaves.append(digest.hex())
-            else:
-                b_q, digest = heapq.heappop(nodes)
-                node = graph.node(digest)
-                e.result.expansions += 1
-                e.result.internal_expansions += 1
-                e.record(event="pop", ctx_digest=digest.hex(),
-                         node_id=e.node_id(digest),
-                         mode=Mode.FALLBACK.value,
-                         claim_type=ClaimType.NO_CERT.value, key_raw=-b_q)
-                for child in node.children:
-                    if graph.node(child).is_leaf:
-                        materialize(child)
-                    else:
-                        push_internal(child)
-
-        top = None
-        if nodes or leaves:
-            candidates = [x for x in
-                          ((-nodes[0][0] if nodes else None),
-                           (-leaves[0][0] if leaves else None)) if x is not None]
-            top = max(candidates)
-        e.result.incumbent = e.incumbent
-        e.result.incumbent_leaf = e.incumbent_leaf
-        e.result.stop_slack = 0.0 if top is None else max(
-            0.0, fp.decode_q64_64(top) - fp.decode_q64_64(e.incumbent_q))
-        e.result.claim_type = ClaimType.NO_CERT
-        e.record(event="stop", mode=Mode.FALLBACK.value,
-                 claim_type=ClaimType.NO_CERT.value,
-                 privacy_scope="post_processing_only",
-                 incumbent=e.incumbent_q, key_raw=top,
-                 reason=StopDecision.STOP_HEURISTIC.value)
-        return e.result
-
-
-def stop_check(max_frontier_key_q: int | None, incumbent_q: int, mode: Mode) -> StopDecision:
-    """Mode-aware stop decision on fixed-point keys."""
-    if max_frontier_key_q is None or max_frontier_key_q <= incumbent_q:
-        return (StopDecision.STOP_HEURISTIC if mode is Mode.FALLBACK
-                else StopDecision.STOP_CERTIFIED)
-    return StopDecision.CONTINUE
-
-
 def run(graph: PrefixDag, mode: Mode, cfg: RunConfig,
         ledger_path: str | None = None, uniform_provider=None) -> RunResult:
     """Execute one search run and (optionally) persist its ledger."""
-    engine = _Engine(graph, mode, cfg, uniform_provider=uniform_provider)
-    if mode is Mode.FALLBACK:
-        result = _FallbackEngine(engine).run()
-    else:
-        result = engine.run_exact_surrogate()
+    result = _Engine(graph, mode, cfg, uniform_provider=uniform_provider).run()
     if ledger_path is not None:
         result.ledger.save(ledger_path)
         result.ledger_path = ledger_path
     return result
-
-
-def fallback_run(graph: PrefixDag, cfg: RunConfig,
-                 ledger_path: str | None = None) -> RunResult:
-    return run(graph, Mode.FALLBACK, cfg, ledger_path=ledger_path)

@@ -207,6 +207,8 @@ def _check_stop_rule(ledger: Ledger, verdict: Verdict) -> None:
             frontier.pop(rec["ctx_digest"], None)
         elif event == "leaf_eval" and "incumbent" in rec:
             incumbent = rec["incumbent"]
+        elif event == "guard" and "BudgetFail" in rec.get("guards", ()):
+            frontier.clear()  # the engine restarts from the root under Fallback
         elif event == "stop":
             saw_stop = True
             if rec.get("incumbent") != incumbent:
@@ -312,6 +314,10 @@ def validate(ledger_path: str, graph_spec: str | SharedDag | PrefixDag,
         if not cert.ok:
             verdict.replay_ok = False
             verdict.fail(0, "graph compile certificate failed")
+    if verdict.replay_ok and ledger.header.get("root") != graph.root.hex():
+        verdict.replay_ok = False
+        verdict.fail(0, f"ledger root {ledger.header.get('root')} does not "
+                        f"match graph root {graph.root.hex()}")
     if verdict.replay_ok:
         _check_replay(graph, ledger, verdict)
         _check_stop_rule(ledger, verdict)

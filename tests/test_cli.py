@@ -57,6 +57,23 @@ def test_suite_emits_csv_and_ledgers(tmp_path):
     assert len(ledgers) == 6
 
 
+def test_suite_ledgers_validate_against_saved_graph(tmp_path, capsys):
+    out = str(tmp_path / "suite")
+    assert main(["suite", "--suite", "A", "--depth", "2", "--seeds", "1",
+                 "--modes", "Exact,Surrogate,Fallback", "--out", out]) == 0
+    ledger_dir = os.path.join(out, "ledgers")
+    graph = os.path.join(ledger_dir, "A-0.graph.json")
+    assert os.path.exists(graph)
+    ledgers = sorted(os.path.join(ledger_dir, f)
+                     for f in os.listdir(ledger_dir) if f.endswith(".ndjson"))
+    assert len(ledgers) == 3
+    assert main(["validate", *ledgers, "--graph", graph]) == 0
+    # Without --graph the toy graph is used: one root-mismatch failure each.
+    assert main(["validate", ledgers[0]]) == 1
+    text = capsys.readouterr().out
+    assert "does not match graph root" in text
+
+
 def test_tightness_slack_signs(tmp_path):
     out = str(tmp_path / "tight")
     assert main(["tightness", "--suite", "A", "--depth", "2", "--seeds", "2",

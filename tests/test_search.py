@@ -58,8 +58,8 @@ def test_toy_winner_reuse(toy):
 
 
 def test_resolve_tie_orders_by_digest():
-    a = FrontierEntry(b"\x01" * 32, 1.0, 1 << 64, False, None)
-    b = FrontierEntry(b"\x02" * 32, 1.0, 1 << 64, False, None)
+    a = FrontierEntry(b"\x01" * 32, 1.0, 1 << 64, None)
+    b = FrontierEntry(b"\x02" * 32, 1.0, 1 << 64, None)
     first, second, token = resolve_tie(a, b)
     assert (first, second, token) == (a, b, 0)
     first, second, token = resolve_tie(b, a)
@@ -74,6 +74,15 @@ def test_expansion_cap_timeout_guard(toy):
     assert result.claim_type is ClaimType.NO_CERT
     assert result.ledger.records[-1]["reason"] == "StopHeuristic"
     assert result.expansions == 1
+
+
+def test_expansion_cap_binds_fallback(toy):
+    graph, cfg = toy
+    cfg.expansion_cap = 1
+    result = search.run(graph, Mode.FALLBACK, cfg)
+    assert result.guards_seen == ["Timeout"]
+    assert result.expansions == 1
+    assert result.frontier_at_stop  # the root's children are still queued
 
 
 def test_countfail_downgrades_to_surrogate(toy):

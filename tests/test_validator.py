@@ -6,9 +6,30 @@ import math
 import pytest
 
 from racecert import search, validator
-from racecert.generators import TOY_SCRIPTED, toy_graph, toy_mtau
+from racecert.bounds import MtauConfig
+from racecert.budget import BudgetRuntime, BudgetState, default_catalog
+from racecert.generators import (
+    TOY_SCRIPTED,
+    adversarial_graph,
+    pipeline_mock,
+    random_binary_tree,
+    random_tree,
+    suite_a,
+    suite_b,
+    toy_graph,
+    toy_mtau,
+)
 from racecert.prefix_dag import compile_dag
 from racecert.search import Mode, RunConfig
+
+FAMILIES = {
+    "suite_a": lambda seed: suite_a(3, 3, seed),
+    "suite_b": lambda seed: suite_b(seed=seed),
+    "random_tree": random_tree,
+    "random_binary_tree": random_binary_tree,
+    "pipeline_mock": lambda seed: pipeline_mock(),
+    "adversarial": lambda seed: adversarial_graph(),
+}
 
 
 def _run(tmp_path, mode, **cfg_kw):
@@ -120,8 +141,6 @@ def test_malformed_ledger_fails_cleanly(tmp_path):
 
 
 def test_budget_run_validates(tmp_path):
-    from racecert.budget import BudgetRuntime, BudgetState, default_catalog
-
     runtime = BudgetRuntime(
         default_catalog(),
         BudgetState(eps_max=10.0, delta=1e-6, price_max=100, slo_ms=1000))
@@ -129,3 +148,63 @@ def test_budget_run_validates(tmp_path):
     verdict = validator.validate(path, graph)
     assert verdict.ok
     assert verdict.budget_ok
+
+
+def _family_run(tmp_path, family, mode, seed):
+    graph, cert = compile_dag(FAMILIES[family](seed))
+    assert cert.ok
+    cfg = RunConfig(mtau=MtauConfig(), seed=seed, n_ub_factor=2.0,
+                    salt=seed.to_bytes(8, "big"), deterministic_ids=True)
+    path = str(tmp_path / f"{family}-{seed}-{mode.value}.ndjson")
+    search.run(graph, mode, cfg, ledger_path=path)
+    return graph, path
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_every_mode_and_family_validates(tmp_path, mode, family, seed):
+    graph, path = _family_run(tmp_path, family, mode, seed)
+    verdict = validator.validate(path, graph,
+                                 public_counts=graph.public_counts())
+    assert verdict.ok, verdict.failures
+
+
+@pytest.mark.parametrize("price_max", [0, 1, 5, 20])
+def test_budget_exhausted_run_validates(tmp_path, price_max):
+    runtime = BudgetRuntime(
+        default_catalog(),
+        BudgetState(eps_max=10.0, delta=1e-6, price_max=price_max,
+                    slo_ms=1000))
+    graph, result, path = _run(tmp_path, Mode.EXACT, budget=runtime)
+    assert "BudgetFail" in result.guards_seen
+    assert result.mode_final is Mode.FALLBACK
+    verdict = validator.validate(path, graph)
+    assert verdict.ok, verdict.failures
+
+
+def test_tampered_fallback_leaf_eval_detected(tmp_path):
+    graph, path = _family_run(tmp_path, "random_tree", Mode.FALLBACK, 1)
+    lines = open(path, encoding="utf-8").read().splitlines()
+    idx = next(i for i, ln in enumerate(lines) if '"event":"leaf_eval"' in ln)
+    obj = json.loads(lines[idx])
+    obj["U"] = str(int(obj["U"]) ^ (1 << 40))
+    lines[idx] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    tampered = str(tmp_path / "tampered-fallback.ndjson")
+    with open(tampered, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    verdict = validator.validate(tampered, graph)
+    assert not verdict.ok
+    assert min(i for i, _ in verdict.failures) == idx - 1  # header offset
+
+
+def test_wrong_graph_fails_with_one_reason(tmp_path):
+    _, path = _family_run(tmp_path, "suite_a", Mode.EXACT, 0)
+    toy, _ = compile_dag(toy_graph())
+    verdict = validator.validate(path, toy)
+    assert not verdict.ok
+    assert len(verdict.failures) == 1
+    index, reason = verdict.failures[0]
+    assert index == 0
+    assert reason.startswith("ledger root ")
+    assert f"does not match graph root {toy.root.hex()}" in reason
