@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 from .bounds import MtauConfig, mtau
 from .prefix_dag import PrefixDag
 from .race import gumbel_from_uniform, open_uniform, prf_raw
-from .reconstruct import (
-    RawLookup,
-    exact_leaf_values,
-    exact_race,
-    oracle_optimum,
-)
+from .reconstruct import RawLookup, argmax_leaf, exact_leaf_values, exact_race
 
 EULER_GAMMA = 0.57721566
 
@@ -74,7 +69,7 @@ def greedy_by_bound(graph: PrefixDag, mtau_cfg: MtauConfig,
     which is *not* sound for realized scores (the race term is unbounded).
     """
     values = exact_leaf_values(graph, exact_race(graph, lookup))
-    winner, _ = oracle_optimum(graph, lookup)
+    winner, _ = argmax_leaf(values)
     return _best_first(
         graph, lambda d: mtau(graph.node(d), mtau_cfg), values, winner)
 
@@ -83,9 +78,8 @@ def dist_level(graph: PrefixDag, mtau_cfg: MtauConfig,
                lookup: RawLookup) -> BaselineResult:
     """Distribution-level pruning: keys use the *expected* race term
     E[-log E_min] = gamma + log N(v) instead of the realized -log t(v)."""
-    graph.annotate_counts()
     values = exact_leaf_values(graph, exact_race(graph, lookup))
-    winner, _ = oracle_optimum(graph, lookup)
+    winner, _ = argmax_leaf(values)
 
     def score(digest: bytes) -> float:
         node = graph.node(digest)
@@ -101,7 +95,7 @@ def beam_k(graph: PrefixDag, k: float, mtau_cfg: MtauConfig,
     if k < 1:
         raise ValueError("beam width must be >= 1")
     values = exact_leaf_values(graph, exact_race(graph, lookup))
-    winner, _ = oracle_optimum(graph, lookup)
+    winner, _ = argmax_leaf(values)
     beam = [graph.root]
     best = float("-inf")
     best_leaf: bytes | None = None

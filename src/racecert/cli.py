@@ -256,7 +256,7 @@ def cmd_validate(args) -> int:
         with open(args.counts, encoding="utf-8") as fh:
             counts = {k: int(v) for k, v in json.load(fh).items()}
     else:
-        counts = {d.hex(): graph.suffix_count(d) for d in graph.nodes}
+        counts = graph.public_counts()
     all_ok = True
     for path in args.ledgers:
         started = time.perf_counter()

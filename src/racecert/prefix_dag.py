@@ -1,16 +1,17 @@
 """Shared-node DAGs and their compilation into context-indexed prefix-DAGs.
 
 Compilation duplicates shared subgraphs per prefix context, so every node of
-the output has a unique root path.  Children of any internal node then
-partition its reachable leaf set by construction; the emitted certificate
-witnesses exactly that, plus finiteness and digest uniqueness.
+the output has a unique root path and a unique parent.  Children of any
+internal node then partition its reachable leaf set by construction; the
+certificate is structural: it checks that each context is listed once, in
+its parent's children.  Suffix counts are exact Python ints, set during the
+same walk; ``COUNT_LIMIT`` is the 63-bit ceiling the search certifies under.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -29,10 +30,6 @@ class DepthCapExceededError(ValueError):
 
 class DigestCollisionError(ValueError):
     """Two distinct contexts hashed to the same digest."""
-
-
-class CountFailError(OverflowError):
-    """Suffix count exceeded the 63-bit counter limit."""
 
 
 @dataclass(frozen=True)
@@ -163,15 +160,9 @@ def ctx_digest(path: list[tuple[str, int]], caps: PublicCaps) -> bytes:
     return h.digest()
 
 
-def _ctx_repr(path: list[tuple[str, int]], limit: int = 96) -> str:
-    text = "/".join(f"{s}#{o}" for s, o in path)
-    return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
 @dataclass
 class PrefixNode:
     ctx_digest: bytes
-    ctx_repr: str
     state_label: str
     depth: int
     prefix_score: float
@@ -179,23 +170,16 @@ class PrefixNode:
     edge_order: int
     is_leaf: bool
     children: list[bytes] = field(default_factory=list)
-    n_exact: int | None = None
+    n_exact: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompileCertificate:
-    partition_ok: dict[bytes, bool]
-    finiteness_ok: dict[bytes, bool]
-    digest_collisions: list[tuple[str, str]]
-    total_leaves: int
+    """``ok``: every non-root context sits in exactly one children list, its
+    parent's, so the children of each node partition its leaves."""
 
-    @property
-    def ok(self) -> bool:
-        return (
-            all(self.partition_ok.values())
-            and all(self.finiteness_ok.values())
-            and not self.digest_collisions
-        )
+    ok: bool
+    total_leaves: int
 
 
 class PrefixDag:
@@ -205,54 +189,13 @@ class PrefixDag:
         self.nodes = nodes
         self.root = root
         self.caps = caps
-        self._counts: dict[bytes, int] = {}
-        self._leaf_sets: dict[bytes, frozenset[bytes]] = {}
 
     def node(self, digest: bytes) -> PrefixNode:
         return self.nodes[digest]
 
-    def suffix_count(self, digest: bytes, limit: int = COUNT_LIMIT) -> int:
-        """Exact number of canonical leaves below a node (memoized)."""
-        cached = self._counts.get(digest)
-        if cached is not None:
-            return cached
-        # Iterative post-order: compiled graphs can be deep.
-        stack = [(digest, False)]
-        while stack:
-            d, done = stack.pop()
-            if d in self._counts:
-                continue
-            node = self.nodes[d]
-            if node.is_leaf or not node.children:
-                self._counts[d] = 1 if node.is_leaf else 0
-                continue
-            if done:
-                total = sum(self._counts[c] for c in node.children)
-                if total > limit:
-                    raise CountFailError(
-                        f"count overflow below {node.ctx_repr}"
-                    )
-                self._counts[d] = total
-            else:
-                stack.append((d, True))
-                stack.extend((c, False) for c in node.children)
-        return self._counts[digest]
-
-    def leaf_ids(self, digest: bytes) -> frozenset[bytes]:
-        """Canonical leaf digests below a node (materialized on demand)."""
-        cached = self._leaf_sets.get(digest)
-        if cached is not None:
-            return cached
-        node = self.nodes[digest]
-        if node.is_leaf:
-            result = frozenset([digest])
-        else:
-            acc: set[bytes] = set()
-            for child in node.children:
-                acc |= self.leaf_ids(child)
-            result = frozenset(acc)
-        self._leaf_sets[digest] = result
-        return result
+    def suffix_count(self, digest: bytes) -> int:
+        """Exact number of canonical leaves below a node."""
+        return self.nodes[digest].n_exact
 
     def iter_leaves(self, digest: bytes | None = None):
         start = digest if digest is not None else self.root
@@ -265,93 +208,76 @@ class PrefixDag:
             else:
                 stack.extend(reversed(node.children))
 
-    def annotate_counts(self, limit: int = COUNT_LIMIT) -> None:
-        for digest, node in self.nodes.items():
-            node.n_exact = self.suffix_count(digest, limit=limit)
-
     def public_counts(self) -> dict[str, int]:
         """ctx_digest hex -> exact leaf count, for validator tightening."""
-        self.annotate_counts()
         return {d.hex(): n.n_exact for d, n in self.nodes.items()}
+
+
+def _unique_parents(nodes: dict[bytes, PrefixNode], root: bytes) -> bool:
+    owner: dict[bytes, bytes] = {}
+    for digest, node in nodes.items():
+        for child in node.children:
+            if child in owner or nodes[child].parent != digest:
+                return False
+            owner[child] = digest
+    return root not in owner and len(owner) == len(nodes) - 1
 
 
 def compile_dag(dag: SharedDag) -> tuple[PrefixDag, CompileCertificate]:
     """Unfold a shared-node DAG into a context-indexed prefix-DAG.
 
-    Paths beyond the depth cap are an error, never a silent truncation.
-    Cycles are detected on the walk; a detected digest collision is a
-    certification failure.
+    One depth-first walk with an explicit stack, so deep graphs compile.
+    Each context is created once, with its parent link; its leaf count is
+    set in post-order.  Paths beyond the depth cap are an error, never a
+    silent truncation; a cycle or a repeated digest is an error too.
     """
     nodes: dict[bytes, PrefixNode] = {}
-    digest_owner: dict[bytes, str] = {}
-    collisions: list[tuple[str, str]] = []
-
-    def walk(node_id: str, path: list[tuple[str, int]], on_path: set[str],
-             score: float, parent: bytes | None) -> bytes:
-        dag_node = dag.nodes[node_id]
+    on_path: set[str] = set()
+    root = dag.nodes[dag.root_id]
+    # (node id, context path, prefix score, link): on entry the link is the
+    # parent's digest; an exit entry has no path and links to its own context.
+    stack: list[tuple[str, list | None, float, bytes | None]] = [
+        (dag.root_id, [(root.state_label, 0)], -root.det_score_delta, None)]
+    while stack:
+        node_id, path, score, link = stack.pop()
+        if path is None:  # exit: every child is counted
+            node = nodes[link]
+            if not node.is_leaf:
+                node.n_exact = sum(nodes[c].n_exact for c in node.children)
+            on_path.discard(node_id)
+            continue
         if node_id in on_path:
             raise CycleDetectedError(f"cycle through {node_id!r}")
-        depth = len(path)  # path includes this node after append
-        if depth > dag.caps.max_depth:
+        if len(path) > dag.caps.max_depth:
             raise DepthCapExceededError(
-                f"path depth {depth} exceeds cap {dag.caps.max_depth}"
+                f"path depth {len(path)} exceeds cap {dag.caps.max_depth}"
             )
+        parent = link
         digest = ctx_digest(path, dag.caps)
-        repr_key = _ctx_repr(path, limit=10_000)
-        if digest in digest_owner and digest_owner[digest] != repr_key:
-            collisions.append((digest_owner[digest], repr_key))
-            raise DigestCollisionError(f"digest collision at {repr_key}")
-        digest_owner[digest] = repr_key
-        node = PrefixNode(
+        if digest in nodes:
+            where = "/".join(f"{s}#{o}" for s, o in path)
+            raise DigestCollisionError(f"digest collision at {where}")
+        dag_node = dag.nodes[node_id]
+        nodes[digest] = PrefixNode(
             ctx_digest=digest,
-            ctx_repr=_ctx_repr(path),
             state_label=dag_node.state_label,
-            depth=depth - 1,
+            depth=len(path) - 1,
             prefix_score=score,
             parent=parent,
             edge_order=path[-1][1],
             is_leaf=dag_node.is_leaf,
+            n_exact=1 if dag_node.is_leaf else 0,
         )
-        nodes[digest] = node
+        if parent is not None:
+            nodes[parent].children.append(digest)
         on_path.add(node_id)
-        for order, child_id in dag.children_of(node_id):
-            child_state = dag.nodes[child_id].state_label
-            child_score = score - dag.nodes[child_id].det_score_delta
-            child_digest = walk(
-                child_id, path + [(child_state, order)], on_path,
-                child_score, digest,
-            )
-            node.children.append(child_digest)
-        on_path.discard(node_id)
-        return digest
-
-    root_node = dag.nodes[dag.root_id]
-    root_path = [(root_node.state_label, 0)]
-    root_digest = walk(
-        dag.root_id, root_path, set(),
-        -root_node.det_score_delta, None,
-    )
+        stack.append((node_id, None, 0.0, digest))
+        for order, child_id in reversed(dag.children_of(node_id)):
+            child = dag.nodes[child_id]
+            stack.append((child_id, path + [(child.state_label, order)],
+                          score - child.det_score_delta, digest))
+    root_digest = next(iter(nodes))
     graph = PrefixDag(nodes, root_digest, dag.caps)
-    graph.annotate_counts()
-
-    partition_ok: dict[bytes, bool] = {}
-    finiteness_ok: dict[bytes, bool] = {}
-    for digest, node in nodes.items():
-        finiteness_ok[digest] = math.isfinite(float(graph.suffix_count(digest)))
-        if node.is_leaf or not node.children:
-            continue
-        union: set[bytes] = set()
-        disjoint = True
-        for child in node.children:
-            child_set = graph.leaf_ids(child)
-            if union & child_set:
-                disjoint = False
-            union |= child_set
-        partition_ok[digest] = disjoint and union == set(graph.leaf_ids(digest))
-    cert = CompileCertificate(
-        partition_ok=partition_ok,
-        finiteness_ok=finiteness_ok,
-        digest_collisions=collisions,
-        total_leaves=graph.suffix_count(root_digest),
-    )
+    cert = CompileCertificate(ok=_unique_parents(nodes, root_digest),
+                              total_leaves=nodes[root_digest].n_exact)
     return graph, cert

@@ -1,6 +1,7 @@
 """Run randomness: open-interval uniforms, exponential arrivals, winner
-selection, offset propagation, surrogate arrivals and the PRF-per-leaf
-uniforms used by Surrogate leaf instantiation and Fallback.
+selection, offset propagation (shared by the engine and the race
+reconstruction) and the PRF-per-leaf uniforms used by Surrogate leaf
+instantiation and Fallback.
 
 Every draw is addressable by (seed, node digest, purpose tag), so a replay
 or a race reconstruction obtains bit-identical values without carrying
@@ -114,23 +115,9 @@ def offset_propagate(
     return arrivals
 
 
-class PruneEmptyError(ValueError):
-    """Upper-bound count 0: the subtree is empty and is pruned."""
-
-
-def surrogate_arrival(u: float, n_ub: int) -> float:
-    if n_ub == 0:
-        raise PruneEmptyError("n_ub=0, prune")
-    return exp_from_uniform(u, n_ub)
-
-
 def prf_raw(salt: bytes, domain: str, leaf_id: bytes) -> int:
     h = hashlib.sha256(PRF_DOMAIN_TAG + salt + domain.encode("utf-8") + leaf_id)
     return int.from_bytes(h.digest()[:8], "big")
-
-
-def prf_uniform(salt: bytes, domain: str, leaf_id: bytes) -> float:
-    return open_uniform(prf_raw(salt, domain, leaf_id))
 
 
 def exact_leaf_coupling(t_leaf: float) -> tuple[float, float, float]:

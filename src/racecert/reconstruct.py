@@ -18,6 +18,7 @@ from .race import (
     RngStream,
     exact_leaf_coupling,
     exp_from_uniform,
+    offset_propagate,
     open_uniform,
     quantile_cat,
 )
@@ -43,7 +44,6 @@ def stream_lookup(stream: RngStream,
 
 def exact_race(graph: PrefixDag, lookup: RawLookup) -> dict[bytes, float]:
     """Arrival time of every node under the lazily-propagated exact race."""
-    graph.annotate_counts()
     arrivals: dict[bytes, float] = {}
     root = graph.node(graph.root)
     u0 = open_uniform(lookup(root.ctx_digest, "race"))
@@ -60,14 +60,11 @@ def exact_race(graph: PrefixDag, lookup: RawLookup) -> dict[bytes, float]:
             winner = quantile_cat(w, counts)
         else:
             winner = 0
-        t_parent = arrivals[digest]
-        for i, child in enumerate(node.children):
-            if i == winner:
-                arrivals[child] = t_parent
-            else:
-                u = open_uniform(lookup(child, "residual"))
-                arrivals[child] = t_parent + exp_from_uniform(u, counts[i])
-            stack.append(child)
+        residuals = [open_uniform(lookup(child, "residual"))
+                     for i, child in enumerate(node.children) if i != winner]
+        arrivals.update(zip(node.children, offset_propagate(
+            arrivals[digest], winner, counts, residuals)))
+        stack.extend(node.children)
     return arrivals
 
 
@@ -101,15 +98,17 @@ def realized_suffix_max(graph: PrefixDag,
     return rsm
 
 
+def argmax_leaf(values: dict[bytes, float]) -> tuple[bytes, float]:
+    """Argmax of realized leaf values.  Tie-break mirrors the engine: equal
+    values resolve lexicographically on the public digest, preferring the
+    smaller one."""
+    top = max(values.values())
+    return min(d for d in values if values[d] == top), top
+
+
 def oracle_optimum(graph: PrefixDag, lookup: RawLookup) -> tuple[bytes, float]:
     """Brute-force argmax over all leaves of the reconstructed race."""
-    arrivals = exact_race(graph, lookup)
-    values = exact_leaf_values(graph, arrivals)
-    top = max(values.values())
-    # Tie-break mirrors the engine: equal values resolve lexicographically
-    # on the public digest, preferring the smaller one.
-    best = min(d for d in values if values[d] == top)
-    return best, top
+    return argmax_leaf(exact_leaf_values(graph, exact_race(graph, lookup)))
 
 
 def coupled_monotone_race(graph: PrefixDag,
@@ -120,7 +119,6 @@ def coupled_monotone_race(graph: PrefixDag,
     was logged; nodes without one inherit the parent arrival (a valid lower
     bound, so derived keys stay upper bounds).
     """
-    graph.annotate_counts()
     arrivals: dict[bytes, float] = {}
     root = graph.root
     u0 = uniform_raw.get(root)

@@ -37,12 +37,13 @@ from .bounds import (
     phi,
 )
 from .ledger import Ledger, LedgerRecord, Uuid7Source
-from .prefix_dag import CountFailError, PrefixDag, PrefixNode
+from .prefix_dag import COUNT_LIMIT, PrefixDag, PrefixNode
 from .race import (
     RngStream,
     exact_leaf_coupling,
     exp_from_uniform,
     gumbel_from_uniform,
+    offset_propagate,
     open_uniform,
     prf_raw,
     quantile_cat,
@@ -91,7 +92,6 @@ class RunConfig:
     budget: object | None = None  # budget.BudgetRuntime, optional
     expansion_cap: int | None = None
     wall_cap_s: float | None = None
-    count_limit: int = (1 << 63) - 1
     deterministic_ids: bool | None = None
 
     def header_obj(self, graph: PrefixDag, mode: Mode) -> dict:
@@ -202,7 +202,6 @@ class _Engine:
             stop_slack=0.0, claim_type=self.claim, mode_final=mode,
             ledger=self.ledger,
         )
-        self.n_ub: dict[bytes, int] = {}
         self.budget = cfg.budget
         self.fallback_keys: dict[bytes, float] = {}
 
@@ -329,25 +328,12 @@ class _Engine:
         e_p = -math.log1p(-open_uniform(u_p_raw))
         return node.prefix_score - math.log(e_p), u_p_raw
 
-    def ensure_counts(self) -> bool:
-        try:
-            self.graph.annotate_counts(limit=self.cfg.count_limit)
-            return True
-        except CountFailError as exc:
-            self.guard("CountFail", reason=str(exc), downgrade_to=None)
-            return False
-
-    def build_n_ub(self) -> bool:
+    def n_ub(self, digest: bytes) -> int:
+        """Surrogate upper-bound count: the given map (replay), else the
+        inflated exact count."""
         if self.cfg.n_ub_map is not None:
-            self.n_ub = dict(self.cfg.n_ub_map)
-            return True
-        try:
-            for digest in self.graph.nodes:
-                n = self.graph.suffix_count(digest, limit=self.cfg.count_limit)
-                self.n_ub[digest] = math.ceil(self.cfg.n_ub_factor * n)
-            return True
-        except CountFailError:
-            return False
+            return self.cfg.n_ub_map.get(digest, 0)
+        return math.ceil(self.cfg.n_ub_factor * self.graph.suffix_count(digest))
 
     def phi_fields(self, parent: PrefixNode, children: list[PrefixNode]) -> dict:
         cfg = self.cfg.phi
@@ -437,20 +423,23 @@ class _Engine:
     def start(self) -> None:
         """Pick the strongest mode the counts allow and push the root."""
         graph = self.graph
-        if self.mode is Mode.EXACT and not self.ensure_counts():
-            # Counts failed: mandatory downgrade to Surrogate (still certified
-            # if upper bounds exist), else NoCert fallback.
-            self.mode = Mode.SURROGATE
-        if self.mode is Mode.SURROGATE and not self.build_n_ub():
-            self.mode = Mode.FALLBACK
+        # The root count is the largest count the search can reach.
+        root_count = graph.suffix_count(graph.root)
+        bounded = self.cfg.n_ub_map is not None
+        needs_counts = (self.mode is Mode.EXACT
+                        or (self.mode is Mode.SURROGATE and not bounded))
+        if needs_counts and root_count > COUNT_LIMIT:
+            # Mandatory downgrade: to Surrogate if upper bounds are given
+            # (still certified), else to the NoCert fallback.
+            self.guard("CountFail",
+                       reason=f"root count {root_count} exceeds {COUNT_LIMIT}",
+                       downgrade_to=None if bounded else ClaimType.NO_CERT)
+            self.mode = Mode.SURROGATE if bounded else Mode.FALLBACK
         if self.mode is Mode.FALLBACK:
             self.switch_to_fallback()
             return
         root = graph.node(graph.root)
-        if self.mode is Mode.EXACT:
-            rate = graph.suffix_count(graph.root)
-        else:
-            rate = self.n_ub[graph.root]
+        rate = root_count if self.mode is Mode.EXACT else self.n_ub(graph.root)
         raw = self.uniforms.raw(root, "race")
         t_root = exp_from_uniform(open_uniform(raw), rate)
         self.push(root, self.key_for(root, t_root), t_root, rate, raw)
@@ -504,20 +493,20 @@ class _Engine:
                 else:
                     w_raw, winner = None, 0
                 self.pop_record(node, entry, W=w_raw, **phi_extra)
-                for i, child in enumerate(children):
-                    if i == winner:
-                        t, raw_i = entry.t, None
-                    else:
-                        raw_i = self.uniforms.raw(child, "residual")
-                        t = entry.t + exp_from_uniform(open_uniform(raw_i), counts[i])
-                    self.push(child, self.key_for(child, t), t, counts[i], raw_i)
+                raws = [None if i == winner else self.uniforms.raw(child, "residual")
+                        for i, child in enumerate(children)]
+                arrivals = offset_propagate(
+                    entry.t, winner, counts,
+                    [open_uniform(r) for r in raws if r is not None])
+                for child, t, count, raw_i in zip(children, arrivals, counts, raws):
+                    self.push(child, self.key_for(child, t), t, count, raw_i)
             else:  # Surrogate: children anchored at the parent's arrival.
-                rate_v = self.n_ub[node.ctx_digest]
+                rate_v = self.n_ub(node.ctx_digest)
                 v_raw = self.uniforms.raw(node, "race")
                 t_hat = exp_from_uniform(open_uniform(v_raw), rate_v)
                 self.pop_record(node, entry, U=v_raw, Nub=rate_v, **phi_extra)
                 for child in children:
-                    n_ub = self.n_ub.get(child.ctx_digest, 0)
+                    n_ub = self.n_ub(child.ctx_digest)
                     if n_ub == 0:
                         continue  # empty subtree: pruned immediately
                     self.push(child, self.key_for(child, t_hat), t_hat, n_ub)

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from racecert import prefix_dag
 from racecert.generators import random_tree, suite_b, toy_graph
 from racecert.prefix_dag import (
     CycleDetectedError,
     DagNode,
     DepthCapExceededError,
+    DigestCollisionError,
     PublicCaps,
     SharedDag,
     compile_dag,
@@ -52,6 +54,20 @@ def test_partition_certificate_on_random_trees():
                 continue
             assert graph.suffix_count(digest) == sum(
                 graph.suffix_count(c) for c in node.children)
+
+
+def test_digest_collision_is_an_error(monkeypatch):
+    monkeypatch.setattr(prefix_dag, "ctx_digest", lambda path, caps: b"\x00" * 32)
+    with pytest.raises(DigestCollisionError):
+        compile_dag(toy_graph())
+
+
+def test_certificate_rejects_a_context_listed_twice():
+    graph, _ = compile_dag(toy_graph())
+    root = graph.node(graph.root)
+    assert prefix_dag._unique_parents(graph.nodes, graph.root)
+    root.children.append(root.children[0])
+    assert not prefix_dag._unique_parents(graph.nodes, graph.root)
 
 
 def test_cycle_detection():

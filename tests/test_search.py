@@ -9,6 +9,7 @@ from racecert.bounds import MtauConfig, MtauRecipe, PhiConfig
 from racecert.generators import toy_graph
 from racecert.prefix_dag import DagNode, PublicCaps, SharedDag, compile_dag
 from racecert.search import ClaimType, FrontierEntry, Mode, RunConfig, resolve_tie
+from racecert.validator import validate
 
 
 def _labels(graph):
@@ -85,24 +86,68 @@ def test_expansion_cap_binds_fallback(toy):
     assert result.frontier_at_stop  # the root's children are still queued
 
 
-def test_countfail_downgrades_to_surrogate(toy):
+def test_countfail_downgrades_to_surrogate(toy, tmp_path, monkeypatch):
     graph, cfg = toy
-    graph._counts.clear()  # drop the memo populated while certifying
-    cfg.count_limit = 2
+    monkeypatch.setattr(search, "COUNT_LIMIT", 2)
     cfg.n_ub_map = {d: 8 for d in graph.nodes}
-    result = search.run(graph, Mode.EXACT, cfg)
+    path = str(tmp_path / "countfail-surrogate.ndjson")
+    result = search.run(graph, Mode.EXACT, cfg, ledger_path=path)
     assert "CountFail" in result.guards_seen
     assert result.mode_final is Mode.SURROGATE
+    assert validate(path, graph).ok
 
 
-def test_countfail_without_bounds_falls_back(toy):
+def _assert_countfail_fallback(toy, tmp_path, monkeypatch, mode):
     graph, cfg = toy
-    graph._counts.clear()
-    cfg.count_limit = 2
-    result = search.run(graph, Mode.EXACT, cfg)
-    assert "CountFail" in result.guards_seen
+    monkeypatch.setattr(search, "COUNT_LIMIT", 2)
+    path = str(tmp_path / "countfail-fallback.ndjson")
+    result = search.run(graph, mode, cfg, ledger_path=path)
+    assert result.guards_seen == ["CountFail"]
     assert result.mode_final is Mode.FALLBACK
     assert result.claim_type is ClaimType.NO_CERT
+    guard = next(r for r in result.ledger.records if r.get("event") == "guard")
+    assert guard["claim_type_before"] == "RunWiseExact"
+    assert guard["claim_type_after"] == "NoCert"
+    assert validate(path, graph).ok
+
+
+def test_countfail_without_bounds_falls_back(toy, tmp_path, monkeypatch):
+    _assert_countfail_fallback(toy, tmp_path, monkeypatch, Mode.EXACT)
+
+
+def test_surrogate_countfail_without_bounds_falls_back(toy, tmp_path, monkeypatch):
+    _assert_countfail_fallback(toy, tmp_path, monkeypatch, Mode.SURROGATE)
+
+
+def test_surrogate_with_bounds_needs_no_counts(toy, tmp_path, monkeypatch):
+    graph, cfg = toy
+    monkeypatch.setattr(search, "COUNT_LIMIT", 2)
+    cfg.n_ub_map = {d: 8 for d in graph.nodes}
+    path = str(tmp_path / "bounded-surrogate.ndjson")
+    result = search.run(graph, Mode.SURROGATE, cfg, ledger_path=path)
+    assert result.guards_seen == []
+    assert result.claim_type is ClaimType.RUN_WISE_EXACT
+    assert validate(path, graph).ok
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_deep_chain_runs_and_validates(tmp_path, mode):
+    # Deeper than Python's default recursion limit: compile, search and
+    # replay must all be iterative.
+    depth = 1200
+    nodes = {f"n{i}": DagNode(f"n{i}", f"s{i}", i == depth) for i in range(depth + 1)}
+    edges = [(f"n{i}", f"n{i + 1}", 0) for i in range(depth)]
+    dag = SharedDag(nodes=nodes, edges=edges, root_id="n0",
+                    caps=PublicCaps(max_depth=depth + 1, c_s_max=1.0, c_s_min=1.0))
+    graph, cert = compile_dag(dag)
+    assert cert.ok and cert.total_leaves == 1
+    assert len(graph.nodes) == depth + 1
+    cfg = RunConfig(mtau=MtauConfig(), seed=3, n_ub_factor=2.0,
+                    deterministic_ids=True)
+    path = str(tmp_path / f"chain-{mode.value}.ndjson")
+    result = search.run(graph, mode, cfg, ledger_path=path)
+    assert result.incumbent_leaf is not None
+    assert validate(path, graph, public_counts=graph.public_counts()).ok
 
 
 def test_numclamp_guard(toy):
