@@ -10,15 +10,11 @@ touches the race: key streams with and without the controller are
 bit-identical.
 """
 
-import os
-
-from racecert.budget import BudgetRuntime, BudgetState, default_catalog
+from racecert.budget import (BudgetRuntime, BudgetState, default_catalog,
+                             rdp_to_eps_delta)
 from racecert.generators import TOY_SCRIPTED, toy_graph, toy_mtau
 from racecert.prefix_dag import compile_dag
 from racecert.search import Mode, RunConfig, run
-from racecert.validator import rdp_to_eps_delta
-
-os.environ.setdefault("RACECERT_DETERMINISTIC", "1")
 
 graph, cert = compile_dag(toy_graph())
 assert cert.ok

@@ -19,8 +19,6 @@ from racecert.prefix_dag import compile_dag
 from racecert.search import Mode, RunConfig, run
 from racecert.validator import validate
 
-os.environ.setdefault("RACECERT_DETERMINISTIC", "1")
-
 graph, cert = compile_dag(suite_b(layers=3, width=3, seed=0))
 assert cert.ok
 print(f"suite-B graph: {len(graph.nodes)} contexts, "

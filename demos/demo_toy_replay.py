@@ -18,8 +18,6 @@ from racecert.prefix_dag import compile_dag
 from racecert.search import Mode, RunConfig, run
 from racecert.validator import validate
 
-os.environ.setdefault("RACECERT_DETERMINISTIC", "1")
-
 # Compile the shared DAG into a context-indexed prefix tree.  The compiler
 # emits certificates (acyclic, unique contexts, child counts partition) that
 # anyone can re-check against the public graph.

@@ -3,7 +3,8 @@
 All baselines score leaves against the *same* realized race as the certified
 router (pure RNG addressing makes that race a function of the seed alone), so
 "pruned_winner" means the baseline discarded the leaf that actually won this
-run's race.
+run's race.  Callers pass that race's leaf values
+(``reconstruct.exact_leaf_values``), built once per seed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from .bounds import MtauConfig, mtau
 from .prefix_dag import PrefixDag
 from .race import gumbel_from_uniform, open_uniform, prf_raw
-from .reconstruct import RawLookup, argmax_leaf, exact_leaf_values, exact_race
+from .reconstruct import argmax_leaf
 
 EULER_GAMMA = 0.57721566
 
@@ -62,23 +63,21 @@ def _best_first(graph: PrefixDag, score, leaf_values: dict[bytes, float],
 
 
 def greedy_by_bound(graph: PrefixDag, mtau_cfg: MtauConfig,
-                    lookup: RawLookup) -> BaselineResult:
+                    values: dict[bytes, float]) -> BaselineResult:
     """Best-first on the deterministic bound alone; no run-wise certificate.
 
     Stops when the top bound no longer exceeds the best realized leaf value,
     which is *not* sound for realized scores (the race term is unbounded).
     """
-    values = exact_leaf_values(graph, exact_race(graph, lookup))
     winner, _ = argmax_leaf(values)
     return _best_first(
         graph, lambda d: mtau(graph.node(d), mtau_cfg), values, winner)
 
 
 def dist_level(graph: PrefixDag, mtau_cfg: MtauConfig,
-               lookup: RawLookup) -> BaselineResult:
+               values: dict[bytes, float]) -> BaselineResult:
     """Distribution-level pruning: keys use the *expected* race term
     E[-log E_min] = gamma + log N(v) instead of the realized -log t(v)."""
-    values = exact_leaf_values(graph, exact_race(graph, lookup))
     winner, _ = argmax_leaf(values)
 
     def score(digest: bytes) -> float:
@@ -90,11 +89,10 @@ def dist_level(graph: PrefixDag, mtau_cfg: MtauConfig,
 
 
 def beam_k(graph: PrefixDag, k: float, mtau_cfg: MtauConfig,
-           lookup: RawLookup) -> BaselineResult:
+           values: dict[bytes, float]) -> BaselineResult:
     """Level-synchronous beam of width k by the deterministic bound."""
     if k < 1:
         raise ValueError("beam width must be >= 1")
-    values = exact_leaf_values(graph, exact_race(graph, lookup))
     winner, _ = argmax_leaf(values)
     beam = [graph.root]
     best = float("-inf")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .prefix_dag import PrefixNode
 
@@ -20,7 +20,7 @@ LOG2 = math.log(2.0)
 
 class MtauRecipe(Enum):
     R1 = "R1"  # per-step envelope: prefix score + d(v) * c_s_max
-    R2 = "R2"  # monotone remainder envelope psi(prefix)
+    R2 = "R2"  # prefix score: scores only fall when edge costs are >= 0
     FIXED = "FIXED"  # per-state table (fixture replays)
 
 
@@ -29,7 +29,6 @@ class MtauConfig:
     recipe: MtauRecipe = MtauRecipe.R2
     c_s_max: float = 0.0
     max_depth: int = 0
-    psi: Callable[[PrefixNode], float] | None = None
     fixed_table: dict[str, float] = field(default_factory=dict, hash=False)
 
     def remaining_steps(self, node: PrefixNode) -> int:
@@ -42,15 +41,8 @@ def mtau(node: PrefixNode, cfg: MtauConfig) -> float:
     if cfg.recipe is MtauRecipe.R1:
         return node.prefix_score + cfg.remaining_steps(node) * cfg.c_s_max
     if cfg.recipe is MtauRecipe.R2:
-        psi = cfg.psi if cfg.psi is not None else _psi_prefix_score
-        return psi(node)
+        return node.prefix_score
     return cfg.fixed_table[node.state_label]
-
-
-def _psi_prefix_score(node: PrefixNode) -> float:
-    # Tightest generic monotone envelope when per-edge costs are >= 0:
-    # scores only decrease along the path.
-    return node.prefix_score
 
 
 class TailDivergesError(OverflowError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 from . import fixedpoint as fp
 from .prefix_dag import PrefixNode
@@ -80,10 +80,32 @@ def default_catalog() -> list[ModelCatalogEntry]:
     ]
 
 
-@dataclass
-class RdpAtom:
+class RdpAtom(NamedTuple):
     alpha: float
     eps_alpha: float
+
+
+def rdp_eps_alpha(atoms: Sequence[tuple[float, float]],
+                  delta: float) -> tuple[float, float] | None:
+    """Classic RDP->(eps, delta), the one conversion: over the ascending
+    alpha grid of the atoms, the smallest composed eps plus
+    log(1/delta)/(alpha-1), and the first alpha attaining it.  No atoms ->
+    unset (None)."""
+    if not atoms:
+        return None
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    # Equal eps order by alpha, so a tie goes to the first alpha.
+    return min((sum(e for a, e in atoms if a == alpha)
+                + math.log(1.0 / delta) / (alpha - 1.0), alpha)
+               for alpha in sorted({a for a, _ in atoms}))
+
+
+def rdp_to_eps_delta(atoms: Sequence[tuple[float, float]],
+                     delta: float) -> float | None:
+    """The epsilon of ``rdp_eps_alpha``; None without atoms."""
+    best = rdp_eps_alpha(atoms, delta)
+    return None if best is None else best[0]
 
 
 @dataclass
@@ -104,29 +126,14 @@ class BudgetState:
         if self.weight_alpha <= 0 or self.weight_beta <= 0 or self.weight_gamma < 0:
             raise ValueError("weights must satisfy alpha, beta > 0 and gamma >= 0")
 
-    def rdp_eps(self) -> float:
-        """Current epsilon at delta via the classic RDP->DP conversion."""
-        return self.rdp_eps_alpha()[0]
-
     def rdp_eps_alpha(self) -> tuple[float, float | None]:
-        if not self.atoms:
-            return 0.0, None
-        best, best_alpha = math.inf, None
-        for alpha in self.alpha_grid:
-            total = sum(a.eps_alpha for a in self.atoms if a.alpha == alpha)
-            eps = total + math.log(1.0 / self.delta) / (alpha - 1.0)
-            if eps < best:
-                best, best_alpha = eps, alpha
-        return best, best_alpha
+        """Current (eps, alpha) at delta; (0.0, None) without atoms."""
+        return rdp_eps_alpha(self.atoms, self.delta) or (0.0, None)
 
     def eps_after(self, entry: ModelCatalogEntry) -> float:
-        if entry.eps_m == 0.0:
-            return self.rdp_eps() if self.atoms else 0.0
-        trial = BudgetState(self.eps_max, self.delta, self.price_max,
-                            self.slo_ms, self.alpha_grid)
-        trial.atoms = list(self.atoms) + [
-            RdpAtom(alpha, entry.eps_m) for alpha in self.alpha_grid]
-        return trial.rdp_eps()
+        """Epsilon at delta once ``entry`` is charged."""
+        atoms = self.atoms + self.new_atoms(entry)
+        return rdp_to_eps_delta(atoms, self.delta) or 0.0
 
     def feasible(self, entry: ModelCatalogEntry) -> bool:
         if self.price_spent + entry.price_m > self.price_max:
@@ -138,9 +145,13 @@ class BudgetState:
     def charge(self, entry: ModelCatalogEntry) -> None:
         self.price_spent += entry.price_m
         self.latency_acc += SAFETY_FACTOR * entry.latency_m
-        if entry.eps_m > 0.0:
-            self.atoms.extend(RdpAtom(alpha, entry.eps_m)
-                              for alpha in self.alpha_grid)
+        self.atoms.extend(self.new_atoms(entry))
+
+    def new_atoms(self, entry: ModelCatalogEntry) -> list[RdpAtom]:
+        """One atom per grid alpha for a private entry; none if eps_m == 0."""
+        if entry.eps_m == 0.0:
+            return []
+        return [RdpAtom(alpha, entry.eps_m) for alpha in self.alpha_grid]
 
 
 def apply_latency_guard(state: BudgetState, latency_m: int) -> str:

@@ -33,9 +33,9 @@ from .generators import (
 from .prefix_dag import SharedDag, compile_dag
 from .race import RngStream
 from .reconstruct import (
+    argmax_leaf,
     exact_leaf_values,
     exact_race,
-    oracle_optimum,
     realized_suffix_max,
     stream_lookup,
 )
@@ -109,6 +109,12 @@ def _run_config(args, seed: int, graph) -> RunConfig:
     )
 
 
+def _realized_leaf_values(graph, seed: int, cfg: RunConfig) -> dict[bytes, float]:
+    """Every leaf's value under the seed's realized Exact race."""
+    lookup = stream_lookup(RngStream(seed), cfg.scripted_uniforms, graph)
+    return exact_leaf_values(graph, exact_race(graph, lookup))
+
+
 def cmd_suite(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     ledger_dir = os.path.join(args.out, "ledgers")
@@ -125,8 +131,8 @@ def cmd_suite(args) -> int:
         # The graph travels with its ledgers: validate needs it (--graph).
         shared.save(os.path.join(ledger_dir, f"{args.suite}-{seed}.graph.json"))
         cfg = _run_config(args, seed, graph)
-        lookup = stream_lookup(RngStream(seed), cfg.scripted_uniforms, graph)
-        winner, _ = oracle_optimum(graph, lookup)
+        values = _realized_leaf_values(graph, seed, cfg)
+        winner, _ = argmax_leaf(values)
         for mode in modes:
             started = time.perf_counter()
             if mode in ("Exact", "Surrogate", "Fallback"):
@@ -139,13 +145,13 @@ def cmd_suite(args) -> int:
                           if mode == "Exact" else "")
                 expansions, slack = result.expansions, -result.stop_slack
             elif mode == "greedy":
-                base = greedy_by_bound(graph, cfg.mtau, lookup)
+                base = greedy_by_bound(graph, cfg.mtau, values)
                 expansions, slack, pruned = base.expansions, "", base.pruned_winner
             elif mode == "beam3":
-                base = beam_k(graph, 3, cfg.mtau, lookup)
+                base = beam_k(graph, 3, cfg.mtau, values)
                 expansions, slack, pruned = base.expansions, "", base.pruned_winner
             elif mode == "dist-level":
-                base = dist_level(graph, cfg.mtau, lookup)
+                base = dist_level(graph, cfg.mtau, values)
                 expansions, slack, pruned = base.expansions, "", base.pruned_winner
             else:
                 print(f"unknown mode {mode!r}", file=sys.stderr)
@@ -178,12 +184,9 @@ def cmd_tightness(args) -> int:
         shared = _shared_for(args, seed)
         graph, _ = compile_dag(shared)
         cfg = _run_config(args, seed, graph)
+        rsm = realized_suffix_max(graph, _realized_leaf_values(graph, seed, cfg))
         for mode in _modes_for(args):
             result = run(graph, Mode(mode), cfg)
-            lookup = stream_lookup(RngStream(seed), cfg.scripted_uniforms,
-                                   graph)
-            rsm = realized_suffix_max(
-                graph, exact_leaf_values(graph, exact_race(graph, lookup)))
             b_star = result.incumbent
             for digest_hex, key_q in result.frontier_at_stop:
                 key = fp.decode_q64_64(key_q)

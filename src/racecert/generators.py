@@ -230,7 +230,8 @@ def find_adversarial(max_seeds: int = 2000) -> int | None:
     from .baselines import dist_level
     from .bounds import MtauConfig
     from .race import RngStream
-    from .reconstruct import oracle_optimum, stream_lookup
+    from .reconstruct import (argmax_leaf, exact_leaf_values, exact_race,
+                              stream_lookup)
     from .search import Mode, RunConfig, run
 
     graph, cert = compile_dag(adversarial_graph())
@@ -238,10 +239,11 @@ def find_adversarial(max_seeds: int = 2000) -> int | None:
     cfg_m = MtauConfig()  # R2: prefix-score envelope
     for seed in range(max_seeds):
         lookup = stream_lookup(RngStream(seed))
-        base = dist_level(graph, cfg_m, lookup)
+        values = exact_leaf_values(graph, exact_race(graph, lookup))
+        base = dist_level(graph, cfg_m, values)
         if not base.pruned_winner:
             continue
-        winner, value = oracle_optimum(graph, lookup)
+        winner, _ = argmax_leaf(values)
         result = run(graph, Mode.EXACT, RunConfig(mtau=cfg_m, seed=seed))
         if result.incumbent_leaf == winner.hex():
             return seed

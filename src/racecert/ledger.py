@@ -239,9 +239,7 @@ def make_uuid7(unix_ms: int, rand_a: int, rand_b: int) -> str:
 class Uuid7Source:
     """UUIDv7 generator; seeded (counter clock) or wall clock."""
 
-    def __init__(self, stream=None, deterministic: bool | None = None):
-        if deterministic is None:
-            deterministic = os.environ.get("RACECERT_DETERMINISTIC") == "1"
+    def __init__(self, stream=None, deterministic: bool = True):
         self.deterministic = deterministic and stream is not None
         self.stream = stream
         self.counter = 0

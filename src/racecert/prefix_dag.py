@@ -1,8 +1,9 @@
 """Shared-node DAGs and their compilation into context-indexed prefix-DAGs.
 
 Compilation duplicates shared subgraphs per prefix context, so every node of
-the output has a unique root path and a unique parent.  Children of any
-internal node then partition its reachable leaf set by construction; the
+the output has a unique root path and a unique parent.  Contexts with no
+leaf below them are dropped, so the children of any internal node partition
+its reachable leaf set into non-empty blocks by construction; the
 certificate is structural: it checks that each context is listed once, in
 its parent's children.  Suffix counts are exact Python ints, set during the
 same walk; ``COUNT_LIMIT`` is the 63-bit ceiling the search certifies under.
@@ -30,6 +31,10 @@ class DepthCapExceededError(ValueError):
 
 class DigestCollisionError(ValueError):
     """Two distinct contexts hashed to the same digest."""
+
+
+class NoLeafError(ValueError):
+    """No leaf is reachable from the root."""
 
 
 @dataclass(frozen=True)
@@ -228,8 +233,10 @@ def compile_dag(dag: SharedDag) -> tuple[PrefixDag, CompileCertificate]:
 
     One depth-first walk with an explicit stack, so deep graphs compile.
     Each context is created once, with its parent link; its leaf count is
-    set in post-order.  Paths beyond the depth cap are an error, never a
-    silent truncation; a cycle or a repeated digest is an error too.
+    set in post-order, where an internal context with no leaf below it is
+    dropped, so every child holds at least one of its parent's leaves.
+    Paths beyond the depth cap are an error, never a silent truncation; a
+    cycle, a repeated digest or a root without leaves is an error too.
     """
     nodes: dict[bytes, PrefixNode] = {}
     on_path: set[str] = set()
@@ -244,6 +251,13 @@ def compile_dag(dag: SharedDag) -> tuple[PrefixDag, CompileCertificate]:
             node = nodes[link]
             if not node.is_leaf:
                 node.n_exact = sum(nodes[c].n_exact for c in node.children)
+            if node.n_exact == 0:  # no leaf below: drop the context
+                if node.parent is None:
+                    raise NoLeafError(f"no leaf below root {node_id!r}")
+                del nodes[link]
+                # A child exits before its next sibling is entered, so it
+                # is still its parent's last child.
+                nodes[node.parent].children.pop()
             on_path.discard(node_id)
             continue
         if node_id in on_path:

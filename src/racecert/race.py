@@ -59,9 +59,6 @@ class RngStream:
             z = _mix64(z ^ int.from_bytes(material[i : i + 8], "big"))
         return _mix64((z + _GOLDEN * (counter + 1)) & _MASK64)
 
-    def uniform(self, digest: bytes, purpose: str, counter: int = 0) -> float:
-        return open_uniform(self.raw(digest, purpose, counter))
-
 
 def exp_from_uniform(u: float, rate: int) -> float:
     """Inverse-CDF exponential with the compensated log1p transform."""

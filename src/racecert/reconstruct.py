@@ -29,14 +29,15 @@ RawLookup = Callable[[bytes, str], int | None]
 def stream_lookup(stream: RngStream,
                   scripted: dict[tuple[str, str], int] | None = None,
                   graph: PrefixDag | None = None) -> RawLookup:
-    """The engine's own addressing, packaged as a lookup."""
-    scripted = scripted or {}
+    """The engine's draw addressing: a draw scripted by the node's
+    ``(state_label, purpose)`` (needs ``graph``), else the stream's."""
+    if not scripted or graph is None:
+        return stream.raw
 
     def lookup(digest: bytes, purpose: str) -> int:
-        if graph is not None:
-            key = (graph.node(digest).state_label, purpose)
-            if key in scripted:
-                return scripted[key]
+        key = (graph.node(digest).state_label, purpose)
+        if key in scripted:
+            return scripted[key]
         return stream.raw(digest, purpose)
 
     return lookup
@@ -52,7 +53,7 @@ def exact_race(graph: PrefixDag, lookup: RawLookup) -> dict[bytes, float]:
     while stack:
         digest = stack.pop()
         node = graph.node(digest)
-        if node.is_leaf or not node.children:
+        if node.is_leaf:
             continue
         counts = [graph.suffix_count(c) for c in node.children]
         if len(node.children) > 1:
@@ -93,8 +94,7 @@ def realized_suffix_max(graph: PrefixDag,
         if node.is_leaf:
             rsm[digest] = leaf_values[digest]
         else:
-            kids = [rsm[c] for c in node.children]
-            rsm[digest] = max(kids) if kids else float("-inf")
+            rsm[digest] = max(rsm[c] for c in node.children)
     return rsm
 
 

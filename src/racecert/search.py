@@ -14,23 +14,29 @@ only how a pushed node is keyed and how a popped leaf is valued:
   run-wise claim but stays deterministic and replayable.
 
 A CountFail or BudgetFail that leaves no certified mode restarts the search
-from the root under Fallback.  Every uniform, count, key, guard and budget
-event is appended to the ledger in execution order.
+from the root under Fallback; ``expansion_cap`` is the only Timeout source.
+Every uniform, count, key, guard and budget event is appended to the ledger
+in execution order.
+
+The ledger is the whole record of a run's configuration: each ``RunConfig``
+setting is either in the header (``RunConfig.header_obj``, read back by
+``RunConfig.from_header``) or rebuilt from logged records (``Nub`` for
+``n_ub_map``, ``U``/``W`` for scripted draws, budget records for the
+budget), so the validator replays a run from its ledger and graph alone.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Callable
 
 from . import fixedpoint as fp
 from .bounds import (
     ExpansionCheck,
     MtauConfig,
+    MtauRecipe,
     PhiConfig,
     check_expansion,
     mtau,
@@ -48,6 +54,7 @@ from .race import (
     prf_raw,
     quantile_cat,
 )
+from .reconstruct import RawLookup, stream_lookup
 
 
 class Mode(str, Enum):
@@ -87,15 +94,14 @@ class RunConfig:
     salt: bytes = b"\x00" * 8
     prf_domain: str = "leaf"
     tau: float = 1.0
-    surrogate_leaf_prf: bool = True
     scripted_uniforms: dict[tuple[str, str], int] = field(default_factory=dict)
     budget: object | None = None  # budget.BudgetRuntime, optional
     expansion_cap: int | None = None
-    wall_cap_s: float | None = None
-    deterministic_ids: bool | None = None
+    deterministic_ids: bool = True  # node ids only; replay skips them
 
     def header_obj(self, graph: PrefixDag, mode: Mode) -> dict:
-        mt = self.mtau
+        """The ledger header: every setting that is not rebuilt from logged
+        records (``Nub``, ``U``/``W`` and budget records)."""
         return {
             "mode": mode.value,
             "seed": self.seed,
@@ -103,26 +109,31 @@ class RunConfig:
             "prf_domain": self.prf_domain,
             "tau": self.tau,
             "n_ub_factor": self.n_ub_factor,
-            "surrogate_leaf_prf": self.surrogate_leaf_prf,
+            # Surrogate leaves are always PRF-valued; the key keeps the
+            # ledger format unchanged.
+            "surrogate_leaf_prf": True,
             "privacy_scope": "post_processing_only",
             "root": graph.root.hex(),
             "expansion_cap": self.expansion_cap,
-            "mtau": {
-                "recipe": mt.recipe.value,
-                "c_s_max": mt.c_s_max,
-                "max_depth": mt.max_depth,
-                "fixed_table": mt.fixed_table,
-            },
-            "phi": None
-            if self.phi is None
-            else {
-                "step_cap": self.phi.step_cap,
-                "alpha": self.phi.alpha,
-                "eta": self.phi.eta,
-                "eps_fp": self.phi.eps_fp,
-                "c_s_min": self.phi.c_s_min,
-            },
+            "mtau": {**asdict(self.mtau), "recipe": self.mtau.recipe.value},
+            "phi": None if self.phi is None else asdict(self.phi),
         }
+
+    @staticmethod
+    def from_header(header: dict) -> tuple[Mode, RunConfig]:
+        """The mode and config that ``header_obj`` wrote into ``header``."""
+        mt, phi_obj = header["mtau"], header["phi"]
+        cfg = RunConfig(
+            mtau=MtauConfig(**{**mt, "recipe": MtauRecipe(mt["recipe"])}),
+            phi=None if phi_obj is None else PhiConfig(**phi_obj),
+            seed=header["seed"],
+            n_ub_factor=header["n_ub_factor"],
+            salt=bytes.fromhex(header["salt"]),
+            prf_domain=header["prf_domain"],
+            tau=header["tau"],
+            expansion_cap=header["expansion_cap"],
+        )
+        return Mode(header["mode"]), cfg
 
 
 @dataclass
@@ -152,24 +163,6 @@ def resolve_tie(a: FrontierEntry, b: FrontierEntry) -> tuple[FrontierEntry, Fron
     return b, a, 1
 
 
-class _UniformSource:
-    """Stream draws with optional scripted overrides by (state, purpose)."""
-
-    def __init__(self, stream: RngStream, scripted: dict[tuple[str, str], int],
-                 provider: Callable[[bytes, str], int] | None = None):
-        self.stream = stream
-        self.scripted = scripted
-        self.provider = provider
-
-    def raw(self, node: PrefixNode, purpose: str) -> int:
-        if self.provider is not None:
-            return self.provider(node.ctx_digest, purpose)
-        key = (node.state_label, purpose)
-        if key in self.scripted:
-            return self.scripted[key]
-        return self.stream.raw(node.ctx_digest, purpose)
-
-
 def _encode_key(value: float) -> tuple[int, bool]:
     """Q64.64 key encode; overflow clamps and reports (NumClamp guard)."""
     try:
@@ -180,13 +173,15 @@ def _encode_key(value: float) -> tuple[int, bool]:
 
 class _Engine:
     def __init__(self, graph: PrefixDag, mode: Mode, cfg: RunConfig,
-                 uniform_provider=None):
+                 uniform_provider: RawLookup | None = None):
         self.graph = graph
         self.mode = mode
         self.cfg = cfg
         self.stream = RngStream(cfg.seed)
-        self.uniforms = _UniformSource(self.stream, cfg.scripted_uniforms,
-                                       provider=uniform_provider)
+        # Every draw, by (ctx digest, purpose): the validator's logged
+        # uniforms on replay, else scripted by (state, purpose) or streamed.
+        self.draw = uniform_provider or stream_lookup(
+            self.stream, cfg.scripted_uniforms, graph)
         self.ledger = Ledger(cfg.header_obj(graph, mode))
         self.uuid = Uuid7Source(self.stream, cfg.deterministic_ids)
         self.node_ids: dict[bytes, str] = {}
@@ -321,10 +316,7 @@ class _Engine:
             return node.prefix_score - math.log(e_p), _quantize_uniform(u_p)
         if self.mode is Mode.FALLBACK:
             return self.fallback_key(node), prf_raw(cfg.salt, cfg.prf_domain, node.ctx_digest)
-        if cfg.surrogate_leaf_prf:
-            u_p_raw = prf_raw(cfg.salt, cfg.prf_domain, node.ctx_digest)
-        else:
-            u_p_raw = self.uniforms.raw(node, "leaf")
+        u_p_raw = prf_raw(cfg.salt, cfg.prf_domain, node.ctx_digest)
         e_p = -math.log1p(-open_uniform(u_p_raw))
         return node.prefix_score - math.log(e_p), u_p_raw
 
@@ -440,23 +432,19 @@ class _Engine:
             return
         root = graph.node(graph.root)
         rate = root_count if self.mode is Mode.EXACT else self.n_ub(graph.root)
-        raw = self.uniforms.raw(root, "race")
+        raw = self.draw(root.ctx_digest, "race")
         t_root = exp_from_uniform(open_uniform(raw), rate)
         self.push(root, self.key_for(root, t_root), t_root, rate, raw)
 
     def run(self) -> RunResult:
         graph, cfg = self.graph, self.cfg
         self.start()
-        started = time.monotonic()
         while True:
             decision = self.stop_check()
             if decision is not StopDecision.CONTINUE:
                 return self.finish(decision)
             if cfg.expansion_cap is not None and self.result.expansions >= cfg.expansion_cap:
                 self.guard("Timeout", reason="expansion cap reached")
-                return self.finish(StopDecision.STOP_HEURISTIC)
-            if cfg.wall_cap_s is not None and time.monotonic() - started > cfg.wall_cap_s:
-                self.guard("Timeout", reason="wall clock cap reached")
                 return self.finish(StopDecision.STOP_HEURISTIC)
 
             entry = self.pop()
@@ -473,11 +461,6 @@ class _Engine:
             if self.budget_step(node, slack):
                 continue  # budget exhausted: restarted under Fallback
             children = [graph.node(c) for c in node.children]
-            if not children:
-                # Internal node with no descendants: empty subtree, prune.
-                self.pop_record(node, entry)
-                continue
-
             if self.mode is Mode.FALLBACK:
                 self.pop_record(node, entry)
                 for child in children:
@@ -488,12 +471,12 @@ class _Engine:
             if self.mode is Mode.EXACT:
                 counts = [graph.suffix_count(c.ctx_digest) for c in children]
                 if len(children) > 1:
-                    w_raw = self.uniforms.raw(node, "winner")
+                    w_raw = self.draw(node.ctx_digest, "winner")
                     winner = quantile_cat(open_uniform(w_raw), counts)
                 else:
                     w_raw, winner = None, 0
                 self.pop_record(node, entry, W=w_raw, **phi_extra)
-                raws = [None if i == winner else self.uniforms.raw(child, "residual")
+                raws = [None if i == winner else self.draw(child.ctx_digest, "residual")
                         for i, child in enumerate(children)]
                 arrivals = offset_propagate(
                     entry.t, winner, counts,
@@ -502,7 +485,7 @@ class _Engine:
                     self.push(child, self.key_for(child, t), t, count, raw_i)
             else:  # Surrogate: children anchored at the parent's arrival.
                 rate_v = self.n_ub(node.ctx_digest)
-                v_raw = self.uniforms.raw(node, "race")
+                v_raw = self.draw(node.ctx_digest, "race")
                 t_hat = exp_from_uniform(open_uniform(v_raw), rate_v)
                 self.pop_record(node, entry, U=v_raw, Nub=rate_v, **phi_extra)
                 for child in children:

@@ -14,30 +14,13 @@ import math
 from dataclasses import dataclass, field
 
 from . import fixedpoint as fp
-from .bounds import MtauConfig, MtauRecipe, PhiConfig, kappa
+from .bounds import kappa
 from .ledger import Ledger, MalformedLineError
 from .prefix_dag import PrefixDag, SharedDag, compile_dag
 from .race import exp_from_uniform, open_uniform
-from .search import Mode, RunConfig, run
+from .search import RunConfig, run
 
 RDP_VARIANT = "classic"
-
-
-def rdp_to_eps_delta(atoms: list[tuple[float, float]],
-                     delta: float) -> float | None:
-    """Classic RDP->(eps, delta): min over the logged alpha grid of the
-    composed eps plus log(1/delta)/(alpha-1).  No atoms -> unset (None)."""
-    if not atoms:
-        return None
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    grid = sorted({alpha for alpha, _ in atoms})
-    return min(
-        sum(e for a, e in atoms if a == alpha)
-        + math.log(1.0 / delta) / (alpha - 1.0)
-        for alpha in grid
-    )
-
 _SKIP_FIELDS = {"node_id", "parent_id", "_display"}
 
 
@@ -46,7 +29,9 @@ class Verdict:
     replay_ok: bool = True
     stop_rule_ok: bool = True
     budget_ok: bool = True
-    rdp_recomputed: float = 0.0
+    # The last logged router_rdp_eps: the ledger carries no eps_m, so the
+    # accountant's epsilon is reported, not recomputed.
+    rdp_logged: float = 0.0
     rdp_variant: str = RDP_VARIANT
     tightened: list[tuple[int, int, int]] = field(default_factory=list)
     failures: list[tuple[int, str]] = field(default_factory=list)
@@ -64,7 +49,7 @@ class Verdict:
             "stop_rule_ok": self.stop_rule_ok,
             "budget_ok": self.budget_ok,
             "ok": self.ok,
-            "rdp_recomputed": self.rdp_recomputed,
+            "rdp_logged": self.rdp_logged,
             "rdp_variant": self.rdp_variant,
             "tightened": [
                 {"index": i, "kappa": str(k), "key_tight": str(kt)}
@@ -125,48 +110,17 @@ class _ReplayBudget:
         return BudgetOutcome(None, exhausted, fields)
 
 
-def _config_from_header(header: dict, n_ub_map: dict[bytes, int]) -> tuple[Mode, RunConfig]:
-    mt = header["mtau"]
-    mtau_cfg = MtauConfig(
-        recipe=MtauRecipe(mt["recipe"]),
-        c_s_max=mt["c_s_max"],
-        max_depth=mt["max_depth"],
-        fixed_table=dict(mt.get("fixed_table") or {}),
-    )
-    phi_cfg = None
-    if header.get("phi"):
-        p = header["phi"]
-        phi_cfg = PhiConfig(step_cap=p["step_cap"], alpha=p["alpha"],
-                            eta=p["eta"], eps_fp=p["eps_fp"],
-                            c_s_min=p["c_s_min"])
-    cfg = RunConfig(
-        mtau=mtau_cfg,
-        phi=phi_cfg,
-        seed=header.get("seed", 0),
-        n_ub_factor=header.get("n_ub_factor", 1.0),
-        n_ub_map=n_ub_map or None,
-        salt=bytes.fromhex(header["salt"]),
-        prf_domain=header["prf_domain"],
-        tau=header.get("tau", 1.0),
-        surrogate_leaf_prf=header.get("surrogate_leaf_prf", True),
-        expansion_cap=header.get("expansion_cap"),
-        deterministic_ids=True,
-    )
-    return Mode(header["mode"]), cfg
-
-
 def _check_replay(graph: PrefixDag, ledger: Ledger, verdict: Verdict) -> None:
     records = ledger.records
-    n_ub_map: dict[bytes, int] = {}
-    for rec in records:
-        if "Nub" in rec and "ctx_digest" in rec:
-            n_ub_map[bytes.fromhex(rec["ctx_digest"])] = rec["Nub"]
-    mode, cfg = _config_from_header(ledger.header, n_ub_map)
-    budget_records = [r for r in records if r.get("event") == "budget"]
-    if budget_records:
-        cfg.budget = _ReplayBudget(budget_records)
     provider = _ReplayProvider(records, verdict)
     try:
+        mode, cfg = RunConfig.from_header(ledger.header)
+        cfg.n_ub_map = {bytes.fromhex(rec["ctx_digest"]): rec["Nub"]
+                        for rec in records
+                        if "Nub" in rec and "ctx_digest" in rec} or None
+        budget_records = [r for r in records if r.get("event") == "budget"]
+        if budget_records:
+            cfg.budget = _ReplayBudget(budget_records)
         result = run(graph, mode, cfg, uniform_provider=provider)
     except Exception as exc:  # semantic: the ledger does not describe a run
         verdict.replay_ok = False
@@ -283,7 +237,7 @@ def _check_budget(ledger: Ledger, verdict: Verdict) -> None:
                         verdict.fail(i, "price_spent decreased")
                     price_prev = spent
                 if "router_rdp_eps" in rec:
-                    verdict.rdp_recomputed = fp.decode_q32_32(
+                    verdict.rdp_logged = fp.decode_q32_32(
                         rec["router_rdp_eps"])
         elif event == "guard":
             before, after = rec.get("claim_type_before"), rec.get("claim_type_after")

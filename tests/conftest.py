@@ -1,10 +1,6 @@
-import os
 import re
 
 import pytest
-
-# Seeded UUIDv7 throughout the suite: byte-identical ledgers are asserted.
-os.environ.setdefault("RACECERT_DETERMINISTIC", "1")
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)([a-z_]*)")

@@ -16,7 +16,12 @@ import pytest
 from racecert import bounds, search, validator
 from racecert.baselines import dist_level, oracle_a
 from racecert.bounds import MtauConfig, MtauRecipe, kappa, lse_truncation_bound, mtau
-from racecert.budget import BudgetRuntime, BudgetState, default_catalog
+from racecert.budget import (
+    BudgetRuntime,
+    BudgetState,
+    default_catalog,
+    rdp_to_eps_delta,
+)
 from racecert.generators import (
     ADVERSARIAL_SEED,
     FALLBACK_EQUALITY_DEPTH,
@@ -287,7 +292,8 @@ def test_criterion_8():
     graph = _compiled(adversarial_graph())
     cfg_m = MtauConfig()
     lookup = stream_lookup(RngStream(ADVERSARIAL_SEED))
-    base = dist_level(graph, cfg_m, lookup)
+    values = exact_leaf_values(graph, exact_race(graph, lookup))
+    base = dist_level(graph, cfg_m, values)
     assert base.pruned_winner  # distribution-level pruning loses the winner
     result = search.run(graph, Mode.EXACT,
                         RunConfig(mtau=cfg_m, seed=ADVERSARIAL_SEED))
@@ -411,5 +417,5 @@ def test_criterion_11():
     assert failed.claim_type is ClaimType.NO_CERT
 
     # RDP conversion example.
-    eps = validator.rdp_to_eps_delta([(2.0, 1.0)], 1e-6)
+    eps = rdp_to_eps_delta([(2.0, 1.0)], 1e-6)
     assert math.isclose(eps, 14.8155, abs_tol=1e-3)

@@ -15,8 +15,17 @@ from racecert.generators import (
 )
 from racecert.prefix_dag import DagNode, PublicCaps, SharedDag, compile_dag
 from racecert.race import RngStream
-from racecert.reconstruct import oracle_optimum, stream_lookup
+from racecert.reconstruct import (
+    exact_leaf_values,
+    exact_race,
+    oracle_optimum,
+    stream_lookup,
+)
 from racecert.search import Mode, RunConfig
+
+
+def _values(graph, lookup):
+    return exact_leaf_values(graph, exact_race(graph, lookup))
 
 
 def _toy():
@@ -32,7 +41,7 @@ def test_single_leaf_graph():
     graph, cert = compile_dag(dag)
     assert cert.ok
     lookup = stream_lookup(RngStream(3))
-    res = greedy_by_bound(graph, MtauConfig(), lookup)
+    res = greedy_by_bound(graph, MtauConfig(), _values(graph, lookup))
     winner, value = oracle_optimum(graph, lookup)
     assert res.found_leaf == winner.hex()
     assert math.isclose(res.found_value, value)
@@ -43,7 +52,7 @@ def test_single_leaf_graph():
 def test_beam_infinite_is_exhaustive():
     graph = _toy()
     lookup = stream_lookup(RngStream(5))
-    res = beam_k(graph, float("inf"), toy_mtau(), lookup)
+    res = beam_k(graph, float("inf"), toy_mtau(), _values(graph, lookup))
     winner, value = oracle_optimum(graph, lookup)
     assert sorted(res.popped_leaves) == sorted(d.hex() for d in graph.iter_leaves())
     assert not res.pruned_winner
@@ -54,12 +63,12 @@ def test_beam_width_one_narrows():
     graph, cert = compile_dag(adversarial_graph())
     assert cert.ok
     lookup = stream_lookup(RngStream(ADVERSARIAL_SEED))
-    narrow = beam_k(graph, 1, MtauConfig(), lookup)
-    full = beam_k(graph, float("inf"), MtauConfig(), lookup)
+    narrow = beam_k(graph, 1, MtauConfig(), _values(graph, lookup))
+    full = beam_k(graph, float("inf"), MtauConfig(), _values(graph, lookup))
     assert narrow.expansions < full.expansions
     assert narrow.found_value <= full.found_value
     with pytest.raises(ValueError):
-        beam_k(graph, 0, MtauConfig(), lookup)
+        beam_k(graph, 0, MtauConfig(), _values(graph, lookup))
 
 
 def test_dist_level_score_is_additive():
@@ -68,7 +77,7 @@ def test_dist_level_score_is_additive():
     assert math.isclose(EULER_GAMMA + math.log(4), 1.96351, abs_tol=1e-5)
     graph = _toy()
     lookup = stream_lookup(RngStream(5))
-    res = dist_level(graph, toy_mtau(), lookup)
+    res = dist_level(graph, toy_mtau(), _values(graph, lookup))
     _, value = oracle_optimum(graph, lookup)
     assert res.found_value <= value + 1e-12
     assert res.pruned_winner == (not math.isclose(res.found_value, value))
@@ -78,7 +87,7 @@ def test_greedy_never_beats_oracle():
     for seed in range(10):
         graph = _toy()
         lookup = stream_lookup(RngStream(seed))
-        res = greedy_by_bound(graph, toy_mtau(), lookup)
+        res = greedy_by_bound(graph, toy_mtau(), _values(graph, lookup))
         _, value = oracle_optimum(graph, lookup)
         assert res.found_value <= value + 1e-12
 
@@ -88,7 +97,7 @@ def test_adversarial_seed_regression():
     assert cert.ok
     cfg_m = MtauConfig()
     lookup = stream_lookup(RngStream(ADVERSARIAL_SEED))
-    base = dist_level(graph, cfg_m, lookup)
+    base = dist_level(graph, cfg_m, _values(graph, lookup))
     assert base.pruned_winner
     winner, _ = oracle_optimum(graph, lookup)
     result = search.run(graph, Mode.EXACT,

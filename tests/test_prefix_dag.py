@@ -9,6 +9,7 @@ from racecert.prefix_dag import (
     DagNode,
     DepthCapExceededError,
     DigestCollisionError,
+    NoLeafError,
     PublicCaps,
     SharedDag,
     compile_dag,
@@ -68,6 +69,16 @@ def test_certificate_rejects_a_context_listed_twice():
     assert prefix_dag._unique_parents(graph.nodes, graph.root)
     root.children.append(root.children[0])
     assert not prefix_dag._unique_parents(graph.nodes, graph.root)
+
+
+@pytest.mark.parametrize("edges", [[], [("r", "a", 0)]],
+                         ids=["childless-root", "leafless-child"])
+def test_root_without_leaves_is_an_error(edges):
+    nodes = {"r": DagNode("r", "r", False), "a": DagNode("a", "a", False)}
+    dag = SharedDag(nodes=nodes, edges=edges, root_id="r",
+                    caps=PublicCaps(max_depth=3, c_s_max=1.0, c_s_min=1.0))
+    with pytest.raises(NoLeafError):
+        compile_dag(dag)
 
 
 def test_cycle_detection():

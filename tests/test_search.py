@@ -150,6 +150,25 @@ def test_deep_chain_runs_and_validates(tmp_path, mode):
     assert validate(path, graph, public_counts=graph.public_counts()).ok
 
 
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_leafless_context_is_dropped(tmp_path, mode):
+    # r -> a (internal, no children) and r -> b (leaf): compile drops a, so
+    # every child holds a leaf and no mode meets an empty subtree.
+    nodes = {"r": DagNode("r", "r", False), "a": DagNode("a", "a", False),
+             "b": DagNode("b", "b", True)}
+    dag = SharedDag(nodes=nodes, edges=[("r", "a", 0), ("r", "b", 1)],
+                    root_id="r",
+                    caps=PublicCaps(max_depth=2, c_s_max=1.0, c_s_min=1.0))
+    graph, cert = compile_dag(dag)
+    assert cert.ok and cert.total_leaves == 1
+    assert sorted(n.state_label for n in graph.nodes.values()) == ["b", "r"]
+    path = str(tmp_path / f"leafless-{mode.value}.ndjson")
+    result = search.run(graph, mode, RunConfig(mtau=MtauConfig(), seed=1),
+                        ledger_path=path)
+    assert result.incumbent_leaf == graph.node(graph.root).children[0].hex()
+    assert validate(path, graph, public_counts=graph.public_counts()).ok
+
+
 def test_numclamp_guard(toy):
     graph, cfg = toy
     table = dict(cfg.mtau.fixed_table)

@@ -1,13 +1,19 @@
-"""Independent replay validation: round trips, tampering, RDP recompute."""
+"""Independent replay validation: round trips, tampering, RDP conversion."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
 from racecert import search, validator
-from racecert.bounds import MtauConfig
-from racecert.budget import BudgetRuntime, BudgetState, default_catalog
+from racecert.bounds import MtauConfig, MtauRecipe, PhiConfig
+from racecert.budget import (
+    BudgetRuntime,
+    BudgetState,
+    default_catalog,
+    rdp_to_eps_delta,
+)
 from racecert.generators import (
     TOY_SCRIPTED,
     adversarial_graph,
@@ -43,21 +49,21 @@ def _run(tmp_path, mode, **cfg_kw):
 
 
 def test_rdp_no_atoms_is_unset():
-    assert validator.rdp_to_eps_delta([], 1e-6) is None
+    assert rdp_to_eps_delta([], 1e-6) is None
 
 
 def test_rdp_single_atom_closed_form():
-    eps = validator.rdp_to_eps_delta([(2.0, 1.0)], 1e-6)
+    eps = rdp_to_eps_delta([(2.0, 1.0)], 1e-6)
     assert math.isclose(eps, 1.0 + math.log(1e6), abs_tol=1e-3)
     assert math.isclose(eps, 14.8155, abs_tol=1e-3)
 
 
 def test_rdp_additivity_same_alpha():
-    one = validator.rdp_to_eps_delta([(8.0, 0.5)], 1e-5)
-    two = validator.rdp_to_eps_delta([(8.0, 0.5), (8.0, 0.5)], 1e-5)
+    one = rdp_to_eps_delta([(8.0, 0.5)], 1e-5)
+    two = rdp_to_eps_delta([(8.0, 0.5), (8.0, 0.5)], 1e-5)
     assert math.isclose(two - one, 0.5)
     with pytest.raises(ValueError):
-        validator.rdp_to_eps_delta([(2.0, 1.0)], 0.0)
+        rdp_to_eps_delta([(2.0, 1.0)], 0.0)
 
 
 def test_exact_round_trip(tmp_path):
@@ -208,3 +214,83 @@ def test_wrong_graph_fails_with_one_reason(tmp_path):
     assert index == 0
     assert reason.startswith("ledger root ")
     assert f"does not match graph root {toy.root.hex()}" in reason
+
+
+# One non-default value per RunConfig field.  Each entry builds its value
+# from the compiled graph: n_ub_map and scripted draws name its nodes, and a
+# budget runtime is stateful, so every run gets a fresh one.
+NON_DEFAULT_SETTINGS = {
+    "mtau": lambda g: MtauConfig(recipe=MtauRecipe.R1, c_s_max=1.0,
+                                 max_depth=4),
+    "phi": lambda g: PhiConfig(step_cap=6),
+    "seed": lambda g: 5,
+    "n_ub_factor": lambda g: 3.0,
+    "n_ub_map": lambda g: {d: 2 * n.n_exact for d, n in g.nodes.items()},
+    "salt": lambda g: b"\x01" * 8,
+    "prf_domain": lambda g: "route",
+    "tau": lambda g: 0.5,
+    "scripted_uniforms": lambda g: {
+        (g.node(g.root).state_label, "race"): 1 << 62,
+        (g.node(g.root).state_label, "winner"): 3 << 62},
+    "budget": lambda g: BudgetRuntime(
+        default_catalog(),
+        BudgetState(eps_max=10.0, delta=1e-6, price_max=100, slo_ms=1000)),
+    "expansion_cap": lambda g: 3,
+    "deterministic_ids": lambda g: False,
+}
+
+
+def test_settings_table_covers_every_run_setting():
+    assert set(NON_DEFAULT_SETTINGS) == {
+        f.name for f in dataclasses.fields(RunConfig)}
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", sorted(NON_DEFAULT_SETTINGS))
+def test_every_run_setting_replays(tmp_path, name, mode):
+    graph, cert = compile_dag(suite_a(3, 3, 0))
+    assert cert.ok
+    cfg = RunConfig(mtau=MtauConfig())
+    setattr(cfg, name, NON_DEFAULT_SETTINGS[name](graph))
+    path = str(tmp_path / f"{name}-{mode.value}.ndjson")
+    search.run(graph, mode, cfg, ledger_path=path)
+    verdict = validator.validate(path, graph,
+                                 public_counts=graph.public_counts())
+    assert verdict.ok, verdict.failures
+
+
+def test_header_round_trips_through_from_header():
+    graph, _ = compile_dag(toy_graph())
+    cfg = RunConfig(mtau=toy_mtau(), phi=PhiConfig(step_cap=4, alpha=0.5,
+                                                   eta=0.5),
+                    seed=9, n_ub_factor=1.5, salt=b"\x02" * 8,
+                    prf_domain="route", tau=0.25, expansion_cap=7)
+    assert cfg.mtau.recipe is MtauRecipe.FIXED and cfg.mtau.fixed_table
+    for mode in Mode:
+        header = json.loads(json.dumps(cfg.header_obj(graph, mode)))
+        assert set(header["mtau"]) == {
+            f.name for f in dataclasses.fields(MtauConfig)}
+        replay_mode, replay_cfg = RunConfig.from_header(header)
+        assert replay_mode is mode
+        assert replay_cfg.header_obj(graph, replay_mode) == header
+
+
+@pytest.mark.parametrize("damage", ["header-without-mtau", "bad-digest-hex"])
+def test_unreplayable_ledger_is_a_verdict_not_an_exception(tmp_path, damage):
+    graph, _, path = _run(tmp_path, Mode.EXACT)
+    lines = open(path, encoding="utf-8").read().splitlines()
+    if damage == "header-without-mtau":
+        header = json.loads(lines[0])
+        del header["mtau"]
+        lines[0] = json.dumps(header, sort_keys=True)
+    else:
+        rec = json.loads(lines[1])
+        assert "Nub" in rec
+        rec["ctx_digest"] = "not-hex"
+        lines[1] = json.dumps(rec, sort_keys=True)
+    damaged = str(tmp_path / f"{damage}.ndjson")
+    with open(damaged, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    verdict = validator.validate(damaged, graph)
+    assert not verdict.replay_ok
+    assert verdict.failures[0][1].startswith("replay aborted: ")
