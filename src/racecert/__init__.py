@@ -23,7 +23,7 @@ from .budget import (
     default_catalog,
     select_model,
 )
-from .ledger import Ledger, LedgerRecord
+from .ledger import Ledger
 from .prefix_dag import (
     DagNode,
     PrefixDag,
@@ -39,10 +39,10 @@ from .validator import Verdict, validate
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetRuntime", "BudgetState", "ClaimType", "DagNode", "Ledger",
-    "LedgerRecord", "Mode", "ModelCatalogEntry", "MtauConfig", "MtauRecipe",
-    "PhiConfig", "PrefixDag", "PublicCaps", "RngStream", "RunConfig",
-    "RunResult", "SharedDag", "Verdict", "compile_dag", "ctx_digest",
-    "default_catalog", "kappa", "lse_truncation_bound", "mtau", "open_uniform",
-    "phi", "run", "select_model", "validate",
+    "BudgetRuntime", "BudgetState", "ClaimType", "DagNode", "Ledger", "Mode",
+    "ModelCatalogEntry", "MtauConfig", "MtauRecipe", "PhiConfig", "PrefixDag",
+    "PublicCaps", "RngStream", "RunConfig", "RunResult", "SharedDag",
+    "Verdict", "compile_dag", "ctx_digest", "default_catalog", "kappa",
+    "lse_truncation_bound", "mtau", "open_uniform", "phi", "run",
+    "select_model", "validate",
 ]

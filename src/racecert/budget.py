@@ -188,7 +188,6 @@ def select_model(node: PrefixNode, catalog: list[ModelCatalogEntry],
 
 @dataclass
 class BudgetOutcome:
-    entry: ModelCatalogEntry | None
     exhausted: bool
     record_fields: dict
 
@@ -206,16 +205,13 @@ class BudgetRuntime:
             "price_cap": self.state.price_max,
             "sla_ms": self.state.slo_ms,
         }
+        if not self.exhausted:
+            try:
+                entry = select_model(node, self.catalog, self.state, slack)
+            except Exhausted:
+                self.exhausted = True
         if self.exhausted:
-            return BudgetOutcome(None, True, {
-                **base, "budget_event": "Exhausted",
-                "price_spent": self.state.price_spent,
-            })
-        try:
-            entry = select_model(node, self.catalog, self.state, slack)
-        except Exhausted:
-            self.exhausted = True
-            return BudgetOutcome(None, True, {
+            return BudgetOutcome(True, {
                 **base, "budget_event": "Exhausted",
                 "price_spent": self.state.price_spent,
             })
@@ -240,4 +236,4 @@ class BudgetRuntime:
         if self.state.atoms:
             fields["eps_delta.eps"] = repr(eps)
             fields["eps_delta.delta"] = repr(self.state.delta)
-        return BudgetOutcome(entry, False, fields)
+        return BudgetOutcome(False, fields)

@@ -248,11 +248,12 @@ def cmd_nub_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if args.graph:
-        shared = SharedDag.load(args.graph)
-        graph, _ = compile_dag(shared)
-    else:
-        graph, _ = compile_dag(toy_graph())
+    try:
+        graph, _ = compile_dag(
+            SharedDag.load(args.graph) if args.graph else toy_graph())
+    except ValueError as exc:  # GraphSpecError or a graph compile refuses
+        print(f"{args.graph}: {exc}", file=sys.stderr)
+        return 2
     counts = None
     if args.counts:
         import json

@@ -3,10 +3,15 @@
 One JSON object per line, UTF-8, ``\\n`` terminators.  The first line is a
 header tagged ``racecert/ledger/v1`` carrying the public run config; every
 following line is an event record.  Numeric fixed-point fields serialize as
-decimal strings of the *raw* integer (unambiguous and locale independent);
-human-readable scaled values are duplicated in an ignored ``_display``
-object.  Potential fields mirror the downgrade-log convention and serialize
-as 4-decimal scaled strings.
+decimal strings of the *raw* integer (unambiguous and locale independent).
+Potential fields mirror the downgrade-log convention and serialize as
+4-decimal scaled strings.
+
+In memory a record is a plain dict of decoded values, and
+``Ledger.records`` is the one per-node record of a run: the engine appends
+to it, the parser rebuilds it, and the validator replays it.  The parser
+rejects unknown fields, ill-typed values and event records that lack a
+field ``REQUIRED_FIELDS`` names.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
 
 from . import fixedpoint as fp
 
@@ -74,9 +78,16 @@ STRING_FIELDS = {
     "reason",
 }
 
-KNOWN_FIELDS = (
-    set(RAW_INT_FIELDS) | SCALED_FIELDS | STRING_FIELDS | {"guards", "_display"}
-)
+KNOWN_FIELDS = set(RAW_INT_FIELDS) | SCALED_FIELDS | STRING_FIELDS | {"guards"}
+
+# Fields an event record must carry: the stop-rule audit indexes them.  A
+# stop record's key_raw is optional (an empty frontier has none), and a
+# record without an event (the downgrade-log excerpt) requires nothing.
+REQUIRED_FIELDS: dict[str, tuple[str, ...]] = {
+    "push": ("ctx_digest", "key_raw"),
+    "pop": ("ctx_digest", "key_raw"),
+    "leaf_eval": ("ctx_digest", "value", "incumbent"),
+}
 
 
 class MalformedLineError(ValueError):
@@ -93,71 +104,70 @@ class OverflowOnParseError(MalformedLineError):
     pass
 
 
-@dataclass
-class LedgerRecord:
-    """One event.  ``raw`` holds decoded values: ints for raw fields,
-    Q32.32 raw ints for scaled fields, strings/lists otherwise."""
+def _encode(rec: dict) -> dict:
+    """A record's JSON object: raw fields as decimal strings, scaled fields
+    as 4-decimal strings."""
+    out: dict = {}
+    for key, val in rec.items():
+        if key in RAW_INT_FIELDS:
+            out[key] = str(val)
+        elif key in SCALED_FIELDS:
+            out[key] = fp.format_scaled_q32_32(val)
+        else:
+            out[key] = val
+    return out
 
-    fields: dict = field(default_factory=dict)
 
-    def get(self, key, default=None):
-        return self.fields.get(key, default)
+def _decode(obj: dict, lineno: int) -> dict:
+    """The record a JSON object encodes: ints for raw fields, Q32.32 raw
+    ints for scaled fields, strings and lists otherwise."""
+    rec: dict = {}
+    for key, val in obj.items():
+        if key not in KNOWN_FIELDS:
+            raise SchemaViolationError(lineno, f"unknown field {key!r}")
+        if key in RAW_INT_FIELDS:
+            lo, hi = RAW_INT_FIELDS[key]
+            if not isinstance(val, str):
+                raise SchemaViolationError(lineno, f"{key} must be a decimal string")
+            try:
+                rec[key] = fp.parse_raw(val, lo, hi)
+            except fp.NumClampError as exc:
+                raise OverflowOnParseError(lineno, str(exc)) from exc
+            except ValueError as exc:
+                raise MalformedLineError(lineno, f"bad integer in {key}: {exc}")
+        elif key in SCALED_FIELDS:
+            try:
+                rec[key] = fp.parse_scaled_q32_32(val)
+            except fp.NumClampError as exc:
+                raise OverflowOnParseError(lineno, str(exc)) from exc
+            except (ValueError, ZeroDivisionError) as exc:
+                raise MalformedLineError(lineno, f"bad decimal in {key}: {exc}")
+        elif key == "guards":
+            if not isinstance(val, list) or not set(val) <= GUARD_NAMES:
+                raise SchemaViolationError(lineno, f"bad guards {val!r}")
+            rec[key] = list(val)
+        else:
+            if not isinstance(val, str):
+                raise SchemaViolationError(lineno, f"{key} must be a string")
+            rec[key] = val
+    event = rec.get("event")
+    if event is not None and event not in EVENT_KINDS:
+        raise SchemaViolationError(lineno, f"unknown event kind {event!r}")
+    missing = [key for key in REQUIRED_FIELDS.get(event, ()) if key not in rec]
+    if missing:
+        raise SchemaViolationError(lineno, f"{event} record lacks {missing}")
+    return rec
 
-    def __getitem__(self, key):
-        return self.fields[key]
 
-    def __contains__(self, key):
-        return key in self.fields
-
-    def to_json_obj(self) -> dict:
-        out: dict = {}
-        for key in sorted(self.fields):
-            val = self.fields[key]
-            if key in RAW_INT_FIELDS:
-                out[key] = str(val)
-            elif key in SCALED_FIELDS:
-                out[key] = fp.format_scaled_q32_32(val)
-            else:
-                out[key] = val
-        return out
-
-    @classmethod
-    def from_json_obj(cls, obj: dict, lineno: int = 0) -> "LedgerRecord":
-        fields: dict = {}
-        for key, val in obj.items():
-            if key not in KNOWN_FIELDS:
-                raise SchemaViolationError(lineno, f"unknown field {key!r}")
-            if key in RAW_INT_FIELDS:
-                lo, hi = RAW_INT_FIELDS[key]
-                if not isinstance(val, str):
-                    raise SchemaViolationError(lineno, f"{key} must be a decimal string")
-                try:
-                    fields[key] = fp.parse_raw(val, lo, hi)
-                except fp.NumClampError as exc:
-                    raise OverflowOnParseError(lineno, str(exc)) from exc
-                except ValueError as exc:
-                    raise MalformedLineError(lineno, f"bad integer in {key}: {exc}")
-            elif key in SCALED_FIELDS:
-                try:
-                    fields[key] = fp.parse_scaled_q32_32(val)
-                except fp.NumClampError as exc:
-                    raise OverflowOnParseError(lineno, str(exc)) from exc
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise MalformedLineError(lineno, f"bad decimal in {key}: {exc}")
-            elif key == "guards":
-                if not isinstance(val, list) or not set(val) <= GUARD_NAMES:
-                    raise SchemaViolationError(lineno, f"bad guards {val!r}")
-                fields[key] = list(val)
-            elif key == "_display":
-                fields[key] = val
-            else:
-                if not isinstance(val, str):
-                    raise SchemaViolationError(lineno, f"{key} must be a string")
-                fields[key] = val
-        event = fields.get("event")
-        if event is not None and event not in EVENT_KINDS:
-            raise SchemaViolationError(lineno, f"unknown event kind {event!r}")
-        return cls(fields=fields)
+def _load(line: str | bytes, lineno: int):
+    try:
+        if isinstance(line, bytes):
+            line = line.decode("utf-8")
+        return json.loads(line)
+    except UnicodeDecodeError as exc:
+        raise MalformedLineError(lineno, f"not UTF-8: {exc}")
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+        raise MalformedLineError(lineno, f"bad JSON: {exc}")
 
 
 def _dump(obj: dict) -> str:
@@ -165,24 +175,18 @@ def _dump(obj: dict) -> str:
 
 
 class Ledger:
-    """Single-writer, append-only event log for one run."""
+    """Single-writer, append-only event log for one run: a header and a
+    list of records, each a plain dict of decoded values."""
 
     def __init__(self, header: dict):
         header = dict(header)
         header["schema"] = SCHEMA_TAG
         self.header = header
-        self.records: list[LedgerRecord] = []
-
-    def append(self, record: LedgerRecord | dict) -> None:
-        if isinstance(record, dict):
-            record = LedgerRecord.from_json_obj(
-                {k: v for k, v in record.items()}, lineno=len(self.records) + 2
-            )
-        self.records.append(record)
+        self.records: list[dict] = []
 
     def serialize(self) -> str:
         lines = [_dump(self.header)]
-        lines.extend(_dump(r.to_json_obj()) for r in self.records)
+        lines.extend(_dump(_encode(r)) for r in self.records)
         return "\n".join(lines) + "\n"
 
     def save(self, path: str) -> None:
@@ -191,34 +195,28 @@ class Ledger:
             fh.write(self.serialize())
 
     @classmethod
-    def parse_text(cls, text: str) -> "Ledger":
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
+    def parse_text(cls, text: str | bytes) -> "Ledger":
+        """Parse a serialized ledger; bytes are decoded line by line, so a
+        line that is not UTF-8 is a ``MalformedLineError`` too."""
+        lines = text.split(b"\n" if isinstance(text, bytes) else "\n")
+        if lines and not lines[-1]:
             lines.pop()
         if not lines:
             raise MalformedLineError(1, "empty ledger")
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise MalformedLineError(1, f"bad JSON: {exc}")
+        header = _load(lines[0], 1)
         if not isinstance(header, dict) or header.get("schema") != SCHEMA_TAG:
             raise SchemaViolationError(1, "missing or wrong schema tag")
-        ledger = cls.__new__(cls)
-        ledger.header = header
-        ledger.records = []
+        ledger = cls(header)
         for i, line in enumerate(lines[1:], start=2):
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLineError(i, f"bad JSON: {exc}")
+            obj = _load(line, i)
             if not isinstance(obj, dict):
                 raise MalformedLineError(i, "record is not an object")
-            ledger.records.append(LedgerRecord.from_json_obj(obj, lineno=i))
+            ledger.records.append(_decode(obj, i))
         return ledger
 
     @classmethod
     def parse(cls, path: str) -> "Ledger":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "rb") as fh:
             return cls.parse_text(fh.read())
 
 

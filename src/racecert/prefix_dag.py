@@ -37,6 +37,10 @@ class NoLeafError(ValueError):
     """No leaf is reachable from the root."""
 
 
+class GraphSpecError(ValueError):
+    """A graph spec (JSON) that does not describe a ``SharedDag``."""
+
+
 @dataclass(frozen=True)
 class PublicCaps:
     max_depth: int
@@ -44,8 +48,8 @@ class PublicCaps:
     c_s_min: float
 
     def __post_init__(self):
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
+        if not 0 <= self.max_depth < 1 << 32:  # hashed as a u32
+            raise ValueError("max_depth must lie in [0, 2**32)")
         if self.c_s_max < 0:
             raise ValueError("c_s_max must be >= 0")
         if self.c_s_min <= 0:
@@ -86,6 +90,8 @@ class SharedDag:
                 raise ValueError(f"edge ({parent},{child}) endpoint missing")
             if (parent, order) in seen:
                 raise ValueError(f"duplicate edge_order {order} at {parent}")
+            if not 0 <= order < 1 << 32:
+                raise ValueError(f"edge_order {order} at {parent} outside [0, 2**32)")
             seen[(parent, order)] = None
 
     def children_of(self, node_id: str) -> list[tuple[int, str]]:
@@ -93,27 +99,41 @@ class SharedDag:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SharedDag":
-        caps = PublicCaps(
-            max_depth=int(obj["caps"]["max_depth"]),
-            c_s_max=float(obj["caps"]["c_s_max"]),
-            c_s_min=float(obj["caps"]["c_s_min"]),
-        )
-        nodes = {
-            n["id"]: DagNode(
-                node_id=n["id"],
-                state_label=n["state"],
-                is_leaf=bool(n.get("leaf", False)),
-                det_score_delta=float(n.get("delta_cost", 0.0)),
+        """The graph a JSON object describes; any defect in it, a missing
+        key, a wrong type or a bad value, is a ``GraphSpecError``."""
+        try:
+            caps = PublicCaps(
+                max_depth=int(obj["caps"]["max_depth"]),
+                c_s_max=float(obj["caps"]["c_s_max"]),
+                c_s_min=float(obj["caps"]["c_s_min"]),
             )
-            for n in obj["nodes"]
-        }
-        edges = [(e["from"], e["to"], int(e["order"])) for e in obj["edges"]]
-        return cls(nodes=nodes, edges=edges, root_id=obj["root"], caps=caps)
+            nodes = {
+                n["id"]: DagNode(
+                    node_id=n["id"],
+                    state_label=n["state"],
+                    is_leaf=bool(n.get("leaf", False)),
+                    det_score_delta=float(n.get("delta_cost", 0.0)),
+                )
+                for n in obj["nodes"]
+            }
+            if not all(isinstance(s, str) for n in nodes.values()
+                       for s in (n.node_id, n.state_label)):
+                raise TypeError("node id and state must be strings")
+            edges = [(e["from"], e["to"], int(e["order"])) for e in obj["edges"]]
+            return cls(nodes=nodes, edges=edges, root_id=obj["root"], caps=caps)
+        except (KeyError, TypeError, ValueError, AttributeError,
+                OverflowError) as exc:
+            raise GraphSpecError(
+                f"bad graph spec: {type(exc).__name__}: {exc}") from exc
 
     @classmethod
     def load(cls, path: str) -> "SharedDag":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_obj(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+            raise GraphSpecError(f"bad graph spec: {exc}") from exc
+        return cls.from_json_obj(obj)
 
     def to_json_obj(self) -> dict:
         return {
@@ -172,7 +192,6 @@ class PrefixNode:
     depth: int
     prefix_score: float
     parent: bytes | None
-    edge_order: int
     is_leaf: bool
     children: list[bytes] = field(default_factory=list)
     n_exact: int = 0
@@ -278,7 +297,6 @@ def compile_dag(dag: SharedDag) -> tuple[PrefixDag, CompileCertificate]:
             depth=len(path) - 1,
             prefix_score=score,
             parent=parent,
-            edge_order=path[-1][1],
             is_leaf=dag_node.is_leaf,
             n_exact=1 if dag_node.is_leaf else 0,
         )

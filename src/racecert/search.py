@@ -16,7 +16,9 @@ only how a pushed node is keyed and how a popped leaf is valued:
 A CountFail or BudgetFail that leaves no certified mode restarts the search
 from the root under Fallback; ``expansion_cap`` is the only Timeout source.
 Every uniform, count, key, guard and budget event is appended to the ledger
-in execution order.
+in execution order; those records are the one per-node account of a run,
+and ``RunResult`` keeps per-run values only (plus the race arrivals, which
+the ledger does not carry).
 
 The ledger is the whole record of a run's configuration: each ``RunConfig``
 setting is either in the header (``RunConfig.header_obj``, read back by
@@ -42,7 +44,7 @@ from .bounds import (
     mtau,
     phi,
 )
-from .ledger import Ledger, LedgerRecord, Uuid7Source
+from .ledger import Ledger, Uuid7Source
 from .prefix_dag import COUNT_LIMIT, PrefixDag, PrefixNode
 from .race import (
     RngStream,
@@ -65,14 +67,7 @@ class Mode(str, Enum):
 
 class ClaimType(str, Enum):
     RUN_WISE_EXACT = "RunWiseExact"
-    TRUNCATION_ONLY = "TruncationOnly"
     NO_CERT = "NoCert"
-
-
-class StopDecision(Enum):
-    CONTINUE = "Continue"
-    STOP_CERTIFIED = "StopCertified"
-    STOP_HEURISTIC = "StopHeuristic"
 
 
 @dataclass
@@ -81,7 +76,6 @@ class FrontierEntry:
     key: float
     key_q: int
     t: float | None  # race (or surrogate) arrival; None under Fallback
-    tie_token: int | None = None
 
 
 @dataclass
@@ -145,22 +139,10 @@ class RunResult:
     claim_type: ClaimType
     mode_final: Mode
     ledger: Ledger
-    ledger_path: str | None = None
     internal_expansions: int = 0
-    popped_leaves: list[str] = field(default_factory=list)
-    evaluated_leaves: list[str] = field(default_factory=list)
-    pushed_keys: dict[str, int] = field(default_factory=dict)
     arrivals: dict[str, float] = field(default_factory=dict)
     frontier_at_stop: list[tuple[str, int]] = field(default_factory=list)
     guards_seen: list[str] = field(default_factory=list)
-
-
-def resolve_tie(a: FrontierEntry, b: FrontierEntry) -> tuple[FrontierEntry, FrontierEntry, int]:
-    """Order two equal-key entries lexicographically on public digests."""
-    assert a.digest != b.digest, "PQ holds one entry per node"
-    if a.digest < b.digest:
-        return a, b, 0
-    return b, a, 1
 
 
 def _encode_key(value: float) -> tuple[int, bool]:
@@ -210,8 +192,8 @@ class _Engine:
         return nid
 
     def record(self, **fields) -> None:
-        clean = {k: v for k, v in fields.items() if v is not None}
-        self.ledger.append(LedgerRecord(fields=clean))
+        self.ledger.records.append(
+            {k: v for k, v in fields.items() if v is not None})
 
     def guard(self, name: str, node: PrefixNode | None = None, reason: str | None = None,
               downgrade_to: ClaimType | None = ClaimType.NO_CERT, **extra) -> None:
@@ -242,11 +224,8 @@ class _Engine:
         entry = FrontierEntry(node.ctx_digest, key, key_q, t)
         heapq.heappush(self.heap, (-key_q, not node.is_leaf, node.ctx_digest, entry))
         digest_hex = node.ctx_digest.hex()
-        self.result.pushed_keys[digest_hex] = key_q
         if t is not None:
             self.result.arrivals[digest_hex] = t
-        if node.is_leaf:
-            self.result.evaluated_leaves.append(digest_hex)
         parent = node.parent
         self.record(
             event="push",
@@ -260,28 +239,24 @@ class _Engine:
             U=uniform_raw,
         )
 
-    def pop(self) -> FrontierEntry:
-        entry = heapq.heappop(self.heap)[3]
-        if self.heap and self.heap[0][3].key_q == entry.key_q:
-            entry.tie_token = resolve_tie(entry, self.heap[0][3])[2]
-        return entry
-
     def pop_record(self, node: PrefixNode, entry: FrontierEntry, **extra) -> None:
+        """Log a pop; on a key tie with the next entry, ``tie_token`` says
+        whether the popped digest is the larger one.  Called before the
+        node's children are pushed, so the heap top is that next entry."""
+        tie = None
+        if self.heap and self.heap[0][3].key_q == entry.key_q:
+            tie = int(entry.digest > self.heap[0][3].digest)
         self.record(event="pop", ctx_digest=node.ctx_digest.hex(),
                     node_id=self.node_id(node.ctx_digest),
                     mode=self.mode.value, claim_type=self.claim.value,
-                    key_raw=entry.key_q, tie_token=entry.tie_token, **extra)
+                    key_raw=entry.key_q, tie_token=tie, **extra)
 
     def max_key_q(self) -> int | None:
         return -self.heap[0][0] if self.heap else None
 
-    def stop_check(self) -> StopDecision:
+    def should_stop(self) -> bool:
         top = self.max_key_q()
-        if top is None or top <= self.incumbent_q:
-            if self.claim is ClaimType.NO_CERT:
-                return StopDecision.STOP_HEURISTIC
-            return StopDecision.STOP_CERTIFIED
-        return StopDecision.CONTINUE
+        return top is None or top <= self.incumbent_q
 
     # -- mode mechanics ---------------------------------------------------
 
@@ -351,7 +326,6 @@ class _Engine:
             self.incumbent_q = value_q
             self.incumbent = value
             self.incumbent_leaf = node.ctx_digest.hex()
-        self.result.popped_leaves.append(node.ctx_digest.hex())
         self.record(
             event="leaf_eval",
             ctx_digest=node.ctx_digest.hex(),
@@ -386,7 +360,7 @@ class _Engine:
             self.switch_to_fallback()
         return outcome.exhausted
 
-    def finish(self, decision: StopDecision) -> RunResult:
+    def finish(self) -> RunResult:
         top = self.max_key_q()
         slack = 0.0
         if top is not None:
@@ -406,7 +380,8 @@ class _Engine:
             privacy_scope="post_processing_only",
             incumbent=self.incumbent_q,
             key_raw=top,
-            reason=decision.value,
+            reason=("StopHeuristic" if self.claim is ClaimType.NO_CERT
+                    else "StopCertified"),
         )
         return self.result
 
@@ -440,14 +415,13 @@ class _Engine:
         graph, cfg = self.graph, self.cfg
         self.start()
         while True:
-            decision = self.stop_check()
-            if decision is not StopDecision.CONTINUE:
-                return self.finish(decision)
+            if self.should_stop():
+                return self.finish()
             if cfg.expansion_cap is not None and self.result.expansions >= cfg.expansion_cap:
                 self.guard("Timeout", reason="expansion cap reached")
-                return self.finish(StopDecision.STOP_HEURISTIC)
+                return self.finish()
 
-            entry = self.pop()
+            entry = heapq.heappop(self.heap)[3]
             node = graph.node(entry.digest)
             self.result.expansions += 1
 
@@ -507,5 +481,4 @@ def run(graph: PrefixDag, mode: Mode, cfg: RunConfig,
     result = _Engine(graph, mode, cfg, uniform_provider=uniform_provider).run()
     if ledger_path is not None:
         result.ledger.save(ledger_path)
-        result.ledger_path = ledger_path
     return result

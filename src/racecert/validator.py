@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 from . import fixedpoint as fp
 from .bounds import kappa
+from .budget import BudgetOutcome
 from .ledger import Ledger, MalformedLineError
 from .prefix_dag import PrefixDag, SharedDag, compile_dag
 from .race import exp_from_uniform, open_uniform
 from .search import RunConfig, run
 
 RDP_VARIANT = "classic"
-_SKIP_FIELDS = {"node_id", "parent_id", "_display"}
+_SKIP_FIELDS = {"node_id", "parent_id"}
 
 
 @dataclass
@@ -99,15 +100,12 @@ class _ReplayBudget:
         self.queue = list(budget_records)
 
     def on_expansion(self, node, slack):
-        from .budget import BudgetOutcome
-
         if not self.queue:
-            return BudgetOutcome(None, False, {"budget_event": "Selected"})
-        fields = dict(self.queue.pop(0).fields)
+            return BudgetOutcome(False, {"budget_event": "Selected"})
+        fields = dict(self.queue.pop(0))
         for drop in ("event", "ctx_digest", "mode", "claim_type", "node_id"):
             fields.pop(drop, None)
-        exhausted = fields.get("budget_event") == "Exhausted"
-        return BudgetOutcome(None, exhausted, fields)
+        return BudgetOutcome(fields.get("budget_event") == "Exhausted", fields)
 
 
 def _check_replay(graph: PrefixDag, ledger: Ledger, verdict: Verdict) -> None:
@@ -133,8 +131,8 @@ def _check_replay(graph: PrefixDag, ledger: Ledger, verdict: Verdict) -> None:
                      f"record count {len(records)} != replayed {len(replayed)}")
     id_map: dict[str, str] = {}
     for i, (orig, new) in enumerate(zip(records, replayed)):
-        a = {k: v for k, v in orig.fields.items() if k not in _SKIP_FIELDS}
-        b = {k: v for k, v in new.fields.items() if k not in _SKIP_FIELDS}
+        a = {k: v for k, v in orig.items() if k not in _SKIP_FIELDS}
+        b = {k: v for k, v in new.items() if k not in _SKIP_FIELDS}
         if a != b:
             verdict.replay_ok = False
             bad = sorted(set(a) ^ set(b)) or [
@@ -159,7 +157,7 @@ def _check_stop_rule(ledger: Ledger, verdict: Verdict) -> None:
             frontier[rec["ctx_digest"]] = rec["key_raw"]
         elif event == "pop":
             frontier.pop(rec["ctx_digest"], None)
-        elif event == "leaf_eval" and "incumbent" in rec:
+        elif event == "leaf_eval":
             incumbent = rec["incumbent"]
         elif event == "guard" and "BudgetFail" in rec.get("guards", ()):
             frontier.clear()  # the engine restarts from the root under Fallback
@@ -190,7 +188,7 @@ def _check_tightening(ledger: Ledger, public_counts: dict[str, int] | None,
             continue
         if "U" not in rec or "key_raw" not in rec:
             continue
-        n = public_counts.get(rec["ctx_digest"])
+        n = public_counts.get(rec.get("ctx_digest"))  # a stop has none
         if n is None:
             continue
         n_ub = rec["Nub"]

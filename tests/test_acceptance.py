@@ -62,6 +62,12 @@ def _compiled(shared):
     return graph
 
 
+def _pushed_keys(result):
+    """ctx digest hex -> logged key_raw of each push record."""
+    return {r["ctx_digest"]: r["key_raw"] for r in result.ledger.records
+            if r.get("event") == "push"}
+
+
 # -- criterion 1: toy replay golden values --------------------------------
 
 def test_criterion_1():
@@ -72,7 +78,8 @@ def test_criterion_1():
 
     t_r = result.arrivals[labels["r"]]
     t_u2 = result.arrivals[labels["u2"]]
-    keys = {lbl: fp.decode_q64_64(result.pushed_keys[labels[lbl]])
+    pushed = _pushed_keys(result)
+    keys = {lbl: fp.decode_q64_64(pushed[labels[lbl]])
             for lbl in ("r", "u1", "u2")}
     # Published-value tolerances (rounded to 3-4 digits in the write-up).
     assert math.isclose(t_r, 0.055786, abs_tol=2e-3)
@@ -89,7 +96,7 @@ def test_criterion_1():
 
     surro = search.run(graph, Mode.SURROGATE, _toy_cfg(n_ub_factor=1.5))
     t_hat_r = surro.arrivals[labels["r"]]
-    key_hat_r = fp.decode_q64_64(surro.pushed_keys[labels["r"]])
+    key_hat_r = fp.decode_q64_64(_pushed_keys(surro)[labels["r"]])
     assert math.isclose(t_hat_r, 0.03719, abs_tol=1e-5)
     assert math.isclose(t_hat_r, -math.log1p(-0.20) / 6, abs_tol=1e-9)
     assert math.isclose(key_hat_r, 8.29, abs_tol=2e-3)
@@ -155,7 +162,7 @@ def test_criterion_3():
                 rsm = realized_suffix_max(graph, values)
                 # Every pushed key covers its whole subtree, which implies
                 # coverage of every unexpanded leaf at every pop.
-                for digest_hex, key_q in result.pushed_keys.items():
+                for digest_hex, key_q in _pushed_keys(result).items():
                     node_rsm = rsm[bytes.fromhex(digest_hex)]
                     assert fp.decode_q64_64(key_q) >= node_rsm - tol, (
                         f"coverage violation: graph {graph_seed} seed "
@@ -195,7 +202,7 @@ def test_criterion_5(tmp_path):
         # Domination: every surrogate key >= the coupled exact-count key.
         uniforms = _surrogate_uniforms(result, graph)
         coupled = coupled_monotone_race(graph, uniforms)
-        for digest_hex, key_q in result.pushed_keys.items():
+        for digest_hex, key_q in _pushed_keys(result).items():
             digest = bytes.fromhex(digest_hex)
             exact_key = (mtau(graph.node(digest), cfg_m)
                          - math.log(coupled[digest]))
@@ -223,6 +230,13 @@ def test_criterion_5(tmp_path):
 
 # -- criterion 6: fallback work bound -------------------------------------
 
+def _pushed_leaves(result, graph):
+    """Ctx digest hex of each leaf push record, in push order."""
+    return [r["ctx_digest"] for r in result.ledger.records
+            if r.get("event") == "push"
+            and graph.node(bytes.fromhex(r["ctx_digest"])).is_leaf]
+
+
 def _fallback_sets(graph, salt):
     # The worked-leaf set is the leaves the engine materialized (scored and
     # heaped); with exact leaf-wise LSE bounds, the pop stream alone reduces
@@ -230,8 +244,10 @@ def _fallback_sets(graph, salt):
     cfg = RunConfig(mtau=MtauConfig(), seed=0, salt=salt, prf_domain="leaf")
     result = search.run(graph, Mode.FALLBACK, cfg)
     oracle_set = {d.hex() for d in oracle_a(graph, salt, "leaf")}
-    worked = set(result.evaluated_leaves)
-    assert set(result.popped_leaves) <= worked
+    worked = set(_pushed_leaves(result, graph))
+    popped = {r["ctx_digest"] for r in result.ledger.records
+              if r.get("event") == "leaf_eval"}
+    assert popped <= worked
     return worked, oracle_set, result.internal_expansions
 
 
@@ -318,7 +334,7 @@ def test_criterion_9():
             result = search.run(graph, mode, cfg)
             if mode is Mode.FALLBACK:
                 expansions.append(result.internal_expansions
-                                  + len(result.evaluated_leaves))
+                                  + len(_pushed_leaves(result, graph)))
             else:
                 expansions.append(result.expansions)
         means[mode] = sum(expansions) / len(expansions)

@@ -38,6 +38,23 @@ def test_validate_rejects_malformed(tmp_path):
     assert main(["validate", bad]) == 1
 
 
+@pytest.mark.parametrize("spec", [
+    {"root": "r", "nodes": [{"id": "r"}], "edges": []},
+    [1, 2],
+], ids=["node-without-caps", "not-an-object"])
+def test_validate_rejects_hostile_graph_in_one_line(tmp_path, capsys, spec):
+    out = str(tmp_path / "out")
+    main(["toy-replay", "--out", out])
+    capsys.readouterr()
+    graph = str(tmp_path / "hostile.json")
+    with open(graph, "w", encoding="utf-8") as fh:
+        json.dump(spec, fh)
+    ledger = os.path.join(out, "toy-exact.ndjson")
+    assert main(["validate", ledger, "--graph", graph]) != 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "bad graph spec" in err
+
+
 def test_suite_emits_csv_and_ledgers(tmp_path):
     out = str(tmp_path / "suite")
     assert main(["suite", "--suite", "A", "--depth", "2", "--seeds", "3",

@@ -25,17 +25,18 @@ def _header():
 
 def test_round_trip_bytes():
     led = lg.Ledger(_header())
-    led.append(
+    led.records.append(
         {
             "event": "push",
             "ctx_digest": "ab" * 32,
-            "key_raw": str(7 << 64),
-            "U": str((1 << 63) - 1),
+            "key_raw": 7 << 64,
+            "U": (1 << 63) - 1,
             "guards": [],
         }
     )
-    led.append({"event": "stop", "incumbent": str(3 << 64), "reason": "certified"})
+    led.records.append({"event": "stop", "incumbent": 3 << 64, "reason": "certified"})
     text = led.serialize()
+    assert '"key_raw":"%d"' % (7 << 64) in text
     again = lg.Ledger.parse_text(text)
     assert again.serialize() == text
     assert again.records[0]["key_raw"] == 7 << 64
@@ -64,26 +65,46 @@ def test_excerpt_records_parse():
 
 
 def test_malformed_line_reports_lineno():
-    text = (
-        '{"schema":"racecert/ledger/v1"}\n'
-        '{"event":"push","guards":[]}\n'
-        "not json at all\n"
-    )
-    with pytest.raises(lg.MalformedLineError) as exc:
-        lg.Ledger.parse_text(text)
-    assert exc.value.lineno == 3
+    for bad in ("not json at all", "[" * 100_000 + "]" * 100_000):
+        text = (
+            '{"schema":"racecert/ledger/v1"}\n'
+            '{"event":"push","ctx_digest":"ab","key_raw":"0","guards":[]}\n'
+            f"{bad}\n"
+        )
+        with pytest.raises(lg.MalformedLineError) as exc:
+            lg.Ledger.parse_text(text)
+        assert exc.value.lineno == 3
 
 
 def test_unknown_field_rejected():
-    text = '{"schema":"racecert/ledger/v1"}\n{"event":"push","bogus":"x"}\n'
-    with pytest.raises(lg.SchemaViolationError):
-        lg.Ledger.parse_text(text)
+    for field in ("bogus", "_display"):
+        text = '{"schema":"racecert/ledger/v1"}\n{"event":"push","%s":"x"}\n' % field
+        with pytest.raises(lg.SchemaViolationError, match="unknown field"):
+            lg.Ledger.parse_text(text)
 
 
 def test_unknown_event_kind_rejected():
     text = '{"schema":"racecert/ledger/v1"}\n{"event":"teleport"}\n'
     with pytest.raises(lg.SchemaViolationError):
         lg.Ledger.parse_text(text)
+
+
+def test_event_record_without_required_field_rejected():
+    full = {"ctx_digest": '"ab"', "key_raw": '"0"', "value": '"0"',
+            "incumbent": '"0"'}
+    for event, required in lg.REQUIRED_FIELDS.items():
+        for dropped in required:
+            body = ",".join(f'"{k}":{full[k]}' for k in required if k != dropped)
+            text = ('{"schema":"racecert/ledger/v1"}\n'
+                    f'{{"event":"{event}",{body}}}\n')
+            with pytest.raises(lg.SchemaViolationError, match="lacks") as exc:
+                lg.Ledger.parse_text(text)
+            assert exc.value.lineno == 2
+        body = ",".join(f'"{k}":{full[k]}' for k in required)
+        lg.Ledger.parse_text('{"schema":"racecert/ledger/v1"}\n'
+                             f'{{"event":"{event}",{body}}}\n')
+    # A stop record's key_raw is optional.
+    lg.Ledger.parse_text('{"schema":"racecert/ledger/v1"}\n{"event":"stop"}\n')
 
 
 def test_raw_field_overflow_on_parse():
@@ -95,7 +116,7 @@ def test_raw_field_overflow_on_parse():
 
 def test_raw_field_must_be_string():
     text = '{"schema":"racecert/ledger/v1"}\n{"event":"push","key_raw":42}\n'
-    with pytest.raises(lg.SchemaViolationError):
+    with pytest.raises(lg.SchemaViolationError, match="decimal string"):
         lg.Ledger.parse_text(text)
 
 
@@ -132,7 +153,7 @@ def test_uuid7_layout():
 
 def test_save_and_parse(tmp_path):
     led = lg.Ledger(_header())
-    led.append({"event": "stop", "reason": "certified"})
+    led.records.append({"event": "stop", "reason": "certified"})
     path = str(tmp_path / "run.ndjson")
     led.save(path)
     assert lg.Ledger.parse(path).serialize() == led.serialize()

@@ -9,6 +9,7 @@ from racecert.prefix_dag import (
     DagNode,
     DepthCapExceededError,
     DigestCollisionError,
+    GraphSpecError,
     NoLeafError,
     PublicCaps,
     SharedDag,
@@ -156,3 +157,31 @@ def test_json_round_trip(tmp_path):
     g2, _ = compile_dag(again)
     assert g1.root == g2.root
     assert set(g1.nodes) == set(g2.nodes)
+
+
+_CAPS = {"max_depth": 2, "c_s_max": 1.0, "c_s_min": 1.0}
+_NODES = [{"id": "r", "state": "r"}, {"id": "a", "state": "a", "leaf": True}]
+
+
+@pytest.mark.parametrize("spec", [
+    {"root": "r", "nodes": [{"id": "r"}], "edges": []},
+    [1, 2],
+    # Each of these compiled into a struct.error or AttributeError.
+    {"root": "r", "caps": _CAPS, "nodes": _NODES,
+     "edges": [{"from": "r", "to": "a", "order": -1}]},
+    {"root": "r", "caps": dict(_CAPS, max_depth=1 << 32), "nodes": _NODES,
+     "edges": [{"from": "r", "to": "a", "order": 0}]},
+    {"root": "r", "caps": _CAPS, "nodes": [_NODES[0], dict(_NODES[1], state=7)],
+     "edges": [{"from": "r", "to": "a", "order": 0}]},
+], ids=["node-without-caps", "not-an-object", "negative-order",
+        "depth-past-u32", "non-string-state"])
+def test_hostile_spec_is_a_graph_spec_error(spec):
+    with pytest.raises(GraphSpecError, match="bad graph spec"):
+        SharedDag.from_json_obj(spec)
+
+
+def test_deeply_nested_graph_file_is_a_graph_spec_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"root":' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(GraphSpecError, match="bad graph spec"):
+        SharedDag.load(str(path))

@@ -8,12 +8,18 @@ from racecert import search
 from racecert.bounds import MtauConfig, MtauRecipe, PhiConfig
 from racecert.generators import toy_graph
 from racecert.prefix_dag import DagNode, PublicCaps, SharedDag, compile_dag
-from racecert.search import ClaimType, FrontierEntry, Mode, RunConfig, resolve_tie
+from racecert.search import ClaimType, Mode, RunConfig
 from racecert.validator import validate
 
 
 def _labels(graph):
     return {d.hex(): n.state_label for d, n in graph.nodes.items()}
+
+
+def _pushed_keys(result):
+    """ctx digest hex -> logged key_raw of each push record."""
+    return {r["ctx_digest"]: r["key_raw"] for r in result.ledger.records
+            if r.get("event") == "push"}
 
 
 def _pop_labels(result, graph):
@@ -31,7 +37,7 @@ def test_toy_exact_trace(toy):
     assert _pop_labels(result, graph) == ["r", "u1", "u2", "p2"]
     labels = _labels(graph)
     keys = {
-        labels[h]: k / 2.0**64 for h, k in result.pushed_keys.items()
+        labels[h]: k / 2.0**64 for h, k in _pushed_keys(result).items()
     }
     assert math.isclose(keys["r"], 7.886234, abs_tol=2e-3)
     assert math.isclose(keys["u1"], 7.386234, abs_tol=2e-3)
@@ -58,13 +64,31 @@ def test_toy_winner_reuse(toy):
     assert arrivals["p2"] == arrivals["u1"]
 
 
-def test_resolve_tie_orders_by_digest():
-    a = FrontierEntry(b"\x01" * 32, 1.0, 1 << 64, None)
-    b = FrontierEntry(b"\x02" * 32, 1.0, 1 << 64, None)
-    first, second, token = resolve_tie(a, b)
-    assert (first, second, token) == (a, b, 0)
-    first, second, token = resolve_tie(b, a)
-    assert (first, second, token) == (a, b, 1)
+def test_tie_with_lower_internal_digest_logs_token_one(tmp_path):
+    # r -> leaf, r -> inner -> c.  Surrogate anchors both children at the
+    # root's arrival and FIXED gives them one mtau, so their keys tie; the
+    # leaf pops first and the inner node's digest is the lower one.
+    nodes = {"r": DagNode("r", "r", False), "leaf": DagNode("leaf", "leaf", True),
+             "inner": DagNode("inner", "inner", False),
+             "c": DagNode("c", "c", True)}
+    dag = SharedDag(nodes=nodes, root_id="r",
+                    edges=[("r", "leaf", 0), ("r", "inner", 1), ("inner", "c", 0)],
+                    caps=PublicCaps(max_depth=3, c_s_max=1.0, c_s_min=1.0))
+    graph, cert = compile_dag(dag)
+    assert cert.ok
+    labels = {n.state_label: d for d, n in graph.nodes.items()}
+    assert labels["inner"] < labels["leaf"]
+    cfg = RunConfig(mtau=MtauConfig(recipe=MtauRecipe.FIXED, fixed_table={
+        "r": 2.0, "leaf": 1.0, "inner": 1.0, "c": 0.0}), seed=1)
+    path = str(tmp_path / "tie.ndjson")
+    result = search.run(graph, Mode.SURROGATE, cfg, ledger_path=path)
+    pushed = _pushed_keys(result)
+    assert pushed[labels["leaf"].hex()] == pushed[labels["inner"].hex()]
+    pops = [r for r in result.ledger.records if r.get("event") == "pop"]
+    assert pops[1]["ctx_digest"] == labels["leaf"].hex()
+    assert pops[1]["tie_token"] == 1
+    assert "tie_token" not in pops[0]
+    assert validate(path, graph, public_counts=graph.public_counts()).ok
 
 
 def test_expansion_cap_timeout_guard(toy):
@@ -82,6 +106,8 @@ def test_expansion_cap_binds_fallback(toy):
     cfg.expansion_cap = 1
     result = search.run(graph, Mode.FALLBACK, cfg)
     assert result.guards_seen == ["Timeout"]
+    assert result.claim_type is ClaimType.NO_CERT
+    assert result.ledger.records[-1]["reason"] == "StopHeuristic"
     assert result.expansions == 1
     assert result.frontier_at_stop  # the root's children are still queued
 
@@ -221,7 +247,7 @@ def test_surrogate_keys_dominate_exact(toy):
     assert surrogate.claim_type is ClaimType.RUN_WISE_EXACT
     # Root key uses the inflated rate, so it dominates the exact key.
     root_hex = graph.root.hex()
-    assert surrogate.pushed_keys[root_hex] >= exact.pushed_keys[root_hex]
+    assert _pushed_keys(surrogate)[root_hex] >= _pushed_keys(exact)[root_hex]
     assert surrogate.expansions >= 1
 
 
@@ -238,8 +264,9 @@ def test_surrogate_zero_bound_prunes():
         seed=11, n_ub_map=n_ub,
     )
     result = search.run(graph, Mode.SURROGATE, cfg)
-    assert labels["u2"].hex() not in result.pushed_keys
-    assert labels["p4"].hex() not in result.pushed_keys
+    pushed = _pushed_keys(result)
+    assert labels["u2"].hex() not in pushed
+    assert labels["p4"].hex() not in pushed
 
 
 def test_deterministic_reruns_identical(toy):

@@ -25,6 +25,7 @@ from racecert.generators import (
     toy_graph,
     toy_mtau,
 )
+from racecert.ledger import Ledger, MalformedLineError, SchemaViolationError
 from racecert.prefix_dag import compile_dag
 from racecert.search import Mode, RunConfig
 
@@ -36,6 +37,14 @@ FAMILIES = {
     "pipeline_mock": lambda seed: pipeline_mock(),
     "adversarial": lambda seed: adversarial_graph(),
 }
+
+
+def _assert_stop_reason_matches_claim(path):
+    """The stop reason is StopHeuristic exactly when the claim is NoCert."""
+    stop = Ledger.parse(path).records[-1]
+    assert stop["event"] == "stop"
+    assert stop["reason"] == ("StopHeuristic" if stop["claim_type"] == "NoCert"
+                              else "StopCertified")
 
 
 def _run(tmp_path, mode, **cfg_kw):
@@ -174,6 +183,7 @@ def test_every_mode_and_family_validates(tmp_path, mode, family, seed):
     verdict = validator.validate(path, graph,
                                  public_counts=graph.public_counts())
     assert verdict.ok, verdict.failures
+    _assert_stop_reason_matches_claim(path)
 
 
 @pytest.mark.parametrize("price_max", [0, 1, 5, 20])
@@ -187,6 +197,8 @@ def test_budget_exhausted_run_validates(tmp_path, price_max):
     assert result.mode_final is Mode.FALLBACK
     verdict = validator.validate(path, graph)
     assert verdict.ok, verdict.failures
+    assert result.ledger.records[-1]["claim_type"] == result.claim_type.value
+    _assert_stop_reason_matches_claim(path)
 
 
 def test_tampered_fallback_leaf_eval_detected(tmp_path):
@@ -257,6 +269,7 @@ def test_every_run_setting_replays(tmp_path, name, mode):
     verdict = validator.validate(path, graph,
                                  public_counts=graph.public_counts())
     assert verdict.ok, verdict.failures
+    _assert_stop_reason_matches_claim(path)
 
 
 def test_header_round_trips_through_from_header():
@@ -294,3 +307,58 @@ def test_unreplayable_ledger_is_a_verdict_not_an_exception(tmp_path, damage):
     verdict = validator.validate(damaged, graph)
     assert not verdict.replay_ok
     assert verdict.failures[0][1].startswith("replay aborted: ")
+
+
+@pytest.mark.parametrize("event,field", [("push", "key_raw"),
+                                         ("pop", "ctx_digest")])
+def test_record_without_required_field_is_a_verdict(tmp_path, event, field):
+    graph, _, path = _run(tmp_path, Mode.EXACT)
+    lines = open(path, encoding="utf-8").read().splitlines()
+    idx = next(i for i, ln in enumerate(lines) if f'"event":"{event}"' in ln)
+    rec = json.loads(lines[idx])
+    del rec[field]
+    lines[idx] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    damaged = str(tmp_path / f"{event}-without-{field}.ndjson")
+    with open(damaged, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(SchemaViolationError) as exc:
+        Ledger.parse(damaged)
+    assert exc.value.lineno == idx + 1
+    verdict = validator.validate(damaged, graph)
+    assert not verdict.ok
+    assert verdict.failures[0][0] == idx + 1
+    assert field in verdict.failures[0][1]
+
+
+def test_non_utf8_line_is_a_malformed_line(tmp_path):
+    graph, _, path = _run(tmp_path, Mode.EXACT)
+    lines = open(path, "rb").read().split(b"\n")
+    lines[2] = lines[2].replace(b'"event"', b'"ev\xffent"', 1)
+    damaged = str(tmp_path / "not-utf8.ndjson")
+    with open(damaged, "wb") as fh:
+        fh.write(b"\n".join(lines))
+    with pytest.raises(MalformedLineError) as exc:
+        Ledger.parse(damaged)
+    assert exc.value.lineno == 3
+    assert "not UTF-8" in str(exc.value)
+    verdict = validator.validate(damaged, graph)
+    assert not verdict.ok
+    assert verdict.failures[0][0] == 3
+
+
+def test_stop_record_with_surrogate_fields_is_a_verdict(tmp_path):
+    # Nub and U are legal on any record; the tightening audit must not
+    # assume that a record carrying them names a context.
+    graph, _, path = _run(tmp_path, Mode.SURROGATE, n_ub_factor=1.5)
+    lines = open(path, encoding="utf-8").read().splitlines()
+    stop = json.loads(lines[-1])
+    assert stop["event"] == "stop" and "key_raw" in stop
+    stop.update(Nub="4", U="5")
+    lines[-1] = json.dumps(stop, sort_keys=True, separators=(",", ":"))
+    damaged = str(tmp_path / "stop-with-nub.ndjson")
+    with open(damaged, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    verdict = validator.validate(damaged, graph,
+                                 public_counts=graph.public_counts())
+    assert not verdict.ok
+    assert verdict.failures[0][0] == len(lines) - 2
