@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bounds import MtauConfig, mtau
 from .prefix_dag import PrefixDag
@@ -27,7 +27,6 @@ class BaselineResult:
     found_value: float
     pruned_winner: bool
     found_leaf: str | None = None
-    popped_leaves: list[str] = field(default_factory=list)
 
 
 def _best_first(graph: PrefixDag, score, leaf_values: dict[bytes, float],
@@ -37,7 +36,6 @@ def _best_first(graph: PrefixDag, score, leaf_values: dict[bytes, float],
     best = float("-inf")
     best_leaf: bytes | None = None
     expansions = 0
-    popped: list[str] = []
     while heap:
         neg_s, digest = heap[0]
         if -neg_s <= best:
@@ -47,7 +45,6 @@ def _best_first(graph: PrefixDag, score, leaf_values: dict[bytes, float],
         node = graph.node(digest)
         if node.is_leaf:
             v = leaf_values[digest]
-            popped.append(digest.hex())
             if v > best:
                 best, best_leaf = v, digest
         else:
@@ -58,7 +55,6 @@ def _best_first(graph: PrefixDag, score, leaf_values: dict[bytes, float],
         found_value=best,
         pruned_winner=best_leaf != winner,
         found_leaf=best_leaf.hex() if best_leaf is not None else None,
-        popped_leaves=popped,
     )
 
 
@@ -98,7 +94,6 @@ def beam_k(graph: PrefixDag, k: float, mtau_cfg: MtauConfig,
     best = float("-inf")
     best_leaf: bytes | None = None
     expansions = 0
-    popped: list[str] = []
     while beam:
         nxt: list[bytes] = []
         for digest in beam:
@@ -106,7 +101,6 @@ def beam_k(graph: PrefixDag, k: float, mtau_cfg: MtauConfig,
             node = graph.node(digest)
             if node.is_leaf:
                 v = values[digest]
-                popped.append(digest.hex())
                 if v > best:
                     best, best_leaf = v, digest
             else:
@@ -118,7 +112,6 @@ def beam_k(graph: PrefixDag, k: float, mtau_cfg: MtauConfig,
         found_value=best,
         pruned_winner=best_leaf != winner,
         found_leaf=best_leaf.hex() if best_leaf is not None else None,
-        popped_leaves=popped,
     )
 
 

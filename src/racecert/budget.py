@@ -68,7 +68,11 @@ class ModelCatalogEntry:
 
 def load_catalog(path: str) -> list[ModelCatalogEntry]:
     with open(path, encoding="utf-8") as fh:
-        return [ModelCatalogEntry(**entry) for entry in json.load(fh)]
+        entries = json.load(fh)
+    try:
+        return [ModelCatalogEntry(**entry) for entry in entries]
+    except TypeError as exc:  # not a list of objects with the entry fields
+        raise ValueError(f"bad catalog {path}: {exc}") from exc
 
 
 def default_catalog() -> list[ModelCatalogEntry]:

@@ -2,34 +2,42 @@
 
 Subcommands reproduce the desk-scale experiments: suite runs with per-run
 ledgers and an aggregate CSV, tightness and N_ub sweeps, ledger validation,
-the toy golden replay, and the adversarial-seed scan.  CSV aggregates use
-normal-approximation 95% confidence intervals (stated in the CSV metadata).
-No interactive UI: everything is batch.
+the toy golden replay, and the adversarial-seed scan.  ``suite``,
+``tightness`` and ``nub-sweep`` take their graphs from one seed loop
+(``_seeds``: a ``--graph`` file or a ``SUITES`` family, compiled and
+certificate-checked) and write their CSV through one writer.  CSV aggregates
+use normal-approximation 95% confidence intervals (stated in the CSV
+metadata).  ``--modes`` is checked before anything runs, and an input error
+(a bad file, graph, counts map or catalog) ends every subcommand with one
+stderr line and exit status 2.  No interactive UI: everything is batch.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import os
 import statistics
 import sys
 import time
+from typing import Sequence
 
 from . import fixedpoint as fp
 from .baselines import beam_k, dist_level, greedy_by_bound
 from .bounds import MtauConfig, kappa
+from .budget import BudgetRuntime, BudgetState, load_catalog
 from .generators import (
     TOY_SCRIPTED,
     adversarial_graph,
-    find_adversarial,
     pipeline_mock,
     suite_a,
     suite_b,
     toy_graph,
     toy_mtau,
 )
+from .ledger import Ledger
 from .prefix_dag import SharedDag, compile_dag
 from .race import RngStream
 from .reconstruct import (
@@ -42,8 +50,37 @@ from .reconstruct import (
 from .search import Mode, RunConfig, run
 from .validator import validate
 
-BASELINES = ("greedy", "beam3", "dist-level")
 CI_NOTE = "# ci95: normal approximation, 1.96*sd/sqrt(n)"
+
+# Graph of one seed, by --suite.
+SUITES = {
+    "A": lambda args, seed: suite_a(args.depth, args.branching, seed),
+    "B": lambda args, seed: suite_b(seed=seed),
+    "adversarial": lambda args, seed: adversarial_graph(),
+    "toy": lambda args, seed: toy_graph(),
+    "pipeline": lambda args, seed: pipeline_mock(),
+}
+
+# Non-certified comparators `suite` runs by name: (graph, mtau, values).
+BASELINES = {
+    "greedy": greedy_by_bound,
+    "beam3": lambda graph, mtau_cfg, values: beam_k(graph, 3, mtau_cfg, values),
+    "dist-level": dist_level,
+}
+
+SEARCH_MODES = [mode.value for mode in Mode]
+
+
+def _mode_list(allowed: list[str]):
+    """argparse type: a comma-separated list drawn from ``allowed``."""
+    def parse(text: str) -> list[str]:
+        modes = text.split(",")
+        unknown = [m for m in modes if m not in allowed]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown mode {unknown[0]!r} (choose from {', '.join(allowed)})")
+        return modes
+    return parse
 
 
 def _mean_ci(values: list[float]) -> tuple[float, float]:
@@ -56,57 +93,35 @@ def _mean_ci(values: list[float]) -> tuple[float, float]:
     return mean, 1.96 * sd / math.sqrt(len(values))
 
 
-def _graph_for(suite: str, seed: int, depth: int, branching: int):
-    if suite == "A":
-        return suite_a(depth, branching, seed)
-    if suite == "B":
-        return suite_b(seed=seed)
-    if suite == "adversarial":
-        return adversarial_graph()
-    if suite == "toy":
-        return toy_graph()
-    if suite == "pipeline":
-        return pipeline_mock()
-    raise ValueError(f"unknown suite {suite!r}")
-
-
-def _shared_for(args, seed: int):
-    if getattr(args, "graph", None):
-        return SharedDag.load(args.graph)
-    return _graph_for(args.suite, seed, args.depth, args.branching)
-
-
-def _modes_for(args) -> list[str]:
-    if getattr(args, "mode", None):
-        return [args.mode]
-    return args.modes.split(",")
-
-
-def _run_config(args, seed: int, graph) -> RunConfig:
-    if args.suite == "toy":
-        mtau_cfg = toy_mtau()
-        scripted = dict(TOY_SCRIPTED)
-    else:
-        mtau_cfg = MtauConfig()
-        scripted = {}
+def _run_config(args, seed: int) -> RunConfig:
+    toy = args.suite == "toy"
     budget = None
-    if getattr(args, "catalog", None):
-        from .budget import BudgetRuntime, BudgetState, load_catalog
-
+    if args.catalog:
         budget = BudgetRuntime(
             load_catalog(args.catalog),
             BudgetState(eps_max=10.0, delta=1e-6, price_max=10_000,
                         slo_ms=60_000))
     return RunConfig(
-        mtau=mtau_cfg,
+        mtau=toy_mtau() if toy else MtauConfig(),
         seed=seed,
         n_ub_factor=args.nub_factor,
         salt=bytes.fromhex(args.salt),
         tau=args.tau,
-        scripted_uniforms=scripted,
+        scripted_uniforms=dict(TOY_SCRIPTED) if toy else {},
         budget=budget,
-        deterministic_ids=True,
     )
+
+
+def _seeds(args):
+    """Yield ``(seed, shared, graph, cfg)`` for each seed of the run: the
+    ``--graph`` file or the suite's graph, compiled, and its run config."""
+    for seed in range(args.seed, args.seed + args.seeds):
+        shared = (SharedDag.load(args.graph) if args.graph
+                  else SUITES[args.suite](args, seed))
+        graph, cert = compile_dag(shared)
+        if not cert.ok:
+            raise ValueError(f"compile certificate failed for seed {seed}")
+        yield seed, shared, graph, _run_config(args, seed)
 
 
 def _realized_leaf_values(graph, seed: int, cfg: RunConfig) -> dict[bytes, float]:
@@ -115,27 +130,35 @@ def _realized_leaf_values(graph, seed: int, cfg: RunConfig) -> dict[bytes, float
     return exact_leaf_values(graph, exact_race(graph, lookup))
 
 
+def _write_csv(path: str, rows: list[dict], head: Sequence[str],
+               tail: Sequence[str] = ()) -> None:
+    """Comment lines ``head``, the rows under a header, then ``tail``."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in head)
+        if rows:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        fh.writelines(line + "\n" for line in tail)
+    print(f"wrote {path} ({len(rows)} rows)")
+
+
 def cmd_suite(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     ledger_dir = os.path.join(args.out, "ledgers")
     os.makedirs(ledger_dir, exist_ok=True)
     rows = []
-    modes = _modes_for(args)
-    for seed in range(args.seed, args.seed + args.seeds):
-        shared = _shared_for(args, seed)
-        graph, cert = compile_dag(shared)
-        if not cert.ok:
-            print(f"compile certificate failed for seed {seed}",
-                  file=sys.stderr)
-            return 2
+    for seed, shared, graph, cfg in _seeds(args):
         # The graph travels with its ledgers: validate needs it (--graph).
         shared.save(os.path.join(ledger_dir, f"{args.suite}-{seed}.graph.json"))
-        cfg = _run_config(args, seed, graph)
         values = _realized_leaf_values(graph, seed, cfg)
         winner, _ = argmax_leaf(values)
-        for mode in modes:
+        for mode in args.modes:
             started = time.perf_counter()
-            if mode in ("Exact", "Surrogate", "Fallback"):
+            if mode in BASELINES:
+                base = BASELINES[mode](graph, cfg.mtau, values)
+                expansions, slack, pruned = base.expansions, "", base.pruned_winner
+            else:
                 path = os.path.join(
                     ledger_dir, f"{args.suite}-{seed}-{mode}.ndjson")
                 result = run(graph, Mode(mode), cfg, ledger_path=path)
@@ -144,48 +167,29 @@ def cmd_suite(args) -> int:
                 pruned = (result.incumbent_leaf != winner.hex()
                           if mode == "Exact" else "")
                 expansions, slack = result.expansions, -result.stop_slack
-            elif mode == "greedy":
-                base = greedy_by_bound(graph, cfg.mtau, values)
-                expansions, slack, pruned = base.expansions, "", base.pruned_winner
-            elif mode == "beam3":
-                base = beam_k(graph, 3, cfg.mtau, values)
-                expansions, slack, pruned = base.expansions, "", base.pruned_winner
-            elif mode == "dist-level":
-                base = dist_level(graph, cfg.mtau, values)
-                expansions, slack, pruned = base.expansions, "", base.pruned_winner
-            else:
-                print(f"unknown mode {mode!r}", file=sys.stderr)
-                return 2
             wall_ms = 1000.0 * (time.perf_counter() - started)
             rows.append({"suite": args.suite, "seed": seed, "mode": mode,
                          "expansions": expansions,
                          "wall_ms": f"{wall_ms:.3f}",
                          "stop_slack": slack, "pruned_winner": pruned})
-    out_csv = os.path.join(args.out, "suite.csv")
-    with open(out_csv, "w", newline="", encoding="utf-8") as fh:
-        fh.write(CI_NOTE + "\n")
-        fh.write("# beam scoring: deterministic bound M_tau\n")
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(sorted(rows, key=lambda r: (r["seed"], r["mode"])))
-        for mode in modes:
-            vals = [float(r["expansions"]) for r in rows if r["mode"] == mode]
-            mean, ci = _mean_ci(vals)
-            fh.write(f"# aggregate expansions {mode}: "
-                     f"mean={mean:.4f} ci95={ci:.4f} n={len(vals)}\n")
-    print(f"wrote {out_csv} ({len(rows)} rows)")
+    aggregates = []
+    for mode in args.modes:
+        vals = [float(r["expansions"]) for r in rows if r["mode"] == mode]
+        mean, ci = _mean_ci(vals)
+        aggregates.append(f"# aggregate expansions {mode}: "
+                          f"mean={mean:.4f} ci95={ci:.4f} n={len(vals)}")
+    _write_csv(os.path.join(args.out, "suite.csv"),
+               sorted(rows, key=lambda r: (r["seed"], r["mode"])),
+               [CI_NOTE, "# beam scoring: deterministic bound M_tau"],
+               aggregates)
     return 0
 
 
 def cmd_tightness(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     rows = []
-    for seed in range(args.seed, args.seed + args.seeds):
-        shared = _shared_for(args, seed)
-        graph, _ = compile_dag(shared)
-        cfg = _run_config(args, seed, graph)
+    for seed, _, graph, cfg in _seeds(args):
         rsm = realized_suffix_max(graph, _realized_leaf_values(graph, seed, cfg))
-        for mode in _modes_for(args):
+        for mode in args.modes:
             result = run(graph, Mode(mode), cfg)
             b_star = result.incumbent
             for digest_hex, key_q in result.frontier_at_stop:
@@ -198,27 +202,17 @@ def cmd_tightness(args) -> int:
                     "key_minus_rsm": f"{key - node_rsm:.9f}",
                     "stop_slack": f"{key - b_star:.9f}",
                 })
-    out_csv = os.path.join(args.out, "tightness.csv")
-    with open(out_csv, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# stop_slack = key - incumbent; certified stops imply <= 0\n")
-        fh.write("# key_minus_rsm >= 0 by admissibility (tightness gap)\n")
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {out_csv} ({len(rows)} rows)")
+    _write_csv(os.path.join(args.out, "tightness.csv"), rows, [
+        "# stop_slack = key - incumbent; certified stops imply <= 0",
+        "# key_minus_rsm >= 0 by admissibility (tightness gap)"])
     return 0
 
 
 def cmd_nub_sweep(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    factors = [float(f) for f in args.factors.split(",")]
     rows = []
-    for factor in factors:
+    for factor in [float(f) for f in args.factors.split(",")]:
         expansions, kappas = [], []
-        for seed in range(args.seed, args.seed + args.seeds):
-            shared = _shared_for(args, seed)
-            graph, _ = compile_dag(shared)
-            cfg = _run_config(args, seed, graph)
+        for _, _, graph, cfg in _seeds(args):
             cfg.n_ub_factor = factor
             result = run(graph, Mode.SURROGATE, cfg)
             expansions.append(result.expansions)
@@ -237,30 +231,24 @@ def cmd_nub_sweep(args) -> int:
             "frac_strict_kappa": f"{frac_strict:.4f}",
             "mean_kappa": f"{statistics.fmean(kappas):.6f}" if kappas else "",
         })
-    out_csv = os.path.join(args.out, "nub_sweep.csv")
-    with open(out_csv, "w", newline="", encoding="utf-8") as fh:
-        fh.write(CI_NOTE + "\n")
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {out_csv}")
+    _write_csv(os.path.join(args.out, "nub_sweep.csv"), rows, [CI_NOTE])
     return 0
 
 
+def _load_counts(path: str) -> dict[str, int]:
+    """Public counts: a JSON object from context digest (hex) to count."""
+    with open(path, encoding="utf-8") as fh:
+        counts = json.load(fh)
+    if not isinstance(counts, dict) or not all(
+            isinstance(v, (int, str)) for v in counts.values()):
+        raise ValueError(f"{path}: counts must be an object of integers")
+    return {k: int(v) for k, v in counts.items()}
+
+
 def cmd_validate(args) -> int:
-    try:
-        graph, _ = compile_dag(
-            SharedDag.load(args.graph) if args.graph else toy_graph())
-    except ValueError as exc:  # GraphSpecError or a graph compile refuses
-        print(f"{args.graph}: {exc}", file=sys.stderr)
-        return 2
-    counts = None
-    if args.counts:
-        import json
-        with open(args.counts, encoding="utf-8") as fh:
-            counts = {k: int(v) for k, v in json.load(fh).items()}
-    else:
-        counts = graph.public_counts()
+    graph, _ = compile_dag(
+        SharedDag.load(args.graph) if args.graph else toy_graph())
+    counts = _load_counts(args.counts) if args.counts else graph.public_counts()
     all_ok = True
     for path in args.ledgers:
         started = time.perf_counter()
@@ -275,7 +263,6 @@ def cmd_validate(args) -> int:
         for index, reason in verdict.failures[:10]:
             print(f"  record {index}: {reason}")
         if args.recompute_metrics and verdict.ok:
-            from .ledger import Ledger
             led = Ledger.parse(path)
             pops = sum(1 for r in led.records if r.get("event") == "pop")
             print(f"  recomputed expansions={pops}")
@@ -288,13 +275,13 @@ def cmd_toy_replay(args) -> int:
     graph, cert = compile_dag(toy_graph())
     assert cert.ok
     cfg = RunConfig(mtau=toy_mtau(), scripted_uniforms=dict(TOY_SCRIPTED),
-                    seed=args.seed, deterministic_ids=True)
+                    seed=args.seed)
     path = os.path.join(args.out, "toy-exact.ndjson")
     result = run(graph, Mode.EXACT, cfg, ledger_path=path)
     print(f"Exact: incumbent={result.incumbent:.6f} "
           f"expansions={result.expansions} claim={result.claim_type.value}")
     cfg_s = RunConfig(mtau=toy_mtau(), scripted_uniforms=dict(TOY_SCRIPTED),
-                      seed=args.seed, n_ub_factor=1.5, deterministic_ids=True)
+                      seed=args.seed, n_ub_factor=1.5)
     path_s = os.path.join(args.out, "toy-surrogate.ndjson")
     result_s = run(graph, Mode.SURROGATE, cfg_s, ledger_path=path_s)
     root_key = fp.decode_q64_64(result_s.ledger.records[0]["key_raw"])
@@ -307,12 +294,19 @@ def cmd_toy_replay(args) -> int:
 
 
 def cmd_find_adversarial(args) -> int:
-    seed = find_adversarial(max_seeds=args.max_seeds)
-    if seed is None:
-        print("no adversarial seed found in range")
-        return 1
-    print(f"adversarial seed: {seed}")
-    return 0
+    """Scan race seeds for one where dist-level pruning discards the
+    realized winner on the adversarial fixture while Exact keeps it."""
+    graph, _ = compile_dag(adversarial_graph())
+    for seed in range(args.max_seeds):
+        cfg = RunConfig(mtau=MtauConfig(), seed=seed)  # R2: prefix-score envelope
+        values = _realized_leaf_values(graph, seed, cfg)
+        winner, _ = argmax_leaf(values)
+        if (dist_level(graph, cfg.mtau, values).pruned_winner
+                and run(graph, Mode.EXACT, cfg).incumbent_leaf == winner.hex()):
+            print(f"adversarial seed: {seed}")
+            return 0
+    print("no adversarial seed found in range")
+    return 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -323,8 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--suite", default="A",
-                       choices=["A", "B", "adversarial", "toy", "pipeline"])
+        p.add_argument("--suite", default="A", choices=list(SUITES))
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--seeds", type=int, default=5)
         p.add_argument("--depth", type=int, default=3)
@@ -334,9 +327,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", default="out")
         p.add_argument("--salt", default="00" * 8)
         p.add_argument("--tau", type=float, default=1.0)
-        p.add_argument("--mode", default=None,
-                       choices=["Exact", "Surrogate", "Fallback"],
-                       help="single search mode; overrides --modes")
         p.add_argument("--graph", default=None,
                        help="run on a serialized graph instead of the suite")
         p.add_argument("--catalog", default=None,
@@ -344,12 +334,14 @@ def main(argv: list[str] | None = None) -> int:
 
     p_suite = sub.add_parser("suite", help="run a suite, emit ledgers + CSV")
     add_common(p_suite)
-    p_suite.add_argument("--modes", default="Exact,Surrogate")
+    p_suite.add_argument("--modes", default="Exact,Surrogate",
+                         type=_mode_list(SEARCH_MODES + list(BASELINES)))
     p_suite.set_defaults(func=cmd_suite)
 
     p_tight = sub.add_parser("tightness", help="per-frontier slack CSV")
     add_common(p_tight)
-    p_tight.add_argument("--modes", default="Exact")
+    p_tight.add_argument("--modes", default="Exact",
+                         type=_mode_list(SEARCH_MODES))
     p_tight.set_defaults(func=cmd_tightness)
 
     p_sweep = sub.add_parser("nub-sweep", help="surrogate N_ub factor sweep")
@@ -375,7 +367,11 @@ def main(argv: list[str] | None = None) -> int:
     p_adv.set_defaults(func=cmd_find_adversarial)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # an input the command cannot use
+        print(f"racecert {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

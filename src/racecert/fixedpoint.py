@@ -84,6 +84,11 @@ def q0_64_value(raw: int) -> float:
     return min(value, 1.0 - 2.0**-53)
 
 
+def encode_q0_64(u: float) -> int:
+    """Q0.64 raw whose open-interval value is nearest to u, clamped."""
+    return max(0, min(Q0_64_MAX, round(u * 2.0**64 - 0.5)))
+
+
 def parse_raw(text: str, lo: int, hi: int) -> int:
     """Parse a decimal-string raw integer with range check (locale free)."""
     raw = int(text, 10)

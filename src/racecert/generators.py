@@ -2,10 +2,12 @@
 
 Everything here is deterministic in its seed arguments.  The toy four-leaf
 fixture replays the worked example exactly (scripted uniforms, per-state
-fixed bounds); the suites are the balanced-tree and layered-shared-DAG
-families used by the experiment harness; the adversarial search scans race
-seeds for a fixture on which distribution-level pruning discards the
-realized winner while the certified router does not.
+fixed bounds).  The tree families (``suite_a``, ``random_tree``,
+``random_binary_tree``, ``full_binary_tree``) are callers of one builder,
+``_tree``; ``suite_b`` is the layered shared DAG.  The adversarial fixture
+is the one on which distribution-level pruning can discard the realized
+winner while the certified router does not; ``racecert find-adversarial``
+scans race seeds for that split and ``ADVERSARIAL_SEED`` pins its result.
 """
 
 from __future__ import annotations
@@ -13,12 +15,8 @@ from __future__ import annotations
 import random
 
 from .bounds import MtauConfig, MtauRecipe
-from .prefix_dag import DagNode, PublicCaps, SharedDag, compile_dag
-
-
-def scripted_raw(u: float) -> int:
-    """Q0.64 raw whose open-interval value is nearest to u."""
-    return max(0, min((1 << 64) - 1, round(u * 2.0**64 - 0.5)))
+from .fixedpoint import encode_q0_64
+from .prefix_dag import DagNode, PublicCaps, SharedDag
 
 
 # -- toy 4-leaf replay fixture -------------------------------------------
@@ -29,12 +27,12 @@ TOY_MTAU_TABLE = {
 }
 
 TOY_SCRIPTED = {
-    ("r", "race"): scripted_raw(0.20),
-    ("r", "winner"): scripted_raw(0.70),
-    ("u2", "residual"): scripted_raw(0.37),
-    ("u1", "winner"): scripted_raw(0.50),
-    ("p1", "residual"): scripted_raw(0.50),
-    ("p3", "residual"): scripted_raw(0.25),
+    ("r", "race"): encode_q0_64(0.20),
+    ("r", "winner"): encode_q0_64(0.70),
+    ("u2", "residual"): encode_q0_64(0.37),
+    ("u1", "winner"): encode_q0_64(0.50),
+    ("p1", "residual"): encode_q0_64(0.50),
+    ("p3", "residual"): encode_q0_64(0.25),
 }
 
 
@@ -64,21 +62,25 @@ def toy_mtau() -> MtauConfig:
 
 # -- experiment suites ----------------------------------------------------
 
-def suite_a(depth: int, branching: int = 3, seed: int = 0,
-            c_s_max: float = 1.0) -> SharedDag:
-    """Balanced tree of the given depth and branching; random edge costs."""
-    rng = random.Random(("suite_a", depth, branching, seed).__repr__())
+def _tree(leaf, cost, branches, depth: int, c_s_max: float,
+          sep: str = ".") -> SharedDag:
+    """Tree grown depth first from root ``n``.  Each callback gets the
+    node's depth and is called in this order: ``leaf``, ``cost`` (its edge
+    cost), then, for an internal node, ``branches`` (its child count), so a
+    family's RNG draws follow the walk.  Leaves sit at most ``depth`` deep;
+    a child is named ``<parent><sep><order>``."""
+    if depth < 0:  # no level would be a leaf level
+        raise ValueError(f"tree depth {depth} must be >= 0")
     nodes: dict[str, DagNode] = {}
     edges: list[tuple[str, str, int]] = []
 
     def grow(name: str, d: int) -> None:
-        nodes[name] = DagNode(name, name, is_leaf=(d == depth),
-                              det_score_delta=0.0 if d == 0
-                              else rng.uniform(0.0, c_s_max))
-        if d == depth:
+        is_leaf = leaf(d)
+        nodes[name] = DagNode(name, name, is_leaf, cost(d))
+        if is_leaf:
             return
-        for b in range(branching):
-            child = f"{name}.{b}"
+        for b in range(branches(d)):
+            child = f"{name}{sep}{b}"
             edges.append((name, child, b))
             grow(child, d + 1)
 
@@ -86,6 +88,19 @@ def suite_a(depth: int, branching: int = 3, seed: int = 0,
     return SharedDag(nodes=nodes, edges=edges, root_id="n",
                      caps=PublicCaps(max_depth=depth + 1, c_s_max=c_s_max,
                                      c_s_min=c_s_max))
+
+
+def _random_cost(rng: random.Random, c_s_max: float):
+    """Edge cost uniform in [0, c_s_max]; the root's is 0."""
+    return lambda d: 0.0 if d == 0 else rng.uniform(0.0, c_s_max)
+
+
+def suite_a(depth: int, branching: int = 3, seed: int = 0,
+            c_s_max: float = 1.0) -> SharedDag:
+    """Balanced tree of the given depth and branching; random edge costs."""
+    rng = random.Random(("suite_a", depth, branching, seed).__repr__())
+    return _tree(lambda d: d == depth, _random_cost(rng, c_s_max),
+                 lambda d: branching, depth, c_s_max)
 
 
 def suite_b(layers: int = 4, width: int = 3, seed: int = 0,
@@ -119,25 +134,10 @@ def random_tree(seed: int, max_depth: int = 4, max_branch: int = 3,
                 leaf_prob: float = 0.35, c_s_max: float = 2.0) -> SharedDag:
     """Irregular finite tree for the property suites."""
     rng = random.Random(("random_tree", seed).__repr__())
-    nodes: dict[str, DagNode] = {}
-    edges: list[tuple[str, str, int]] = []
-
-    def grow(name: str, d: int) -> None:
-        leaf = d == max_depth or (d > 0 and rng.random() < leaf_prob)
-        nodes[name] = DagNode(name, name, is_leaf=leaf,
-                              det_score_delta=0.0 if d == 0
-                              else rng.uniform(0.0, c_s_max))
-        if leaf:
-            return
-        for b in range(rng.randint(1, max_branch)):
-            child = f"{name}.{b}"
-            edges.append((name, child, b))
-            grow(child, d + 1)
-
-    grow("n", 0)
-    return SharedDag(nodes=nodes, edges=edges, root_id="n",
-                     caps=PublicCaps(max_depth=max_depth + 1, c_s_max=c_s_max,
-                                     c_s_min=c_s_max))
+    return _tree(
+        lambda d: d == max_depth or (d > 0 and rng.random() < leaf_prob),
+        _random_cost(rng, c_s_max), lambda d: rng.randint(1, max_branch),
+        max_depth, c_s_max)
 
 
 def random_binary_tree(seed: int, max_depth: int = 4,
@@ -145,46 +145,15 @@ def random_binary_tree(seed: int, max_depth: int = 4,
     """Binary trees (every internal node has exactly two children), the
     family for which the fallback work bound is asserted."""
     rng = random.Random(("random_binary_tree", seed).__repr__())
-    nodes: dict[str, DagNode] = {}
-    edges: list[tuple[str, str, int]] = []
-
-    def grow(name: str, d: int) -> None:
-        leaf = d == max_depth or (d > 0 and rng.random() < 0.3)
-        nodes[name] = DagNode(name, name, is_leaf=leaf,
-                              det_score_delta=0.0 if d == 0
-                              else rng.uniform(0.0, c_s_max))
-        if leaf:
-            return
-        for b in (0, 1):
-            child = f"{name}.{b}"
-            edges.append((name, child, b))
-            grow(child, d + 1)
-
-    grow("n", 0)
-    return SharedDag(nodes=nodes, edges=edges, root_id="n",
-                     caps=PublicCaps(max_depth=max_depth + 1, c_s_max=c_s_max,
-                                     c_s_min=c_s_max))
+    return _tree(lambda d: d == max_depth or (d > 0 and rng.random() < 0.3),
+                 _random_cost(rng, c_s_max), lambda d: 2, max_depth, c_s_max)
 
 
 def full_binary_tree(depth: int) -> SharedDag:
     """Complete binary tree, zero costs: the pinned equality fixture family
     for the fallback work bound."""
-    nodes: dict[str, DagNode] = {}
-    edges: list[tuple[str, str, int]] = []
-
-    def grow(name: str, d: int) -> None:
-        nodes[name] = DagNode(name, name, is_leaf=(d == depth))
-        if d == depth:
-            return
-        for b in (0, 1):
-            child = f"{name}{b}"
-            edges.append((name, child, b))
-            grow(child, d + 1)
-
-    grow("n", 0)
-    return SharedDag(nodes=nodes, edges=edges, root_id="n",
-                     caps=PublicCaps(max_depth=depth + 1, c_s_max=1.0,
-                                     c_s_min=1.0))
+    return _tree(lambda d: d == depth, lambda d: 0.0, lambda d: 2, depth, 1.0,
+                 sep="")
 
 
 def adversarial_graph() -> SharedDag:
@@ -224,33 +193,7 @@ def pipeline_mock() -> SharedDag:
                      caps=PublicCaps(max_depth=3, c_s_max=1.0, c_s_min=1.0))
 
 
-def find_adversarial(max_seeds: int = 2000) -> int | None:
-    """Scan race seeds for one where dist-level pruning discards the
-    realized winner on the adversarial fixture while Exact keeps it."""
-    from .baselines import dist_level
-    from .bounds import MtauConfig
-    from .race import RngStream
-    from .reconstruct import (argmax_leaf, exact_leaf_values, exact_race,
-                              stream_lookup)
-    from .search import Mode, RunConfig, run
-
-    graph, cert = compile_dag(adversarial_graph())
-    assert cert.ok
-    cfg_m = MtauConfig()  # R2: prefix-score envelope
-    for seed in range(max_seeds):
-        lookup = stream_lookup(RngStream(seed))
-        values = exact_leaf_values(graph, exact_race(graph, lookup))
-        base = dist_level(graph, cfg_m, values)
-        if not base.pruned_winner:
-            continue
-        winner, _ = argmax_leaf(values)
-        result = run(graph, Mode.EXACT, RunConfig(mtau=cfg_m, seed=seed))
-        if result.incumbent_leaf == winner.hex():
-            return seed
-    return None
-
-
-# Pinned by find_adversarial(); the scan ships with the repo.
+# Pinned by `racecert find-adversarial`; the scan ships with the repo.
 ADVERSARIAL_SEED = 1
 
 # Pinned by scanning PRF salts over full_binary_tree(2): the fallback run

@@ -288,7 +288,7 @@ class _Engine:
         cfg = self.cfg
         if self.mode is Mode.EXACT:
             u_p, e_p, _ = exact_leaf_coupling(entry.t)
-            return node.prefix_score - math.log(e_p), _quantize_uniform(u_p)
+            return node.prefix_score - math.log(e_p), fp.encode_q0_64(u_p)
         if self.mode is Mode.FALLBACK:
             return self.fallback_key(node), prf_raw(cfg.salt, cfg.prf_domain, node.ctx_digest)
         u_p_raw = prf_raw(cfg.salt, cfg.prf_domain, node.ctx_digest)
@@ -467,12 +467,6 @@ class _Engine:
                     if n_ub == 0:
                         continue  # empty subtree: pruned immediately
                     self.push(child, self.key_for(child, t_hat), t_hat, n_ub)
-
-
-def _quantize_uniform(u: float) -> int:
-    """Nearest Q0.64 raw for a derived (not drawn) uniform."""
-    raw = int(round(u * 2.0**64 - 0.5))
-    return min(max(raw, 0), fp.Q0_64_MAX)
 
 
 def run(graph: PrefixDag, mode: Mode, cfg: RunConfig,

@@ -18,7 +18,7 @@ from .bounds import kappa
 from .budget import BudgetOutcome
 from .ledger import Ledger, MalformedLineError
 from .prefix_dag import PrefixDag, SharedDag, compile_dag
-from .race import exp_from_uniform, open_uniform
+from .race import exp_from_uniform
 from .search import RunConfig, run
 
 RDP_VARIANT = "classic"
@@ -39,7 +39,9 @@ class Verdict:
 
     @property
     def ok(self) -> bool:
-        return self.replay_ok and self.stop_rule_ok and self.budget_ok
+        """Every check passed and no failure was recorded."""
+        return (self.replay_ok and self.stop_rule_ok and self.budget_ok
+                and not self.failures)
 
     def fail(self, index: int, reason: str) -> None:
         self.failures.append((index, reason))
@@ -65,31 +67,25 @@ class Verdict:
             fh.write("\n")
 
 
-class _ReplayProvider:
-    """Feeds the replay engine the uniforms the original run logged.
+def _replay_lookup(records):
+    """The replay engine's draw lookup: for each ``(ctx_digest, U/W)``, the
+    first value the original run logged.  A draw the ledger never logged
+    aborts the replay."""
+    draws: dict[tuple[str, str], int] = {}
+    for rec in records:
+        for want in ("U", "W"):
+            if want in rec and "ctx_digest" in rec:
+                draws.setdefault((rec["ctx_digest"], want), rec[want])
 
-    Requests arrive in the same order the original engine drew (and logged)
-    them, so a monotone forward scan suffices.
-    """
-
-    def __init__(self, records, verdict: Verdict):
-        self.records = records
-        self.verdict = verdict
-        self.pos = 0
-
-    def __call__(self, digest: bytes, purpose: str) -> int:
+    def lookup(digest: bytes, purpose: str) -> int:
         want = "W" if purpose == "winner" else "U"
-        hexd = digest.hex()
-        i = self.pos
-        while i < len(self.records):
-            rec = self.records[i]
-            if rec.get("ctx_digest") == hexd and want in rec:
-                self.pos = i + 1
-                return rec[want]
-            i += 1
-        self.verdict.replay_ok = False
-        self.verdict.fail(self.pos, f"no logged {want} for node {hexd[:16]}…")
-        return 0
+        try:
+            return draws[(digest.hex(), want)]
+        except KeyError:
+            raise LookupError(
+                f"no logged {want} for node {digest.hex()[:16]}…") from None
+
+    return lookup
 
 
 class _ReplayBudget:
@@ -110,7 +106,6 @@ class _ReplayBudget:
 
 def _check_replay(graph: PrefixDag, ledger: Ledger, verdict: Verdict) -> None:
     records = ledger.records
-    provider = _ReplayProvider(records, verdict)
     try:
         mode, cfg = RunConfig.from_header(ledger.header)
         cfg.n_ub_map = {bytes.fromhex(rec["ctx_digest"]): rec["Nub"]
@@ -119,7 +114,7 @@ def _check_replay(graph: PrefixDag, ledger: Ledger, verdict: Verdict) -> None:
         budget_records = [r for r in records if r.get("event") == "budget"]
         if budget_records:
             cfg.budget = _ReplayBudget(budget_records)
-        result = run(graph, mode, cfg, uniform_provider=provider)
+        result = run(graph, mode, cfg, uniform_provider=_replay_lookup(records))
     except Exception as exc:  # semantic: the ledger does not describe a run
         verdict.replay_ok = False
         verdict.fail(0, f"replay aborted: {exc}")

@@ -128,3 +128,57 @@ def test_find_adversarial(capsys):
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+def _write_json(tmp_path, name, obj):
+    path = str(tmp_path / name)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    return path
+
+
+@pytest.mark.parametrize("case", [
+    "graph-not-an-object", "counts-value-not-int", "counts-not-an-object",
+    "catalog-entry-incomplete", "ledger-missing", "depth-negative"])
+def test_input_error_is_one_line_and_exit_2(tmp_path, capsys, case):
+    golden = os.path.join(os.path.dirname(__file__), "data",
+                          "toy-exact.ndjson")
+    out = str(tmp_path / "out")
+    argv = {
+        "graph-not-an-object": lambda: [
+            "suite", "--graph", _write_json(tmp_path, "h.json", [1, 2]),
+            "--out", out],
+        "counts-value-not-int": lambda: [
+            "validate", golden, "--counts",
+            _write_json(tmp_path, "c.json", {"a": "x"})],
+        "counts-not-an-object": lambda: [
+            "validate", golden, "--counts",
+            _write_json(tmp_path, "c.json", [1])],
+        "catalog-entry-incomplete": lambda: [
+            "suite", "--catalog",
+            _write_json(tmp_path, "k.json", [{"model_id": 1}]),
+            "--out", out],
+        "ledger-missing": lambda: [
+            "validate", str(tmp_path / "missing.ndjson")],
+        "depth-negative": lambda: [
+            "suite", "--depth", "-1", "--seeds", "1", "--out", out],
+    }[case]()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"racecert {argv[0]}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tightness", "--modes", "Bogus"],
+    ["tightness", "--modes", "greedy"],
+    ["suite", "--modes", "Exact,Bogus", "--seeds", "1"],
+])
+def test_unknown_mode_is_refused_before_any_file(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unknown mode" in capsys.readouterr().err
+    assert not out.exists()
+

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from racecert import race
-from racecert.generators import scripted_raw
+from racecert.fixedpoint import encode_q0_64
 
 
 def test_exp_from_uniform_examples():
@@ -101,7 +101,7 @@ def test_prf_is_deterministic_and_salt_sensitive():
 
 
 def test_coupling_monotonicity_prop1():
-    for raw in (scripted_raw(0.1), scripted_raw(0.5), scripted_raw(0.999)):
+    for raw in (encode_q0_64(0.1), encode_q0_64(0.5), encode_q0_64(0.999)):
         u = race.open_uniform(raw)
         for n, n_ub in ((1, 1), (2, 5), (7, 7), (3, 100)):
             t_hat = race.exp_from_uniform(u, n_ub)

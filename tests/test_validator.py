@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 
 import pytest
 
@@ -362,3 +363,61 @@ def test_stop_record_with_surrogate_fields_is_a_verdict(tmp_path):
                                  public_counts=graph.public_counts())
     assert not verdict.ok
     assert verdict.failures[0][0] == len(lines) - 2
+
+
+def _write_lines(tmp_path, name, lines):
+    path = str(tmp_path / name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
+def test_verdict_with_a_failure_is_not_ok(tmp_path):
+    # An n_ub_map below the exact counts: the logged keys are not upper
+    # bounds, yet the run claims RunWiseExact and replays bit-exactly.  Only
+    # the tightening audit against the public counts sees it.
+    graph, _ = compile_dag(suite_a(3, 3, 0))
+    n_ub_map = {d: max(1, node.n_exact // 9) for d, node in graph.nodes.items()}
+    cfg = RunConfig(mtau=MtauConfig(), seed=1, n_ub_map=n_ub_map)
+    path = str(tmp_path / "low-nub.ndjson")
+    result = search.run(graph, Mode.SURROGATE, cfg, ledger_path=path)
+    assert result.claim_type.value == "RunWiseExact"
+    verdict = validator.validate(path, graph,
+                                 public_counts=graph.public_counts())
+    assert verdict.replay_ok and verdict.stop_rule_ok and verdict.budget_ok
+    assert any("exceeds logged Nub" in reason
+               for _, reason in verdict.failures)
+    assert not verdict.ok
+    assert verdict.to_json_obj()["ok"] is False
+
+
+@pytest.mark.parametrize("event", ["push", "pop"])
+def test_every_copy_of_a_logged_draw_must_replay(tmp_path, event):
+    # A Surrogate root logs its race draw twice, at its push and at its pop.
+    graph, _ = compile_dag(toy_graph())
+    golden = os.path.join(os.path.dirname(__file__), "data",
+                          "toy-surrogate.ndjson")
+    lines = open(golden, encoding="utf-8").read().splitlines()
+    idx = next(i for i, ln in enumerate(lines) if f'"event":"{event}"' in ln)
+    rec = json.loads(lines[idx])
+    assert rec["ctx_digest"] == graph.root.hex()
+    rec["U"] = str(int(rec["U"]) + 1)
+    lines[idx] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    verdict = validator.validate(
+        _write_lines(tmp_path, f"root-{event}-u.ndjson", lines), graph)
+    assert not verdict.replay_ok
+    assert not verdict.ok
+
+
+def test_pop_without_its_winner_draw_aborts_replay(tmp_path):
+    graph, _, path = _run(tmp_path, Mode.EXACT)
+    lines = open(path, encoding="utf-8").read().splitlines()
+    idx = next(i for i, ln in enumerate(lines) if '"W":' in ln)
+    rec = json.loads(lines[idx])
+    assert rec["event"] == "pop"
+    del rec["W"]
+    lines[idx] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    verdict = validator.validate(
+        _write_lines(tmp_path, "pop-without-w.ndjson", lines), graph)
+    assert not verdict.replay_ok
+    assert verdict.failures[0][1].startswith("replay aborted: no logged W")
