@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 from . import fixedpoint as fp
@@ -70,9 +70,12 @@ def load_catalog(path: str) -> list[ModelCatalogEntry]:
     with open(path, encoding="utf-8") as fh:
         entries = json.load(fh)
     try:
-        return [ModelCatalogEntry(**entry) for entry in entries]
+        catalog = [ModelCatalogEntry(**entry) for entry in entries]
     except TypeError as exc:  # not a list of objects with the entry fields
         raise ValueError(f"bad catalog {path}: {exc}") from exc
+    if not catalog:
+        raise ValueError(f"bad catalog {path}: no entries")
+    return catalog
 
 
 def default_catalog() -> list[ModelCatalogEntry]:
@@ -140,11 +143,12 @@ class BudgetState:
         return rdp_to_eps_delta(atoms, self.delta) or 0.0
 
     def feasible(self, entry: ModelCatalogEntry) -> bool:
-        if self.price_spent + entry.price_m > self.price_max:
-            return False
-        if apply_latency_guard(self, entry.latency_m) == "BudgetFail":
-            return False
-        return self.eps_after(entry) <= self.eps_max
+        """Charging ``entry`` keeps price, projected P95 latency (with the
+        safety factor) and epsilon within their caps, boundaries included."""
+        return (self.price_spent + entry.price_m <= self.price_max
+                and (self.latency_acc + SAFETY_FACTOR * entry.latency_m
+                     <= self.slo_ms)
+                and self.eps_after(entry) <= self.eps_max)
 
     def charge(self, entry: ModelCatalogEntry) -> None:
         self.price_spent += entry.price_m
@@ -158,25 +162,16 @@ class BudgetState:
         return [RdpAtom(alpha, entry.eps_m) for alpha in self.alpha_grid]
 
 
-def apply_latency_guard(state: BudgetState, latency_m: int) -> str:
-    """'BudgetFail' iff the P95-with-safety-factor projection busts the SLO."""
-    if state.latency_acc + SAFETY_FACTOR * latency_m > state.slo_ms:
-        return "BudgetFail"
-    return "Ok"
-
-
-class Exhausted(Exception):
-    pass
-
-
 def select_model(node: PrefixNode, catalog: list[ModelCatalogEntry],
-                 state: BudgetState, slack: float = 0.0) -> ModelCatalogEntry:
-    """Eq.-style ratio selection among cap-feasible entries."""
+                 state: BudgetState,
+                 slack: float = 0.0) -> ModelCatalogEntry | None:
+    """Eq.-style ratio selection among cap-feasible entries; None when no
+    entry is feasible (the budget is exhausted)."""
     if not catalog:
         raise ValueError("catalog must be non-empty")
     feasible = [e for e in catalog if state.feasible(e)]
     if not feasible:
-        raise Exhausted()
+        return None
 
     def ratio(entry: ModelCatalogEntry) -> float:
         denom = (state.weight_alpha * entry.price_m
@@ -191,34 +186,45 @@ def select_model(node: PrefixNode, catalog: list[ModelCatalogEntry],
 
 
 @dataclass
-class BudgetOutcome:
-    exhausted: bool
-    record_fields: dict
-
-
 class BudgetRuntime:
-    """Engine-facing adapter: one selection per internal expansion."""
+    """Engine-facing adapter: one selection per internal expansion.
 
-    def __init__(self, catalog: list[ModelCatalogEntry], state: BudgetState):
-        self.catalog = catalog
-        self.state = state
-        self.exhausted = False
+    The engine charges a copy that it rebuilds from the ledger header, so
+    the runtime a caller passes in keeps its initial state, and replay
+    recomputes every budget record."""
 
-    def on_expansion(self, node: PrefixNode, slack: float) -> BudgetOutcome:
+    catalog: list[ModelCatalogEntry]
+    state: BudgetState
+
+    def to_json_obj(self) -> dict:
+        """The ledger header's ``budget``: every catalog entry and the
+        state, in JSON types."""
+        obj = asdict(self)
+        obj["state"].update(alpha_grid=list(self.state.alpha_grid),
+                            atoms=[list(atom) for atom in self.state.atoms])
+        return obj
+
+    @staticmethod
+    def from_json_obj(obj: dict) -> BudgetRuntime:
+        """The runtime ``to_json_obj`` wrote into ``obj``."""
+        state = dict(obj["state"])
+        state["alpha_grid"] = tuple(state["alpha_grid"])
+        state["atoms"] = [RdpAtom(*atom) for atom in state["atoms"]]
+        return BudgetRuntime(
+            [ModelCatalogEntry(**entry) for entry in obj["catalog"]],
+            BudgetState(**state))
+
+    def on_expansion(self, node: PrefixNode, slack: float) -> dict:
+        """The budget record's fields for one expansion: the selected entry,
+        now charged, or ``budget_event`` ``Exhausted``."""
         base = {
             "price_cap": self.state.price_max,
             "sla_ms": self.state.slo_ms,
         }
-        if not self.exhausted:
-            try:
-                entry = select_model(node, self.catalog, self.state, slack)
-            except Exhausted:
-                self.exhausted = True
-        if self.exhausted:
-            return BudgetOutcome(True, {
-                **base, "budget_event": "Exhausted",
-                "price_spent": self.state.price_spent,
-            })
+        entry = select_model(node, self.catalog, self.state, slack)
+        if entry is None:
+            return {**base, "budget_event": "Exhausted",
+                    "price_spent": self.state.price_spent}
         pred = entry.dkey(node, slack)
         self.state.charge(entry)
         eps, alpha_sel = self.state.rdp_eps_alpha()
@@ -240,4 +246,4 @@ class BudgetRuntime:
         if self.state.atoms:
             fields["eps_delta.eps"] = repr(eps)
             fields["eps_delta.delta"] = repr(self.state.delta)
-        return BudgetOutcome(False, fields)
+        return fields

@@ -93,14 +93,8 @@ def _mean_ci(values: list[float]) -> tuple[float, float]:
     return mean, 1.96 * sd / math.sqrt(len(values))
 
 
-def _run_config(args, seed: int) -> RunConfig:
+def _run_config(args, seed: int, budget: BudgetRuntime | None) -> RunConfig:
     toy = args.suite == "toy"
-    budget = None
-    if args.catalog:
-        budget = BudgetRuntime(
-            load_catalog(args.catalog),
-            BudgetState(eps_max=10.0, delta=1e-6, price_max=10_000,
-                        slo_ms=60_000))
     return RunConfig(
         mtau=toy_mtau() if toy else MtauConfig(),
         seed=seed,
@@ -114,14 +108,21 @@ def _run_config(args, seed: int) -> RunConfig:
 
 def _seeds(args):
     """Yield ``(seed, shared, graph, cfg)`` for each seed of the run: the
-    ``--graph`` file or the suite's graph, compiled, and its run config."""
+    ``--graph`` file or the suite's graph, compiled, and its run config.
+    Every run charges its own copy of the one ``--catalog`` budget."""
+    budget = None
+    if args.catalog:
+        budget = BudgetRuntime(
+            load_catalog(args.catalog),
+            BudgetState(eps_max=10.0, delta=1e-6, price_max=10_000,
+                        slo_ms=60_000))
     for seed in range(args.seed, args.seed + args.seeds):
         shared = (SharedDag.load(args.graph) if args.graph
                   else SUITES[args.suite](args, seed))
         graph, cert = compile_dag(shared)
         if not cert.ok:
             raise ValueError(f"compile certificate failed for seed {seed}")
-        yield seed, shared, graph, _run_config(args, seed)
+        yield seed, shared, graph, _run_config(args, seed, budget)
 
 
 def _realized_leaf_values(graph, seed: int, cfg: RunConfig) -> dict[bytes, float]:
@@ -146,10 +147,10 @@ def _write_csv(path: str, rows: list[dict], head: Sequence[str],
 
 def cmd_suite(args) -> int:
     ledger_dir = os.path.join(args.out, "ledgers")
-    os.makedirs(ledger_dir, exist_ok=True)
     rows = []
     for seed, shared, graph, cfg in _seeds(args):
         # The graph travels with its ledgers: validate needs it (--graph).
+        os.makedirs(ledger_dir, exist_ok=True)
         shared.save(os.path.join(ledger_dir, f"{args.suite}-{seed}.graph.json"))
         values = _realized_leaf_values(graph, seed, cfg)
         winner, _ = argmax_leaf(values)

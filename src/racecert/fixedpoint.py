@@ -9,14 +9,16 @@ Three layouts:
 * Q32.32 -- signed 64-bit raw ``r`` representing ``r * 2**-32`` (kappa,
   potentials, RDP bookkeeping).
 
-Conversions from binary64 use round-to-nearest-even on the exact rational
-value, so encoding is platform independent.  Overflow raises
-:class:`NumClampError`; callers translate that into the NumClamp guard
-instead of silently saturating.
+Conversions from binary64 and from decimal text use one rounding rule:
+round-to-nearest-even on the exact scaled value (``round`` of a float scaled
+by a power of two, or of a ``Fraction``), so encoding is platform
+independent.  Overflow raises :class:`NumClampError`; callers translate that
+into the NumClamp guard instead of silently saturating.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Q64_64_FRAC_BITS = 64
@@ -36,23 +38,15 @@ class NumClampError(OverflowError):
     """Value does not fit the target fixed-point layout."""
 
 
-def round_half_even(value: Fraction) -> int:
-    """Round an exact rational to the nearest integer, ties to even."""
-    n, d = value.numerator, value.denominator
-    q, r = divmod(n, d)
-    twice = 2 * r
-    if twice > d or (twice == d and q % 2 == 1):
-        q += 1
-    return q
-
-
 def _encode(value: float, frac_bits: int, lo: int, hi: int) -> int:
-    if value != value or value in (float("inf"), float("-inf")):
+    if not math.isfinite(value):
         raise NumClampError(f"non-finite value {value!r}")
-    raw = round_half_even(Fraction(value) * (1 << frac_bits))
-    if raw < lo or raw > hi:
+    # Scaling by a power of two is exact (or overflows to inf, which the
+    # range check refuses), and round() of a float breaks ties to even.
+    scaled = value * 2.0**frac_bits
+    if not lo <= scaled <= hi:
         raise NumClampError(f"{value!r} out of range for Q layout")
-    return raw
+    return round(scaled)
 
 
 def encode_q64_64(value: float) -> int:
@@ -99,7 +93,7 @@ def parse_raw(text: str, lo: int, hi: int) -> int:
 
 def parse_scaled_q32_32(text: str) -> int:
     """Parse a human-readable scaled decimal (e.g. ``\"11.2000\"``) to Q32.32."""
-    raw = round_half_even(Fraction(text) * (1 << Q32_32_FRAC_BITS))
+    raw = round(Fraction(text) * (1 << Q32_32_FRAC_BITS))
     if raw < Q32_32_MIN or raw > Q32_32_MAX:
         raise NumClampError(f"scaled value {text} overflows Q32.32")
     return raw

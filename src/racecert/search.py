@@ -23,8 +23,11 @@ the ledger does not carry).
 The ledger is the whole record of a run's configuration: each ``RunConfig``
 setting is either in the header (``RunConfig.header_obj``, read back by
 ``RunConfig.from_header``) or rebuilt from logged records (``Nub`` for
-``n_ub_map``, ``U``/``W`` for scripted draws, budget records for the
-budget), so the validator replays a run from its ledger and graph alone.
+``n_ub_map``, ``U``/``W`` for scripted draws), so the validator replays a
+run from its ledger and graph alone.  The budget is a header setting: its
+catalog and initial state.  A run and its replay both charge a controller
+rebuilt from the header, so replay recomputes every budget record and no
+two runs share spend.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .bounds import (
     mtau,
     phi,
 )
+from .budget import BudgetRuntime
 from .ledger import Ledger, Uuid7Source
 from .prefix_dag import COUNT_LIMIT, PrefixDag, PrefixNode
 from .race import (
@@ -89,14 +93,15 @@ class RunConfig:
     prf_domain: str = "leaf"
     tau: float = 1.0
     scripted_uniforms: dict[tuple[str, str], int] = field(default_factory=dict)
-    budget: object | None = None  # budget.BudgetRuntime, optional
+    budget: BudgetRuntime | None = None
     expansion_cap: int | None = None
     deterministic_ids: bool = True  # node ids only; replay skips them
 
     def header_obj(self, graph: PrefixDag, mode: Mode) -> dict:
         """The ledger header: every setting that is not rebuilt from logged
-        records (``Nub``, ``U``/``W`` and budget records)."""
-        return {
+        records (``Nub`` and ``U``/``W``).  ``budget`` is written only when
+        set, so a ledger without one keeps its bytes."""
+        header = {
             "mode": mode.value,
             "seed": self.seed,
             "salt": self.salt.hex(),
@@ -112,11 +117,14 @@ class RunConfig:
             "mtau": {**asdict(self.mtau), "recipe": self.mtau.recipe.value},
             "phi": None if self.phi is None else asdict(self.phi),
         }
+        if self.budget is not None:
+            header["budget"] = self.budget.to_json_obj()
+        return header
 
     @staticmethod
     def from_header(header: dict) -> tuple[Mode, RunConfig]:
         """The mode and config that ``header_obj`` wrote into ``header``."""
-        mt, phi_obj = header["mtau"], header["phi"]
+        mt, phi_obj, budget = header["mtau"], header["phi"], header.get("budget")
         cfg = RunConfig(
             mtau=MtauConfig(**{**mt, "recipe": MtauRecipe(mt["recipe"])}),
             phi=None if phi_obj is None else PhiConfig(**phi_obj),
@@ -126,6 +134,7 @@ class RunConfig:
             prf_domain=header["prf_domain"],
             tau=header["tau"],
             expansion_cap=header["expansion_cap"],
+            budget=None if budget is None else BudgetRuntime.from_json_obj(budget),
         )
         return Mode(header["mode"]), cfg
 
@@ -179,7 +188,10 @@ class _Engine:
             stop_slack=0.0, claim_type=self.claim, mode_final=mode,
             ledger=self.ledger,
         )
-        self.budget = cfg.budget
+        # A fresh controller from the header: the caller's runtime keeps
+        # its initial state, and replay charges exactly what the run did.
+        self.budget = (None if cfg.budget is None else
+                       BudgetRuntime.from_json_obj(self.ledger.header["budget"]))
         self.fallback_keys: dict[bytes, float] = {}
 
     # -- bookkeeping ------------------------------------------------------
@@ -351,14 +363,15 @@ class _Engine:
         """Charge the budget for one expansion; True if it was exhausted."""
         if self.budget is None:
             return False
-        outcome = self.budget.on_expansion(node, slack)
+        fields = self.budget.on_expansion(node, slack)
         self.record(event="budget", ctx_digest=node.ctx_digest.hex(),
                     mode=self.mode.value, claim_type=self.claim.value,
-                    **outcome.record_fields)
-        if outcome.exhausted:
+                    **fields)
+        exhausted = fields["budget_event"] == "Exhausted"
+        if exhausted:
             self.guard("BudgetFail", node, reason="all catalog entries infeasible")
             self.switch_to_fallback()
-        return outcome.exhausted
+        return exhausted
 
     def finish(self) -> RunResult:
         top = self.max_key_q()

@@ -2,8 +2,9 @@
 
 Consumes only public artifacts — the ledger file, the graph spec, and an
 optional public-counts map — and re-derives everything else: keys from logged
-uniforms, the stop inequality, kappa tightening, budget inequalities, and
-downgrade licensing.  Semantic problems become verdict failures with record
+uniforms, budget records from the header's catalog and initial state, the
+stop inequality, kappa tightening, budget inequalities, and downgrade
+licensing.  Semantic problems become verdict failures with record
 indices; only I/O errors raise.
 """
 
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 
 from . import fixedpoint as fp
 from .bounds import kappa
-from .budget import BudgetOutcome
 from .ledger import Ledger, MalformedLineError
 from .prefix_dag import PrefixDag, SharedDag, compile_dag
 from .race import exp_from_uniform
@@ -88,22 +88,6 @@ def _replay_lookup(records):
     return lookup
 
 
-class _ReplayBudget:
-    """Echoes the original run's budget records so record replay stays in
-    lockstep; the semantic inequalities are audited separately."""
-
-    def __init__(self, budget_records):
-        self.queue = list(budget_records)
-
-    def on_expansion(self, node, slack):
-        if not self.queue:
-            return BudgetOutcome(False, {"budget_event": "Selected"})
-        fields = dict(self.queue.pop(0))
-        for drop in ("event", "ctx_digest", "mode", "claim_type", "node_id"):
-            fields.pop(drop, None)
-        return BudgetOutcome(fields.get("budget_event") == "Exhausted", fields)
-
-
 def _check_replay(graph: PrefixDag, ledger: Ledger, verdict: Verdict) -> None:
     records = ledger.records
     try:
@@ -111,9 +95,6 @@ def _check_replay(graph: PrefixDag, ledger: Ledger, verdict: Verdict) -> None:
         cfg.n_ub_map = {bytes.fromhex(rec["ctx_digest"]): rec["Nub"]
                         for rec in records
                         if "Nub" in rec and "ctx_digest" in rec} or None
-        budget_records = [r for r in records if r.get("event") == "budget"]
-        if budget_records:
-            cfg.budget = _ReplayBudget(budget_records)
         result = run(graph, mode, cfg, uniform_provider=_replay_lookup(records))
     except Exception as exc:  # semantic: the ledger does not describe a run
         verdict.replay_ok = False

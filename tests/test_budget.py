@@ -58,17 +58,19 @@ def test_price_cap_filters():
     state = _state(price_max=10)
     assert bd.select_model(_node(), [cheap, rich], state).model_id == "m-cheap"
     state.price_spent = 10
-    with pytest.raises(bd.Exhausted):
-        bd.select_model(_node(), [cheap, rich], state)
+    assert bd.select_model(_node(), [cheap, rich], state) is None
 
 
 def test_latency_guard_boundary():
+    def entry(latency_m):
+        return bd.ModelCatalogEntry("m", "a", "d", 2.0, 1e-6, 1, latency_m)
+
     state = _state(slo_ms=12)
-    # 1.2 * 10 == 12: boundary is Ok (strict inequality busts the SLO).
-    assert bd.apply_latency_guard(state, 10) == "Ok"
-    assert bd.apply_latency_guard(state, 11) == "BudgetFail"
+    # 1.2 * 10 == 12: boundary is feasible (strict inequality busts the SLO).
+    assert state.feasible(entry(10))
+    assert not state.feasible(entry(11))
     state.latency_acc = 0.1
-    assert bd.apply_latency_guard(state, 10) == "BudgetFail"
+    assert not state.feasible(entry(10))
 
 
 def test_charge_accumulates():
@@ -128,6 +130,15 @@ def test_runtime_logs_adapter_metadata():
     assert first["dp_cert_id"] == "dpc-c"
     assert "eps_train" in first and "delta_train" in first
     assert result.claim_type is ClaimType.RUN_WISE_EXACT
+
+
+def test_reused_runtime_starts_every_run_afresh():
+    graph, mode, cfg = _toy_pair()
+    cfg.budget = bd.BudgetRuntime(bd.default_catalog(), _state())
+    first, second = ([r for r in search.run(graph, mode, cfg).ledger.records
+                      if r.get("event") == "budget"] for _ in range(2))
+    assert first and first == second
+    assert cfg.budget.state == _state()  # the caller's runtime is not charged
 
 
 def test_exhaustion_downgrades_to_fallback():

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from racecert.cli import main
+from racecert.ledger import Ledger
 
 
 def test_toy_replay_exit_zero(tmp_path, capsys):
@@ -139,7 +140,8 @@ def _write_json(tmp_path, name, obj):
 
 @pytest.mark.parametrize("case", [
     "graph-not-an-object", "counts-value-not-int", "counts-not-an-object",
-    "catalog-entry-incomplete", "ledger-missing", "depth-negative"])
+    "catalog-entry-incomplete", "catalog-empty", "ledger-missing",
+    "depth-negative"])
 def test_input_error_is_one_line_and_exit_2(tmp_path, capsys, case):
     golden = os.path.join(os.path.dirname(__file__), "data",
                           "toy-exact.ndjson")
@@ -158,6 +160,9 @@ def test_input_error_is_one_line_and_exit_2(tmp_path, capsys, case):
             "suite", "--catalog",
             _write_json(tmp_path, "k.json", [{"model_id": 1}]),
             "--out", out],
+        "catalog-empty": lambda: [
+            "suite", "--catalog", _write_json(tmp_path, "k.json", []),
+            "--out", out],
         "ledger-missing": lambda: [
             "validate", str(tmp_path / "missing.ndjson")],
         "depth-negative": lambda: [
@@ -167,6 +172,29 @@ def test_input_error_is_one_line_and_exit_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"racecert {argv[0]}: ")
+    assert not os.path.exists(out)  # refused before writing anything
+
+
+def test_suite_modes_do_not_share_budget_spend(tmp_path):
+    entry = {"adapter_id": "a", "dp_cert_id": "d", "eps_train": 2.0,
+             "delta_train": 1e-6, "latency_m": 10}
+    catalog = _write_json(tmp_path, "k.json", [
+        {**entry, "model_id": "m-a", "price_m": 5},
+        {**entry, "model_id": "m-b", "price_m": 1}])
+    out = str(tmp_path / "suite")
+    assert main(["suite", "--seeds", "1", "--depth", "2",
+                 "--modes", "Exact,Surrogate", "--catalog", catalog,
+                 "--out", out]) == 0
+    ledger_dir = os.path.join(out, "ledgers")
+    ledgers = [os.path.join(ledger_dir, f"A-0-{mode}.ndjson")
+               for mode in ("Exact", "Surrogate")]
+    for path in ledgers:
+        first = next(rec for rec in Ledger.parse(path).records
+                     if rec.get("event") == "budget")
+        # All-zero ratios tie, so m-a is picked first: one charge of 5.
+        assert (first["model_id"], first["price_spent"]) == ("m-a", 5)
+    assert main(["validate", *ledgers, "--graph",
+                 os.path.join(ledger_dir, "A-0.graph.json")]) == 0
 
 
 @pytest.mark.parametrize("argv", [

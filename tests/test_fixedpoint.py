@@ -1,5 +1,5 @@
 import math
-from fractions import Fraction
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,10 +18,14 @@ def test_q32_32_minus_half():
 
 
 def test_round_half_even():
-    assert fp.round_half_even(Fraction(1, 2)) == 0
-    assert fp.round_half_even(Fraction(3, 2)) == 2
-    assert fp.round_half_even(Fraction(-1, 2)) == 0
-    assert fp.round_half_even(Fraction(5, 2)) == 2
+    encoders = [(fp.encode_q64_64, 64), (fp.encode_q32_32, 32),
+                # The tie's exact decimal text.
+                (lambda x: fp.parse_scaled_q32_32(f"{Decimal(x):f}"), 32)]
+    for encode, frac_bits in encoders:
+        # Raw values 0.5, 1.5, -0.5, 2.5 and -2.5 are ties: each goes to
+        # the even neighbour.
+        for halves, raw in [(1, 0), (3, 2), (-1, 0), (5, 2), (-5, -2)]:
+            assert encode(halves * 2.0 ** -(frac_bits + 1)) == raw
 
 
 def test_overflow_raises_numclamp():

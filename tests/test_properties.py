@@ -1,7 +1,9 @@
 """Property tests over run -> save -> validate.
 
 Derandomized, with no example database and bounded example counts, so the
-suite stays deterministic and fast.
+suite stays deterministic and fast.  Three properties: every generated run
+validates; tampering with a replayed field is detected; and any byte or
+field mutation of a ledger yields a ``Verdict``, never an exception.
 """
 
 import functools
@@ -12,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from racecert import validator
 from racecert.bounds import MtauConfig
+from racecert.budget import BudgetRuntime, BudgetState, default_catalog
 from racecert.generators import (full_binary_tree, random_tree, suite_a,
                                  suite_b)
 from racecert.prefix_dag import compile_dag
@@ -49,24 +52,34 @@ def test_every_generated_run_validates(tmp_path, shared, mode, seed,
 
 # Fields that replay or the stop audit re-derive, on the records that carry
 # them.
-TAMPER_EVENTS = ("push", "pop", "leaf_eval", "stop")
+TAMPER_EVENTS = ("push", "pop", "leaf_eval", "stop", "budget")
 TAMPER_FIELDS = ("key_raw", "value", "incumbent", "tie_token", "claim_type",
-                 "mode", "ctx_digest")
+                 "mode", "ctx_digest", "model_id", "price_spent",
+                 "budget_event")
 
+# Two m-large selections reach the price cap of 40, so a Surrogate run also
+# logs an Exhausted record and restarts under Fallback.  Every run charges
+# its own copy, so the bases share one runtime.
+BUDGET = BudgetRuntime(default_catalog(), BudgetState(
+    eps_max=10.0, delta=1e-6, price_max=40, slo_ms=60_000))
 
-# Zero edge costs make equal keys, so its Surrogate pops log tie tokens.
-BASES = {"suite_a": lambda seed: suite_a(2, 3, seed),
-         "full_binary_tree": lambda seed: full_binary_tree(3)}
+# Graph and budget of each base run.  Zero edge costs make equal keys, so
+# full_binary_tree's Surrogate pops log tie tokens.
+BASES = {"suite_a": (lambda seed: suite_a(2, 3, seed), None),
+         "full_binary_tree": (lambda seed: full_binary_tree(3), None),
+         "suite_a+budget": (lambda seed: suite_a(2, 3, seed), BUDGET)}
 
 
 @functools.lru_cache(maxsize=None)
 def _base_ledger(base: str, mode: Mode, seed: int):
     """A run's graph and ledger lines."""
-    graph, _ = compile_dag(BASES[base](seed))
+    make_graph, budget = BASES[base]
+    graph, _ = compile_dag(make_graph(seed))
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/base.ndjson"
         run(graph, mode, RunConfig(mtau=MtauConfig(), seed=seed,
-                                   n_ub_factor=1.5), ledger_path=path)
+                                   n_ub_factor=1.5, budget=budget),
+            ledger_path=path)
         with open(path, encoding="utf-8") as fh:
             return graph, fh.read().splitlines()
 
@@ -80,6 +93,10 @@ def _tampered(value, field, step):
         return f"{(int(value, 16) + step) % 2**256:064x}"
     if field == "tie_token":
         return str(1 - int(value))
+    if field == "model_id":
+        return "m-small" if value != "m-small" else "m-mid"
+    if field == "budget_event":
+        return "Exhausted" if value == "Selected" else "Selected"
     return str(int(value) + step)
 
 
@@ -108,3 +125,78 @@ def test_tampering_a_replayed_field_is_detected(tmp_path, base, mode, seed,
     verdict = validator.validate(path, graph,
                                  public_counts=graph.public_counts())
     assert not verdict.ok, (idx, field, rec)
+
+
+def _validate_mutant(tmp_path, graph, data: bytes):
+    path = str(tmp_path / "mutant.ndjson")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return validator.validate(path, graph,
+                              public_counts=graph.public_counts())
+
+
+# (kind, position, byte): position is reduced modulo the ledger length.
+BYTE_EDITS = st.lists(
+    st.tuples(st.sampled_from(["flip", "delete", "insert"]),
+              st.integers(0, 2**20), st.integers(0, 255)),
+    min_size=1, max_size=3)
+
+
+@PROPERTY
+@given(base=st.sampled_from(list(BASES)), mode=st.sampled_from(list(Mode)),
+       seed=st.integers(0, 3), edits=BYTE_EDITS)
+def test_byte_mutant_yields_a_verdict(tmp_path, base, mode, seed, edits):
+    graph, lines = _base_ledger(base, mode, seed)
+    data = bytearray("\n".join(lines).encode("utf-8") + b"\n")
+    for kind, pos, byte in edits:
+        pos %= len(data) + 1
+        if kind == "insert":
+            data.insert(pos, byte)
+        elif pos < len(data):
+            if kind == "delete":
+                del data[pos]
+            else:
+                data[pos] ^= byte or 1
+    verdict = _validate_mutant(tmp_path, graph, bytes(data))
+    assert isinstance(verdict, validator.Verdict)
+
+
+def _paths(obj, prefix=()):
+    """Every key or index path inside a JSON value."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+# Wrong types, and right types at or past the edge of their range.
+ILL_TYPED = [None, True, 0, -1, 1.5, 2**70, "", "x", "-1", [], [1], {},
+             {"a": 1}, str(2**127), str(-(2**127)), "1e999"]
+
+
+@PROPERTY
+@given(base=st.sampled_from(list(BASES)), mode=st.sampled_from(list(Mode)),
+       seed=st.integers(0, 3), in_header=st.booleans(),
+       pick_line=st.integers(0, 2**16), pick_path=st.integers(0, 2**16),
+       value=st.sampled_from(["<drop>", *ILL_TYPED]))
+def test_field_mutant_yields_a_verdict(tmp_path, base, mode, seed, in_header,
+                                       pick_line, pick_path, value):
+    graph, lines = _base_ledger(base, mode, seed)
+    idx = 0 if in_header else 1 + pick_line % (len(lines) - 1)
+    obj = json.loads(lines[idx])
+    paths = list(_paths(obj))
+    *parents, key = paths[pick_path % len(paths)]
+    container = functools.reduce(lambda o, k: o[k], parents, obj)
+    if value == "<drop>":
+        del container[key]
+    else:
+        container[key] = value
+    mutant = [*lines[:idx], json.dumps(obj, sort_keys=True), *lines[idx + 1:]]
+    verdict = _validate_mutant(tmp_path, graph,
+                               ("\n".join(mutant) + "\n").encode("utf-8"))
+    assert isinstance(verdict, validator.Verdict)

@@ -12,6 +12,8 @@ from racecert.bounds import MtauConfig, MtauRecipe, PhiConfig
 from racecert.budget import (
     BudgetRuntime,
     BudgetState,
+    ModelCatalogEntry,
+    RdpAtom,
     default_catalog,
     rdp_to_eps_delta,
 )
@@ -230,8 +232,8 @@ def test_wrong_graph_fails_with_one_reason(tmp_path):
 
 
 # One non-default value per RunConfig field.  Each entry builds its value
-# from the compiled graph: n_ub_map and scripted draws name its nodes, and a
-# budget runtime is stateful, so every run gets a fresh one.
+# from the compiled graph, because n_ub_map and scripted draws name its
+# nodes.
 NON_DEFAULT_SETTINGS = {
     "mtau": lambda g: MtauConfig(recipe=MtauRecipe.R1, c_s_max=1.0,
                                  max_depth=4),
@@ -278,12 +280,21 @@ def test_header_round_trips_through_from_header():
     cfg = RunConfig(mtau=toy_mtau(), phi=PhiConfig(step_cap=4, alpha=0.5,
                                                    eta=0.5),
                     seed=9, n_ub_factor=1.5, salt=b"\x02" * 8,
-                    prf_domain="route", tau=0.25, expansion_cap=7)
+                    prf_domain="route", tau=0.25, expansion_cap=7,
+                    budget=BudgetRuntime(
+                        [*default_catalog(),
+                         ModelCatalogEntry("m-dp", "adp-d", "dpc-d", 1.0,
+                                           1e-6, 2, 5, eps_m=0.5)],
+                        BudgetState(eps_max=9.0, delta=1e-5, price_max=50,
+                                    slo_ms=400, atoms=[RdpAtom(2.0, 0.5)],
+                                    price_spent=3, latency_acc=6.0)))
     assert cfg.mtau.recipe is MtauRecipe.FIXED and cfg.mtau.fixed_table
     for mode in Mode:
         header = json.loads(json.dumps(cfg.header_obj(graph, mode)))
         assert set(header["mtau"]) == {
             f.name for f in dataclasses.fields(MtauConfig)}
+        assert set(header["budget"]["state"]) == {
+            f.name for f in dataclasses.fields(BudgetState)}
         replay_mode, replay_cfg = RunConfig.from_header(header)
         assert replay_mode is mode
         assert replay_cfg.header_obj(graph, replay_mode) == header
