@@ -21,7 +21,7 @@ from racecert.validator import validate
 
 graph, cert = compile_dag(suite_b(layers=3, width=3, seed=0))
 assert cert.ok
-print(f"suite-B graph: {len(graph.nodes)} contexts, "
+print(f"suite-B graph: {len(graph.unfold())} contexts, "
       f"{sum(1 for _ in graph.iter_leaves())} leaves")
 
 # Sweep the inflation factor: N_ub = ceil(factor * N).

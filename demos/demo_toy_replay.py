@@ -18,13 +18,18 @@ from racecert.prefix_dag import compile_dag
 from racecert.search import Mode, RunConfig, run
 from racecert.validator import validate
 
-# Compile the shared DAG into a context-indexed prefix tree.  The compiler
-# emits certificates (acyclic, unique contexts, child counts partition) that
-# anyone can re-check against the public graph.
+# Compile the shared DAG into a context-indexed prefix tree.  Compile
+# counts the leaves below each shared node (rejecting cycles and over-deep
+# paths) and builds the root context only; every other context is built,
+# with its digest, when the run first reaches it.
 graph, cert = compile_dag(toy_graph())
-print(f"compiled: {len(graph.nodes)} contexts, certificates ok={cert.ok}")
+print(f"compiled: {cert.total_leaves} leaves, {len(graph.nodes)} context "
+      f"built, certificate ok={cert.ok}")
 
-labels = {digest: node.state_label for digest, node in graph.nodes.items()}
+
+def label(digest_hex: str) -> str:
+    return graph.node(bytes.fromhex(digest_hex)).state_label
+
 
 # The race at the root: four leaves, so the first arrival is Exp(4).
 # With the scripted U_r = 0.20 the quantile is t(r) = -log(0.8)/4.
@@ -43,13 +48,13 @@ with tempfile.TemporaryDirectory() as tmp:
     for rec in result.ledger.records:
         if rec.get("event") != "pop":
             continue
-        label = labels[bytes.fromhex(rec["ctx_digest"])]
         key = fp.decode_q64_64(rec["key_raw"])
-        print(f"  {label:>3}  key = {key:9.6f}")
+        print(f"  {label(rec['ctx_digest']):>3}  key = {key:9.6f}")
 
     print(f"\nincumbent  = {result.incumbent:.6f} "
-          f"(leaf {labels[bytes.fromhex(result.incumbent_leaf)]})")
+          f"(leaf {label(result.incumbent_leaf)})")
     print(f"expansions = {result.expansions}")
+    print(f"contexts   = {len(graph.nodes)} built of {len(graph.unfold())}")
     print(f"claim      = {result.claim_type.value}")
 
     # Third-party check: replay every draw from the ledger, re-derive every

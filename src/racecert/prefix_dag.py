@@ -1,12 +1,13 @@
-"""Shared-node DAGs and their compilation into context-indexed prefix-DAGs.
+"""Shared-node DAGs and their lazy unfolding into context-indexed prefix-DAGs.
 
-Compilation duplicates shared subgraphs per prefix context, so every node of
-the output has a unique root path and a unique parent.  Contexts with no
-leaf below them are dropped, so the children of any internal node partition
-its reachable leaf set into non-empty blocks by construction; the
-certificate is structural: it checks that each context is listed once, in
-its parent's children.  Suffix counts are exact Python ints, set during the
-same walk; ``COUNT_LIMIT`` is the 63-bit ceiling the search certifies under.
+Unfolding duplicates shared subgraphs per prefix context, so every context
+has a unique root path and a unique parent.  ``compile_dag`` does shared-DAG
+work only: one walk counts the leaves below each shared node and rejects a
+cycle, an over-deep path or a root without leaves.  A context is built the
+first time it is asked for, and a context with no leaf below it is never
+built, so the children of any internal context partition its leaves into
+non-empty blocks by construction.  Suffix counts are exact Python ints;
+``COUNT_LIMIT`` is the 63-bit ceiling the search certifies under.
 """
 
 from __future__ import annotations
@@ -163,6 +164,28 @@ class SharedDag:
             fh.write("\n")
 
 
+
+
+def _caps_head(caps: PublicCaps) -> bytes:
+    """The bytes every context digest starts with: domain tag, then caps."""
+    return CTX_DOMAIN_TAG + struct.pack(">Idd", caps.max_depth, caps.c_s_max,
+                                        caps.c_s_min)
+
+
+def _path_entry(state_label: str, edge_order: int) -> bytes:
+    """One entry of a context's path body."""
+    raw = state_label.encode("utf-8")
+    return struct.pack(">I", len(raw)) + raw + struct.pack(">I", edge_order)
+
+
+def _digest(head: bytes, length: int, body: bytes) -> bytes:
+    """SHA-256 of the caps head, the path length and the path body: the one
+    digest function behind ``ctx_digest`` and every built context.  The
+    length comes before the body, so a context extends its parent's body
+    bytes, not its hash state."""
+    return hashlib.sha256(head + struct.pack(">I", length) + body).digest()
+
+
 def ctx_digest(path: list[tuple[str, int]], caps: PublicCaps) -> bytes:
     """SHA-256 of the canonical, length-prefixed context serialization.
 
@@ -171,18 +194,8 @@ def ctx_digest(path: list[tuple[str, int]], caps: PublicCaps) -> bytes:
     """
     if not path:
         raise ValueError("path must be non-empty")
-    h = hashlib.sha256()
-    h.update(CTX_DOMAIN_TAG)
-    h.update(struct.pack(">I", caps.max_depth))
-    h.update(struct.pack(">d", caps.c_s_max))
-    h.update(struct.pack(">d", caps.c_s_min))
-    h.update(struct.pack(">I", len(path)))
-    for state_label, edge_order in path:
-        raw = state_label.encode("utf-8")
-        h.update(struct.pack(">I", len(raw)))
-        h.update(raw)
-        h.update(struct.pack(">I", edge_order))
-    return h.digest()
+    return _digest(_caps_head(caps), len(path),
+                   b"".join(_path_entry(label, order) for label, order in path))
 
 
 @dataclass
@@ -200,33 +213,86 @@ class PrefixNode:
 @dataclass(frozen=True)
 class CompileCertificate:
     """``ok``: every non-root context sits in exactly one children list, its
-    parent's, so the children of each node partition its leaves."""
+    parent's, so the children of each node partition its leaves.  Edge
+    orders are unique per parent, so sibling contexts differ in their last
+    path entry, and each context is built once, by its parent: ``ok`` holds
+    by construction whenever ``compile_dag`` returns."""
 
     ok: bool
     total_leaves: int
 
 
 class PrefixDag:
-    """Compiled, immutable prefix-DAG: digest-addressed nodes plus counts."""
+    """Digest-addressed contexts of a shared DAG, built on demand.
 
-    def __init__(self, nodes: dict[bytes, PrefixNode], root: bytes, caps: PublicCaps):
-        self.nodes = nodes
-        self.root = root
-        self.caps = caps
+    A context is built the first time ``node()`` asks for it.  Building it
+    digests its children, the contexts of its shared node's children that
+    have a leaf below them, from the path body it carried, and then drops
+    that body.  ``nodes`` holds the contexts built so far; ``unfold()``
+    builds the rest.  A repeated digest is detected among the contexts
+    built so far and the children they list.
+    """
+
+    def __init__(self, dag: SharedDag, counts: dict[str, int]):
+        self.caps = dag.caps
+        self.nodes: dict[bytes, PrefixNode] = {}
+        self._dag = dag
+        self._counts = counts
+        self._head = _caps_head(dag.caps)
+        # Digest -> (shared node id, path body, parent digest, prefix score,
+        # depth) of every listed child not built yet.
+        self._pending: dict[bytes, tuple[str, bytes, bytes | None, float, int]] = {}
+        root = dag.nodes[dag.root_id]
+        body = _path_entry(root.state_label, 0)
+        self.root = _digest(self._head, 1, body)
+        self._pending[self.root] = (dag.root_id, body, None,
+                                    -root.det_score_delta, 0)
+        self.node(self.root)
 
     def node(self, digest: bytes) -> PrefixNode:
-        return self.nodes[digest]
+        node = self.nodes.get(digest)
+        return node if node is not None else self._build(digest)
+
+    def _build(self, digest: bytes) -> PrefixNode:
+        node_id, body, parent, score, depth = self._pending.pop(digest)
+        dag, counts, pending = self._dag, self._counts, self._pending
+        shared = dag.nodes[node_id]
+        node = self.nodes[digest] = PrefixNode(
+            ctx_digest=digest, state_label=shared.state_label, depth=depth,
+            prefix_score=score, parent=parent, is_leaf=shared.is_leaf,
+            n_exact=counts[node_id])
+        for order, child_id in dag.children_of(node_id):
+            if counts[child_id] == 0:
+                continue  # no leaf below: never built
+            child = dag.nodes[child_id]
+            child_body = body + _path_entry(child.state_label, order)
+            child_digest = _digest(self._head, depth + 2, child_body)
+            if child_digest in pending or child_digest in self.nodes:
+                raise DigestCollisionError(
+                    f"digest collision at child #{order} of the "
+                    f"{shared.state_label!r} context at depth {depth}")
+            pending[child_digest] = (child_id, child_body, digest,
+                                     score - child.det_score_delta, depth + 1)
+            node.children.append(child_digest)
+        return node
+
+    def unfold(self) -> dict[bytes, PrefixNode]:
+        """Build every context; returns ``nodes``."""
+        stack = [self.root]
+        while stack:
+            stack.extend(self.node(stack.pop()).children)
+        return self.nodes
 
     def suffix_count(self, digest: bytes) -> int:
         """Exact number of canonical leaves below a node."""
-        return self.nodes[digest].n_exact
+        return self.node(digest).n_exact
 
     def iter_leaves(self, digest: bytes | None = None):
         start = digest if digest is not None else self.root
         stack = [start]
         while stack:
             d = stack.pop()
-            node = self.nodes[d]
+            node = self.node(d)
             if node.is_leaf:
                 yield d
             else:
@@ -234,82 +300,60 @@ class PrefixDag:
 
     def public_counts(self) -> dict[str, int]:
         """ctx_digest hex -> exact leaf count, for validator tightening."""
-        return {d.hex(): n.n_exact for d, n in self.nodes.items()}
+        return {d.hex(): n.n_exact for d, n in self.unfold().items()}
 
 
-def _unique_parents(nodes: dict[bytes, PrefixNode], root: bytes) -> bool:
-    owner: dict[bytes, bytes] = {}
-    for digest, node in nodes.items():
-        for child in node.children:
-            if child in owner or nodes[child].parent != digest:
-                return False
-            owner[child] = digest
-    return root not in owner and len(owner) == len(nodes) - 1
+def _shared_counts(dag: SharedDag) -> dict[str, int]:
+    """Leaf count of every shared node reachable from the root.
 
-
-def compile_dag(dag: SharedDag) -> tuple[PrefixDag, CompileCertificate]:
-    """Unfold a shared-node DAG into a context-indexed prefix-DAG.
-
-    One depth-first walk with an explicit stack, so deep graphs compile.
-    Each context is created once, with its parent link; its leaf count is
-    set in post-order, where an internal context with no leaf below it is
-    dropped, so every child holds at least one of its parent's leaves.
-    Paths beyond the depth cap are an error, never a silent truncation; a
-    cycle, a repeated digest or a root without leaves is an error too.
+    One iterative post-order walk: a leaf counts 1, any other node the sum
+    over its children.  It also walks the subtrees that hold no leaf and
+    those below a leaf, so a cycle or an over-deep path anywhere is an
+    error, as in a full unfolding; so is a root without leaves.
     """
-    nodes: dict[bytes, PrefixNode] = {}
+    max_depth = dag.caps.max_depth
+    counts: dict[str, int] = {}
+    height: dict[str, int] = {}  # nodes on the longest path down, itself included
     on_path: set[str] = set()
-    root = dag.nodes[dag.root_id]
-    # (node id, context path, prefix score, link): on entry the link is the
-    # parent's digest; an exit entry has no path and links to its own context.
-    stack: list[tuple[str, list | None, float, bytes | None]] = [
-        (dag.root_id, [(root.state_label, 0)], -root.det_score_delta, None)]
+    # (node id, depth of the root path that reached it, exit?)
+    stack: list[tuple[str, int, bool]] = [(dag.root_id, 1, False)]
     while stack:
-        node_id, path, score, link = stack.pop()
-        if path is None:  # exit: every child is counted
-            node = nodes[link]
-            if not node.is_leaf:
-                node.n_exact = sum(nodes[c].n_exact for c in node.children)
-            if node.n_exact == 0:  # no leaf below: drop the context
-                if node.parent is None:
-                    raise NoLeafError(f"no leaf below root {node_id!r}")
-                del nodes[link]
-                # A child exits before its next sibling is entered, so it
-                # is still its parent's last child.
-                nodes[node.parent].children.pop()
+        node_id, depth, done = stack.pop()
+        kids = dag.children_of(node_id)
+        if done:  # exit: every child is counted
             on_path.discard(node_id)
+            height[node_id] = 1 + max((height[c] for _, c in kids), default=0)
+            counts[node_id] = (1 if dag.nodes[node_id].is_leaf
+                               else sum(counts[c] for _, c in kids))
             continue
         if node_id in on_path:
             raise CycleDetectedError(f"cycle through {node_id!r}")
-        if len(path) > dag.caps.max_depth:
+        # A node reached before is not walked again; its height gives the
+        # deepest root path through it.
+        reach = depth + height.get(node_id, 1) - 1
+        if reach > max_depth:
             raise DepthCapExceededError(
-                f"path depth {len(path)} exceeds cap {dag.caps.max_depth}"
-            )
-        parent = link
-        digest = ctx_digest(path, dag.caps)
-        if digest in nodes:
-            where = "/".join(f"{s}#{o}" for s, o in path)
-            raise DigestCollisionError(f"digest collision at {where}")
-        dag_node = dag.nodes[node_id]
-        nodes[digest] = PrefixNode(
-            ctx_digest=digest,
-            state_label=dag_node.state_label,
-            depth=len(path) - 1,
-            prefix_score=score,
-            parent=parent,
-            is_leaf=dag_node.is_leaf,
-            n_exact=1 if dag_node.is_leaf else 0,
-        )
-        if parent is not None:
-            nodes[parent].children.append(digest)
+                f"path depth {reach} exceeds cap {max_depth}")
+        if node_id in counts:
+            continue
         on_path.add(node_id)
-        stack.append((node_id, None, 0.0, digest))
-        for order, child_id in reversed(dag.children_of(node_id)):
-            child = dag.nodes[child_id]
-            stack.append((child_id, path + [(child.state_label, order)],
-                          score - child.det_score_delta, digest))
-    root_digest = next(iter(nodes))
-    graph = PrefixDag(nodes, root_digest, dag.caps)
-    cert = CompileCertificate(ok=_unique_parents(nodes, root_digest),
-                              total_leaves=nodes[root_digest].n_exact)
-    return graph, cert
+        stack.append((node_id, depth, True))
+        stack.extend((child_id, depth + 1, False)
+                     for _, child_id in reversed(kids))
+    if counts[dag.root_id] == 0:
+        raise NoLeafError(f"no leaf below root {dag.root_id!r}")
+    return counts
+
+
+def compile_dag(dag: SharedDag) -> tuple[PrefixDag, CompileCertificate]:
+    """Count a shared-node DAG's leaves and return its lazy prefix-DAG.
+
+    Compile does shared-DAG work only: one walk over the shared nodes gives
+    their counts, and a cycle, a path beyond the depth cap (an error, never
+    a silent truncation) or a root without leaves raises here.  It builds
+    the root context; every other context is built when first reached.
+    """
+    counts = _shared_counts(dag)
+    graph = PrefixDag(dag, counts)
+    return graph, CompileCertificate(ok=True,
+                                     total_leaves=counts[dag.root_id])

@@ -351,10 +351,9 @@ class _Engine:
 
     def switch_to_fallback(self) -> None:
         """Restart from the root under the PRF heuristic (NoCert).  The
-        incumbent found so far is kept."""
+        incumbent found so far and the budget are kept."""
         self.mode = Mode.FALLBACK
         self.claim = ClaimType.NO_CERT
-        self.budget = None
         self.heap.clear()
         root = self.graph.node(self.graph.root)
         self.push(root, self.fallback_key(root), None)
@@ -370,6 +369,7 @@ class _Engine:
         exhausted = fields["budget_event"] == "Exhausted"
         if exhausted:
             self.guard("BudgetFail", node, reason="all catalog entries infeasible")
+            self.budget = None
             self.switch_to_fallback()
         return exhausted
 

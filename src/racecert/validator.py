@@ -238,10 +238,7 @@ def validate(ledger_path: str, graph_spec: str | SharedDag | PrefixDag,
         graph = graph_spec
     else:
         shared = graph_spec if isinstance(graph_spec, SharedDag) else SharedDag.load(graph_spec)
-        graph, cert = compile_dag(shared)
-        if not cert.ok:
-            verdict.replay_ok = False
-            verdict.fail(0, "graph compile certificate failed")
+        graph, _ = compile_dag(shared)
     if verdict.replay_ok and ledger.header.get("root") != graph.root.hex():
         verdict.replay_ok = False
         verdict.fail(0, f"ledger root {ledger.header.get('root')} does not "

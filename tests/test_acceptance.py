@@ -73,7 +73,7 @@ def _pushed_keys(result):
 def test_criterion_1():
     started = time.perf_counter()
     graph = _compiled(toy_graph())
-    labels = {n.state_label: d.hex() for d, n in graph.nodes.items()}
+    labels = {n.state_label: d.hex() for d, n in graph.unfold().items()}
     result = search.run(graph, Mode.EXACT, _toy_cfg())
 
     t_r = result.arrivals[labels["r"]]

@@ -55,7 +55,7 @@ def test_beam_infinite_is_exhaustive():
     res = beam_k(graph, float("inf"), toy_mtau(), _values(graph, lookup))
     winner, value = oracle_optimum(graph, lookup)
     # An infinite beam expands every context, so every leaf, exactly once.
-    assert res.expansions == len(graph.nodes)
+    assert res.expansions == len(graph.unfold())
     assert not res.pruned_winner
     assert math.isclose(res.found_value, value)
 

@@ -15,7 +15,7 @@ def test_mtau_r1_admissible_on_random_trees():
         cfg = bounds.MtauConfig(recipe=bounds.MtauRecipe.R1,
                                 c_s_max=shared.caps.c_s_max,
                                 max_depth=shared.caps.max_depth)
-        for digest, node in graph.nodes.items():
+        for digest, node in graph.unfold().items():
             bound = bounds.mtau(node, cfg)
             for leaf in graph.iter_leaves(digest):
                 assert bound >= graph.node(leaf).prefix_score - 1e-12
@@ -27,7 +27,7 @@ def test_mtau_r2_admissible_with_nonnegative_costs():
     for seed in range(20):
         graph, _ = compile_dag(random_tree(seed))
         cfg = bounds.MtauConfig(recipe=bounds.MtauRecipe.R2)
-        for digest, node in graph.nodes.items():
+        for digest, node in graph.unfold().items():
             bound = bounds.mtau(node, cfg)
             for leaf in graph.iter_leaves(digest):
                 assert bound >= graph.node(leaf).prefix_score - 1e-12
@@ -78,7 +78,7 @@ def test_lse_truncation_sound_on_enumerable_trees():
 def test_phi_decreases_by_eta_on_trees():
     cfg = bounds.PhiConfig(step_cap=10, alpha=0.0, eta=1.0, c_s_min=1.0)
     graph, _ = compile_dag(random_tree(3))
-    for digest, node in graph.nodes.items():
+    for digest, node in graph.unfold().items():
         for child in node.children:
             before = bounds.phi(node, cfg)
             after = bounds.phi(graph.node(child), cfg)

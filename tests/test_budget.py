@@ -1,5 +1,6 @@
 """Budget controller: ratio selection, cap filtering, latency guard, runtime."""
 
+import json
 import math
 
 import pytest
@@ -7,9 +8,10 @@ import pytest
 from racecert import budget as bd
 from racecert import search
 from racecert.bounds import MtauConfig, MtauRecipe
-from racecert.generators import toy_graph, toy_mtau, TOY_SCRIPTED
+from racecert.generators import suite_a, toy_graph, toy_mtau, TOY_SCRIPTED
 from racecert.prefix_dag import compile_dag
 from racecert.search import ClaimType, Mode, RunConfig
+from racecert.validator import validate
 
 
 def _register_gains():
@@ -146,6 +148,40 @@ def test_exhaustion_downgrades_to_fallback():
     assert "BudgetFail" in result.guards_seen
     assert result.mode_final is Mode.FALLBACK
     assert result.claim_type is ClaimType.NO_CERT
+
+
+def _fallback_run(seed, price_max, path):
+    graph, _ = compile_dag(suite_a(2, 3, seed))
+    cfg = RunConfig(mtau=MtauConfig(), seed=seed, budget=bd.BudgetRuntime(
+        bd.default_catalog(), _state(price_max=price_max, slo_ms=60_000)))
+    return graph, search.run(graph, Mode.FALLBACK, cfg, ledger_path=path)
+
+
+@pytest.mark.parametrize("price_max", [40, 50, 10_000])
+@pytest.mark.parametrize("seed", range(4))
+def test_fallback_run_charges_its_budget(tmp_path, seed, price_max):
+    # A run that starts in Fallback charges the catalog like any other.
+    path = str(tmp_path / "fallback.ndjson")
+    graph, result = _fallback_run(seed, price_max, path)
+    recs = [r for r in result.ledger.records if r.get("event") == "budget"]
+    assert recs
+    assert ("BudgetFail" in result.guards_seen) == (price_max == 40)
+    assert validate(path, graph).ok
+
+
+def test_tampered_fallback_budget_record_fails_replay(tmp_path):
+    path = str(tmp_path / "fallback.ndjson")
+    graph, _ = _fallback_run(0, 10_000, path)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    i = next(i for i, line in enumerate(lines) if '"event":"budget"' in line)
+    rec = json.loads(lines[i])
+    rec["price_spent"] = str(int(rec["price_spent"]) + 1)
+    lines[i] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    verdict = validate(path, graph)
+    assert not verdict.replay_ok
 
 
 def test_keys_unchanged_by_controller():

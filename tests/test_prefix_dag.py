@@ -28,6 +28,18 @@ def _brute_force_paths(dag: SharedDag, node_id: str) -> int:
     return sum(_brute_force_paths(dag, child) for _, child in kids)
 
 
+def _unique_parents(nodes, root) -> bool:
+    """Oracle for the partition certificate: each non-root context sits in
+    exactly one children list, its parent's."""
+    owner = {}
+    for digest, node in nodes.items():
+        for child in node.children:
+            if child in owner or nodes[child].parent != digest:
+                return False
+            owner[child] = digest
+    return root not in owner and len(owner) == len(nodes) - 1
+
+
 def test_toy_compiles_with_certificates():
     graph, cert = compile_dag(toy_graph())
     assert cert.ok
@@ -51,7 +63,7 @@ def test_partition_certificate_on_random_trees():
     for seed in range(10):
         graph, cert = compile_dag(random_tree(seed))
         assert cert.ok
-        for digest, node in graph.nodes.items():
+        for digest, node in graph.unfold().items():
             if node.is_leaf or not node.children:
                 continue
             assert graph.suffix_count(digest) == sum(
@@ -59,7 +71,9 @@ def test_partition_certificate_on_random_trees():
 
 
 def test_digest_collision_is_an_error(monkeypatch):
-    monkeypatch.setattr(prefix_dag, "ctx_digest", lambda path, caps: b"\x00" * 32)
+    # Every digest repeats, so the toy root's children collide when
+    # compile builds the root.
+    monkeypatch.setattr(prefix_dag, "_digest", lambda head, n, body: b"\x00" * 32)
     with pytest.raises(DigestCollisionError):
         compile_dag(toy_graph())
 
@@ -67,9 +81,34 @@ def test_digest_collision_is_an_error(monkeypatch):
 def test_certificate_rejects_a_context_listed_twice():
     graph, _ = compile_dag(toy_graph())
     root = graph.node(graph.root)
-    assert prefix_dag._unique_parents(graph.nodes, graph.root)
+    assert _unique_parents(graph.unfold(), graph.root)
     root.children.append(root.children[0])
-    assert not prefix_dag._unique_parents(graph.nodes, graph.root)
+    assert not _unique_parents(graph.unfold(), graph.root)
+
+
+def _graph(edges, leaves, max_depth):
+    ids = {n for edge in edges for n in edge[:2]}
+    nodes = {n: DagNode(n, n, n in leaves) for n in ids}
+    return SharedDag(nodes=nodes, edges=edges, root_id="r",
+                     caps=PublicCaps(max_depth=max_depth, c_s_max=1.0,
+                                     c_s_min=1.0))
+
+
+@pytest.mark.parametrize("edges,leaves,max_depth,error", [
+    # r -> b is the only leaf; r -> a -> c -> d holds none and is too deep.
+    ([("r", "b", 0), ("r", "a", 1), ("a", "c", 0), ("c", "d", 0)], {"b"}, 3,
+     DepthCapExceededError),
+    # The cycle l -> x -> l hangs below the leaf l.
+    ([("r", "l", 0), ("l", "x", 0), ("x", "l", 0)], {"l"}, 10,
+     CycleDetectedError),
+    # Reached first by a short path, then by one past the cap.
+    ([("r", "c", 0), ("r", "a", 1), ("a", "b", 0), ("b", "c", 0),
+      ("c", "l", 0)], {"l"}, 4, DepthCapExceededError),
+], ids=["deep-in-leafless-subtree", "cycle-below-leaf", "deep-via-shared"])
+def test_compile_raises_for_a_defect_no_route_reaches(edges, leaves,
+                                                      max_depth, error):
+    with pytest.raises(error):
+        compile_dag(_graph(edges, leaves, max_depth))
 
 
 @pytest.mark.parametrize("edges", [[], [("r", "a", 0)]],
@@ -142,7 +181,7 @@ def test_shared_node_unfolds_to_distinct_contexts():
     graph, cert = compile_dag(SharedDag(nodes=nodes, edges=edges,
                                         root_id="r", caps=caps))
     assert cert.ok
-    shared_contexts = [n for n in graph.nodes.values()
+    shared_contexts = [n for n in graph.unfold().values()
                        if n.state_label == "s"]
     assert len(shared_contexts) == 2
     assert graph.suffix_count(graph.root) == 2
@@ -156,7 +195,7 @@ def test_json_round_trip(tmp_path):
     g1, _ = compile_dag(shared)
     g2, _ = compile_dag(again)
     assert g1.root == g2.root
-    assert set(g1.nodes) == set(g2.nodes)
+    assert set(g1.unfold()) == set(g2.unfold())
 
 
 _CAPS = {"max_depth": 2, "c_s_max": 1.0, "c_s_min": 1.0}

@@ -1,13 +1,17 @@
-"""Property tests over run -> save -> validate.
+"""Property tests over run -> save -> validate and the lazy prefix-DAG.
 
 Derandomized, with no example database and bounded example counts, so the
-suite stays deterministic and fast.  Three properties: every generated run
-validates; tampering with a replayed field is detected; and any byte or
-field mutation of a ledger yields a ``Verdict``, never an exception.
+suite stays deterministic and fast.  Every generated run validates;
+tampering with a replayed field is detected; any byte or field mutation of
+a ledger yields a ``Verdict``, never an exception; and the lazily built
+graph is the full unfolding: a run writes the same ledger either way, every
+context's digest is its root path's, each context has one parent, and an
+Exact route builds only the contexts it pushes, a small share of them.
 """
 
 import functools
 import json
+import statistics
 import tempfile
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -17,8 +21,9 @@ from racecert.bounds import MtauConfig
 from racecert.budget import BudgetRuntime, BudgetState, default_catalog
 from racecert.generators import (full_binary_tree, random_tree, suite_a,
                                  suite_b)
-from racecert.prefix_dag import compile_dag
+from racecert.prefix_dag import compile_dag, ctx_digest
 from racecert.search import Mode, RunConfig, run
+from test_prefix_dag import _unique_parents
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=200,
@@ -48,6 +53,75 @@ def test_every_generated_run_validates(tmp_path, shared, mode, seed,
     verdict = validator.validate(path, graph,
                                  public_counts=graph.public_counts())
     assert verdict.ok, verdict.failures
+
+
+@PROPERTY
+@given(shared=GRAPHS, mode=st.sampled_from(list(Mode)),
+       seed=st.integers(0, 2**32 - 1))
+def test_unfolding_first_changes_no_ledger_byte(shared, mode, seed):
+    cfg = RunConfig(mtau=MtauConfig(), seed=seed, n_ub_factor=1.5)
+    lazy, _ = compile_dag(shared)
+    unfolded, _ = compile_dag(shared)
+    unfolded.unfold()
+    assert (run(lazy, mode, cfg).ledger.serialize()
+            == run(unfolded, mode, cfg).ledger.serialize())
+
+
+def _has_leaf(shared, node_id, memo) -> bool:
+    if node_id not in memo:
+        memo[node_id] = shared.nodes[node_id].is_leaf or any(
+            _has_leaf(shared, child, memo)
+            for _, child in shared.children_of(node_id))
+    return memo[node_id]
+
+
+@PROPERTY
+@given(shared=GRAPHS)
+def test_every_context_is_its_root_path(shared):
+    # Rebuild each context's path along the shared graph and check the
+    # built context against it: digest, parent link, depth and children.
+    graph, _ = compile_dag(shared)
+    nodes = graph.unfold()
+    assert _unique_parents(nodes, graph.root)
+    memo: dict[str, bool] = {}
+    root = shared.nodes[shared.root_id]
+    stack = [(shared.root_id, [(root.state_label, 0)], None)]
+    seen = set()
+    while stack:
+        node_id, path, parent = stack.pop()
+        digest = ctx_digest(path, shared.caps)
+        node = nodes[digest]
+        assert (node.parent, node.depth, node.state_label) == (
+            parent, len(path) - 1, shared.nodes[node_id].state_label)
+        seen.add(digest)
+        kids = [(child, path + [(shared.nodes[child].state_label, order)])
+                for order, child in shared.children_of(node_id)
+                if _has_leaf(shared, child, memo)]
+        assert node.children == [ctx_digest(p, shared.caps) for _, p in kids]
+        stack.extend((child, p, digest) for child, p in kids)
+    assert seen == set(nodes)
+
+
+@PROPERTY
+@given(shared=GRAPHS, seed=st.integers(0, 2**32 - 1))
+def test_exact_route_builds_the_contexts_it_pushes(shared, seed):
+    graph, _ = compile_dag(shared)
+    result = run(graph, Mode.EXACT, RunConfig(mtau=MtauConfig(), seed=seed))
+    pushed = {rec["ctx_digest"] for rec in result.ledger.records
+              if rec.get("event") == "push"}
+    assert {digest.hex() for digest in graph.nodes} == pushed
+
+
+def test_exact_route_builds_a_small_share_of_a_shared_graph():
+    # suite_b(10,3): 31 shared nodes unfold to 3,070 contexts.  The share is
+    # a median: a rare route expands more (seed 41 builds 404 contexts).
+    shares = []
+    for seed in range(20):
+        graph, _ = compile_dag(suite_b(10, 3, seed))
+        run(graph, Mode.EXACT, RunConfig(mtau=MtauConfig(), seed=seed))
+        built = len(graph.nodes)
+        shares.append(built / len(graph.unfold()))
+    assert statistics.median(shares) < 0.1
 
 
 # Fields that replay or the stop audit re-derive, on the records that carry

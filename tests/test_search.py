@@ -13,7 +13,7 @@ from racecert.validator import validate
 
 
 def _labels(graph):
-    return {d.hex(): n.state_label for d, n in graph.nodes.items()}
+    return {d.hex(): n.state_label for d, n in graph.unfold().items()}
 
 
 def _pushed_keys(result):
@@ -76,7 +76,7 @@ def test_tie_with_lower_internal_digest_logs_token_one(tmp_path):
                     caps=PublicCaps(max_depth=3, c_s_max=1.0, c_s_min=1.0))
     graph, cert = compile_dag(dag)
     assert cert.ok
-    labels = {n.state_label: d for d, n in graph.nodes.items()}
+    labels = {n.state_label: d for d, n in graph.unfold().items()}
     assert labels["inner"] < labels["leaf"]
     cfg = RunConfig(mtau=MtauConfig(recipe=MtauRecipe.FIXED, fixed_table={
         "r": 2.0, "leaf": 1.0, "inner": 1.0, "c": 0.0}), seed=1)
@@ -115,7 +115,7 @@ def test_expansion_cap_binds_fallback(toy):
 def test_countfail_downgrades_to_surrogate(toy, tmp_path, monkeypatch):
     graph, cfg = toy
     monkeypatch.setattr(search, "COUNT_LIMIT", 2)
-    cfg.n_ub_map = {d: 8 for d in graph.nodes}
+    cfg.n_ub_map = {d: 8 for d in graph.unfold()}
     path = str(tmp_path / "countfail-surrogate.ndjson")
     result = search.run(graph, Mode.EXACT, cfg, ledger_path=path)
     assert "CountFail" in result.guards_seen
@@ -148,7 +148,7 @@ def test_surrogate_countfail_without_bounds_falls_back(toy, tmp_path, monkeypatc
 def test_surrogate_with_bounds_needs_no_counts(toy, tmp_path, monkeypatch):
     graph, cfg = toy
     monkeypatch.setattr(search, "COUNT_LIMIT", 2)
-    cfg.n_ub_map = {d: 8 for d in graph.nodes}
+    cfg.n_ub_map = {d: 8 for d in graph.unfold()}
     path = str(tmp_path / "bounded-surrogate.ndjson")
     result = search.run(graph, Mode.SURROGATE, cfg, ledger_path=path)
     assert result.guards_seen == []
@@ -159,21 +159,23 @@ def test_surrogate_with_bounds_needs_no_counts(toy, tmp_path, monkeypatch):
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
 def test_deep_chain_runs_and_validates(tmp_path, mode):
     # Deeper than Python's default recursion limit: compile, search and
-    # replay must all be iterative.
-    depth = 1200
+    # replay must all be iterative.  Fallback's leaf-wise LSE is quadratic
+    # on a chain, so it runs a shallower one.
+    depth = 1200 if mode is Mode.FALLBACK else 5000
     nodes = {f"n{i}": DagNode(f"n{i}", f"s{i}", i == depth) for i in range(depth + 1)}
     edges = [(f"n{i}", f"n{i + 1}", 0) for i in range(depth)]
     dag = SharedDag(nodes=nodes, edges=edges, root_id="n0",
                     caps=PublicCaps(max_depth=depth + 1, c_s_max=1.0, c_s_min=1.0))
     graph, cert = compile_dag(dag)
     assert cert.ok and cert.total_leaves == 1
-    assert len(graph.nodes) == depth + 1
+    assert len(graph.nodes) == 1  # compile builds the root context only
     cfg = RunConfig(mtau=MtauConfig(), seed=3, n_ub_factor=2.0,
                     deterministic_ids=True)
     path = str(tmp_path / f"chain-{mode.value}.ndjson")
     result = search.run(graph, mode, cfg, ledger_path=path)
     assert result.incumbent_leaf is not None
     assert validate(path, graph, public_counts=graph.public_counts()).ok
+    assert len(graph.unfold()) == depth + 1
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
@@ -187,7 +189,7 @@ def test_leafless_context_is_dropped(tmp_path, mode):
                     caps=PublicCaps(max_depth=2, c_s_max=1.0, c_s_min=1.0))
     graph, cert = compile_dag(dag)
     assert cert.ok and cert.total_leaves == 1
-    assert sorted(n.state_label for n in graph.nodes.values()) == ["b", "r"]
+    assert sorted(n.state_label for n in graph.unfold().values()) == ["b", "r"]
     path = str(tmp_path / f"leafless-{mode.value}.ndjson")
     result = search.run(graph, mode, RunConfig(mtau=MtauConfig(), seed=1),
                         ledger_path=path)
@@ -253,8 +255,8 @@ def test_surrogate_keys_dominate_exact(toy):
 
 def test_surrogate_zero_bound_prunes():
     graph, _ = compile_dag(toy_graph())
-    labels = {n.state_label: d for d, n in graph.nodes.items()}
-    n_ub = {d: 8 for d in graph.nodes}
+    labels = {n.state_label: d for d, n in graph.unfold().items()}
+    n_ub = {d: 8 for d in graph.unfold()}
     n_ub[labels["u2"]] = 0
     n_ub[labels["p4"]] = 0
     cfg = RunConfig(

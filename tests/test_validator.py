@@ -240,7 +240,7 @@ NON_DEFAULT_SETTINGS = {
     "phi": lambda g: PhiConfig(step_cap=6),
     "seed": lambda g: 5,
     "n_ub_factor": lambda g: 3.0,
-    "n_ub_map": lambda g: {d: 2 * n.n_exact for d, n in g.nodes.items()},
+    "n_ub_map": lambda g: {d: 2 * n.n_exact for d, n in g.unfold().items()},
     "salt": lambda g: b"\x01" * 8,
     "prf_domain": lambda g: "route",
     "tau": lambda g: 0.5,
@@ -388,7 +388,7 @@ def test_verdict_with_a_failure_is_not_ok(tmp_path):
     # bounds, yet the run claims RunWiseExact and replays bit-exactly.  Only
     # the tightening audit against the public counts sees it.
     graph, _ = compile_dag(suite_a(3, 3, 0))
-    n_ub_map = {d: max(1, node.n_exact // 9) for d, node in graph.nodes.items()}
+    n_ub_map = {d: max(1, node.n_exact // 9) for d, node in graph.unfold().items()}
     cfg = RunConfig(mtau=MtauConfig(), seed=1, n_ub_map=n_ub_map)
     path = str(tmp_path / "low-nub.ndjson")
     result = search.run(graph, Mode.SURROGATE, cfg, ledger_path=path)
