@@ -59,6 +59,6 @@ with tempfile.TemporaryDirectory() as tmp:
 
     # Third-party check: replay every draw from the ledger, re-derive every
     # key, and confirm the stop rule held under the same realized race.
-    verdict = validate(ledger_path, graph, public_counts=graph.public_counts())
+    verdict = validate(ledger_path, graph)
     print(f"\nvalidator: replay_ok={verdict.replay_ok} "
           f"stop_rule_ok={verdict.stop_rule_ok} ok={verdict.ok}")

@@ -22,6 +22,7 @@ import os
 import statistics
 import sys
 import time
+from collections.abc import Mapping
 from typing import Sequence
 
 from . import fixedpoint as fp
@@ -38,7 +39,7 @@ from .generators import (
     toy_mtau,
 )
 from .ledger import Ledger
-from .prefix_dag import SharedDag, compile_dag
+from .prefix_dag import PrefixDag, SharedDag, compile_dag
 from .race import RngStream
 from .reconstruct import (
     argmax_leaf,
@@ -244,10 +245,34 @@ def _load_counts(path: str) -> dict[str, int]:
     return {k: int(v) for k, v in counts.items()}
 
 
+class _BuiltCounts(Mapping):
+    """ctx_digest hex -> exact count of each context built so far: a live
+    view, so an audit reads what its replay built; the rest are absent."""
+
+    def __init__(self, graph: PrefixDag):
+        self._nodes = graph.nodes
+
+    def __getitem__(self, digest_hex: str) -> int:
+        try:
+            node = self._nodes[bytes.fromhex(digest_hex)]
+        except (TypeError, ValueError):  # not a hex string
+            raise KeyError(digest_hex) from None
+        if node.ctx_digest.hex() != digest_hex:  # upper case or spaced hex
+            raise KeyError(digest_hex)
+        return node.n_exact
+
+    def __iter__(self):
+        return (digest.hex() for digest in self._nodes)
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+
 def cmd_validate(args) -> int:
     graph, _ = compile_dag(
         SharedDag.load(args.graph) if args.graph else toy_graph())
-    counts = _load_counts(args.counts) if args.counts else graph.public_counts()
+    # A counts file wins; else tightening reads the contexts replay built.
+    counts = _load_counts(args.counts) if args.counts else _BuiltCounts(graph)
     all_ok = True
     for path in args.ledgers:
         started = time.perf_counter()

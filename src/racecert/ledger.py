@@ -78,7 +78,11 @@ STRING_FIELDS = {
     "reason",
 }
 
-KNOWN_FIELDS = set(RAW_INT_FIELDS) | SCALED_FIELDS | STRING_FIELDS | {"guards"}
+# field -> how ``_decode`` reads it: a raw-integer field's (lo, hi), or
+# ``str``, ``list`` (``guards``) or ``float`` (a scaled decimal).
+_FIELD_KIND: dict[str, object] = {
+    **dict.fromkeys(STRING_FIELDS, str), **dict.fromkeys(SCALED_FIELDS, float),
+    "guards": list, **RAW_INT_FIELDS}
 
 # Fields an event record must carry: the stop-rule audit indexes them.  A
 # stop record's key_raw is optional (an empty frontier has none), and a
@@ -123,33 +127,33 @@ def _decode(obj: dict, lineno: int) -> dict:
     ints for scaled fields, strings and lists otherwise."""
     rec: dict = {}
     for key, val in obj.items():
-        if key not in KNOWN_FIELDS:
-            raise SchemaViolationError(lineno, f"unknown field {key!r}")
-        if key in RAW_INT_FIELDS:
-            lo, hi = RAW_INT_FIELDS[key]
+        kind = _FIELD_KIND.get(key)
+        if kind is str:
             if not isinstance(val, str):
-                raise SchemaViolationError(lineno, f"{key} must be a decimal string")
-            try:
-                rec[key] = fp.parse_raw(val, lo, hi)
-            except fp.NumClampError as exc:
-                raise OverflowOnParseError(lineno, str(exc)) from exc
-            except ValueError as exc:
-                raise MalformedLineError(lineno, f"bad integer in {key}: {exc}")
-        elif key in SCALED_FIELDS:
+                raise SchemaViolationError(lineno, f"{key} must be a string")
+            rec[key] = val
+        elif kind is None:
+            raise SchemaViolationError(lineno, f"unknown field {key!r}")
+        elif kind is float:
             try:
                 rec[key] = fp.parse_scaled_q32_32(val)
             except fp.NumClampError as exc:
                 raise OverflowOnParseError(lineno, str(exc)) from exc
-            except (ValueError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError, TypeError) as exc:
                 raise MalformedLineError(lineno, f"bad decimal in {key}: {exc}")
-        elif key == "guards":
+        elif kind is list:
             if not isinstance(val, list) or not set(val) <= GUARD_NAMES:
                 raise SchemaViolationError(lineno, f"bad guards {val!r}")
             rec[key] = list(val)
         else:
             if not isinstance(val, str):
-                raise SchemaViolationError(lineno, f"{key} must be a string")
-            rec[key] = val
+                raise SchemaViolationError(lineno, f"{key} must be a decimal string")
+            try:
+                rec[key] = fp.parse_raw(val, *kind)
+            except fp.NumClampError as exc:
+                raise OverflowOnParseError(lineno, str(exc)) from exc
+            except ValueError as exc:
+                raise MalformedLineError(lineno, f"bad integer in {key}: {exc}")
     event = rec.get("event")
     if event is not None and event not in EVENT_KINDS:
         raise SchemaViolationError(lineno, f"unknown event kind {event!r}")
@@ -159,11 +163,16 @@ def _decode(obj: dict, lineno: int) -> dict:
     return rec
 
 
+_DECODER = json.JSONDecoder()
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            ensure_ascii=False)
+
+
 def _load(line: str | bytes, lineno: int):
     try:
         if isinstance(line, bytes):
             line = line.decode("utf-8")
-        return json.loads(line)
+        return _DECODER.decode(line)
     except UnicodeDecodeError as exc:
         raise MalformedLineError(lineno, f"not UTF-8: {exc}")
     except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
@@ -171,7 +180,7 @@ def _load(line: str | bytes, lineno: int):
 
 
 def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _ENCODER.encode(obj)
 
 
 class Ledger:
@@ -229,9 +238,10 @@ def make_uuid7(unix_ms: int, rand_a: int, rand_b: int) -> str:
     unix_ms &= (1 << 48) - 1
     rand_a &= (1 << 12) - 1
     rand_b &= (1 << 62) - 1
-    value = (unix_ms << 80) | (0x7 << 76) | (rand_a << 64) | (0b10 << 62) | rand_b
-    hx = f"{value:032x}"
-    return f"{hx[0:8]}-{hx[8:12]}-{hx[12:16]}-{hx[16:20]}-{hx[20:32]}"
+    # The five groups of unix_ms | 0x7 | rand_a | 0b10 | rand_b (128 bits).
+    return "%08x-%04x-%04x-%04x-%012x" % (
+        unix_ms >> 16, unix_ms & 0xFFFF, 0x7000 | rand_a,
+        0x8000 | rand_b >> 48, rand_b & 0xFFFFFFFFFFFF)
 
 
 class Uuid7Source:

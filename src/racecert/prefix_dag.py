@@ -16,6 +16,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 CTX_DOMAIN_TAG = b"racecert/ctx/v1"
 
@@ -57,8 +58,7 @@ class PublicCaps:
             raise ValueError("c_s_min must be > 0")
 
 
-@dataclass(frozen=True)
-class DagNode:
+class DagNode(NamedTuple):
     node_id: str
     state_label: str
     is_leaf: bool
@@ -76,24 +76,26 @@ class SharedDag:
 
     def __post_init__(self):
         self.validate()
-        self._children: dict[str, list[tuple[int, str]]] = {}
+        children: dict[str, list[tuple[int, str]]] = {}
         for parent, child, order in self.edges:
-            self._children.setdefault(parent, []).append((order, child))
-        for parent, kids in self._children.items():
+            children.setdefault(parent, []).append((order, child))
+        for kids in children.values():
             kids.sort()
+        self._children = children
 
     def validate(self) -> None:
-        if self.root_id not in self.nodes:
+        nodes = self.nodes
+        if self.root_id not in nodes:
             raise ValueError(f"root {self.root_id!r} not a node")
-        seen: dict[tuple[str, int], None] = {}
+        seen: set[tuple[str, int]] = set()
         for parent, child, order in self.edges:
-            if parent not in self.nodes or child not in self.nodes:
+            if parent not in nodes or child not in nodes:
                 raise ValueError(f"edge ({parent},{child}) endpoint missing")
             if (parent, order) in seen:
                 raise ValueError(f"duplicate edge_order {order} at {parent}")
             if not 0 <= order < 1 << 32:
                 raise ValueError(f"edge_order {order} at {parent} outside [0, 2**32)")
-            seen[(parent, order)] = None
+            seen.add((parent, order))
 
     def children_of(self, node_id: str) -> list[tuple[int, str]]:
         return self._children.get(node_id, [])
@@ -109,16 +111,12 @@ class SharedDag:
                 c_s_min=float(obj["caps"]["c_s_min"]),
             )
             nodes = {
-                n["id"]: DagNode(
-                    node_id=n["id"],
-                    state_label=n["state"],
-                    is_leaf=bool(n.get("leaf", False)),
-                    det_score_delta=float(n.get("delta_cost", 0.0)),
-                )
+                n["id"]: DagNode(n["id"], n["state"], bool(n.get("leaf", False)),
+                                 float(n.get("delta_cost", 0.0)))
                 for n in obj["nodes"]
             }
-            if not all(isinstance(s, str) for n in nodes.values()
-                       for s in (n.node_id, n.state_label)):
+            if not all([isinstance(n.node_id, str) and isinstance(n.state_label, str)
+                        for n in nodes.values()]):
                 raise TypeError("node id and state must be strings")
             edges = [(e["from"], e["to"], int(e["order"])) for e in obj["edges"]]
             return cls(nodes=nodes, edges=edges, root_id=obj["root"], caps=caps)
@@ -198,7 +196,7 @@ def ctx_digest(path: list[tuple[str, int]], caps: PublicCaps) -> bytes:
                    b"".join(_path_entry(label, order) for label, order in path))
 
 
-@dataclass
+@dataclass(slots=True)
 class PrefixNode:
     ctx_digest: bytes
     state_label: str
@@ -229,8 +227,9 @@ class PrefixDag:
     digests its children, the contexts of its shared node's children that
     have a leaf below them, from the path body it carried, and then drops
     that body.  ``nodes`` holds the contexts built so far; ``unfold()``
-    builds the rest.  A repeated digest is detected among the contexts
-    built so far and the children they list.
+    builds the rest.  Once every context is built, the shared graph and
+    its counts are dropped.  A repeated digest is detected among the
+    contexts built so far and the children they list.
     """
 
     def __init__(self, dag: SharedDag, counts: dict[str, int]):
@@ -258,9 +257,8 @@ class PrefixDag:
         dag, counts, pending = self._dag, self._counts, self._pending
         shared = dag.nodes[node_id]
         node = self.nodes[digest] = PrefixNode(
-            ctx_digest=digest, state_label=shared.state_label, depth=depth,
-            prefix_score=score, parent=parent, is_leaf=shared.is_leaf,
-            n_exact=counts[node_id])
+            digest, shared.state_label, depth, score, parent, shared.is_leaf,
+            [], counts[node_id])
         for order, child_id in dag.children_of(node_id):
             if counts[child_id] == 0:
                 continue  # no leaf below: never built
@@ -274,6 +272,8 @@ class PrefixDag:
             pending[child_digest] = (child_id, child_body, digest,
                                      score - child.det_score_delta, depth + 1)
             node.children.append(child_digest)
+        if not pending:  # every context is built: drop the shared tables
+            self._dag = self._counts = None
         return node
 
     def unfold(self) -> dict[bytes, PrefixNode]:
@@ -315,16 +315,16 @@ def _shared_counts(dag: SharedDag) -> dict[str, int]:
     counts: dict[str, int] = {}
     height: dict[str, int] = {}  # nodes on the longest path down, itself included
     on_path: set[str] = set()
-    # (node id, depth of the root path that reached it, exit?)
-    stack: list[tuple[str, int, bool]] = [(dag.root_id, 1, False)]
+    # (node id, depth of the root path to it, its children on exit or None)
+    stack: list[tuple[str, int, list[str] | None]] = [(dag.root_id, 1, None)]
+    nodes = dag.nodes
     while stack:
-        node_id, depth, done = stack.pop()
-        kids = dag.children_of(node_id)
-        if done:  # exit: every child is counted
+        node_id, depth, kids = stack.pop()
+        if kids is not None:  # exit: every child is counted
             on_path.discard(node_id)
-            height[node_id] = 1 + max((height[c] for _, c in kids), default=0)
-            counts[node_id] = (1 if dag.nodes[node_id].is_leaf
-                               else sum(counts[c] for _, c in kids))
+            height[node_id] = 1 + max([height[c] for c in kids])
+            counts[node_id] = (1 if nodes[node_id].is_leaf
+                               else sum([counts[c] for c in kids]))
             continue
         if node_id in on_path:
             raise CycleDetectedError(f"cycle through {node_id!r}")
@@ -336,10 +336,14 @@ def _shared_counts(dag: SharedDag) -> dict[str, int]:
                 f"path depth {reach} exceeds cap {max_depth}")
         if node_id in counts:
             continue
+        kids = [child_id for _, child_id in dag.children_of(node_id)]
+        if not kids:  # entry and exit at once
+            height[node_id] = 1
+            counts[node_id] = 1 if nodes[node_id].is_leaf else 0
+            continue
         on_path.add(node_id)
-        stack.append((node_id, depth, True))
-        stack.extend((child_id, depth + 1, False)
-                     for _, child_id in reversed(kids))
+        stack.append((node_id, depth, kids))
+        stack.extend([(child_id, depth + 1, None) for child_id in reversed(kids)])
     if counts[dag.root_id] == 0:
         raise NoLeafError(f"no leaf below root {dag.root_id!r}")
     return counts

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from typing import Sequence
 
 from .fixedpoint import q0_64_value
@@ -51,12 +52,14 @@ class RngStream:
         self.seed = seed & _MASK64
 
     def raw(self, digest: bytes, purpose: str, counter: int = 0) -> int:
-        z = self.seed
         material = digest + purpose.encode("utf-8")
-        pad = (-len(material)) % 8
-        material += b"\x00" * pad
-        for i in range(0, len(material), 8):
-            z = _mix64(z ^ int.from_bytes(material[i : i + 8], "big"))
+        material += b"\x00" * (-len(material) % 8)
+        z = self.seed
+        for word in struct.unpack(f">{len(material) >> 3}Q", material):
+            z ^= word  # absorb, then the _mix64 finalizer inline
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            z ^= z >> 31
         return _mix64((z + _GOLDEN * (counter + 1)) & _MASK64)
 
 

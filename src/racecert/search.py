@@ -203,65 +203,57 @@ class _Engine:
             self.node_ids[digest] = nid
         return nid
 
-    def record(self, **fields) -> None:
-        self.ledger.records.append(
-            {k: v for k, v in fields.items() if v is not None})
-
     def guard(self, name: str, node: PrefixNode | None = None, reason: str | None = None,
               downgrade_to: ClaimType | None = ClaimType.NO_CERT, **extra) -> None:
         before = self.claim
         if downgrade_to is not None and downgrade_to != self.claim:
             self.claim = downgrade_to
         self.result.guards_seen.append(name)
-        fields = {
-            "event": "guard",
-            "guards": [name],
-            "mode": self.mode.value,
-            "claim_type_before": before.value,
-            "claim_type_after": self.claim.value,
-        }
+        rec = {"event": "guard", "guards": [name], "mode": self.mode.value,
+               "claim_type_before": before.value,
+               "claim_type_after": self.claim.value}
         if node is not None:
-            fields["ctx_digest"] = node.ctx_digest.hex()
-            fields["node_id"] = self.node_id(node.ctx_digest)
+            rec["ctx_digest"] = node.ctx_digest.hex()
+            rec["node_id"] = self.node_id(node.ctx_digest)
         if reason:
-            fields["reason"] = reason
-        fields.update(extra)
-        self.record(**fields)
+            rec["reason"] = reason
+        rec.update(extra)
+        self.ledger.records.append(rec)
 
     def push(self, node: PrefixNode, key: float, t: float | None,
              rate: int | None = None, uniform_raw: int | None = None) -> None:
         key_q, clamped = _encode_key(key)
         if clamped:
             self.guard("NumClamp", node, reason="key overflowed Q64.64")
-        entry = FrontierEntry(node.ctx_digest, key, key_q, t)
-        heapq.heappush(self.heap, (-key_q, not node.is_leaf, node.ctx_digest, entry))
-        digest_hex = node.ctx_digest.hex()
+        digest = node.ctx_digest
+        entry = FrontierEntry(digest, key, key_q, t)
+        heapq.heappush(self.heap, (-key_q, not node.is_leaf, digest, entry))
+        digest_hex = digest.hex()
         if t is not None:
             self.result.arrivals[digest_hex] = t
-        parent = node.parent
-        self.record(
-            event="push",
-            ctx_digest=digest_hex,
-            node_id=self.node_id(node.ctx_digest),
-            parent_id=self.node_id(parent) if parent is not None else None,
-            mode=self.mode.value,
-            claim_type=self.claim.value,
-            key_raw=key_q,
-            Nub=rate,
-            U=uniform_raw,
-        )
+        # ``_value_`` skips the ``Enum.value`` descriptor on this hot path.
+        rec = {"event": "push", "ctx_digest": digest_hex,
+               "node_id": self.node_id(digest), "mode": self.mode._value_,
+               "claim_type": self.claim._value_, "key_raw": key_q}
+        if node.parent is not None:  # minted after the node's own id
+            rec["parent_id"] = self.node_id(node.parent)
+        if rate is not None:
+            rec["Nub"] = rate
+        if uniform_raw is not None:
+            rec["U"] = uniform_raw
+        self.ledger.records.append(rec)
 
     def pop_record(self, node: PrefixNode, entry: FrontierEntry, **extra) -> None:
         """Log a pop; on a key tie with the next entry, ``tie_token`` says
         whether the popped digest is the larger one.  Called before the
         node's children are pushed, so the heap top is that next entry."""
-        tie = None
+        rec = {"event": "pop", "ctx_digest": node.ctx_digest.hex(),
+               "node_id": self.node_id(node.ctx_digest),
+               "mode": self.mode._value_, "claim_type": self.claim._value_,
+               "key_raw": entry.key_q, **extra}
         if self.heap and self.heap[0][3].key_q == entry.key_q:
-            tie = int(entry.digest > self.heap[0][3].digest)
-        self.record(event="pop", ctx_digest=node.ctx_digest.hex(),
-                    node_id=self.node_id(node.ctx_digest),
-                    mode=self.mode.value, claim_type=self.claim.value,
-                    key_raw=entry.key_q, tie_token=tie, **extra)
+            rec["tie_token"] = int(entry.digest > self.heap[0][3].digest)
+        self.ledger.records.append(rec)
 
     def max_key_q(self) -> int | None:
         return -self.heap[0][0] if self.heap else None
@@ -338,16 +330,11 @@ class _Engine:
             self.incumbent_q = value_q
             self.incumbent = value
             self.incumbent_leaf = node.ctx_digest.hex()
-        self.record(
-            event="leaf_eval",
-            ctx_digest=node.ctx_digest.hex(),
-            node_id=self.node_id(node.ctx_digest),
-            mode=self.mode.value,
-            claim_type=self.claim.value,
-            U=u_raw,
-            value=value_q,
-            incumbent=self.incumbent_q,
-        )
+        self.ledger.records.append({
+            "event": "leaf_eval", "ctx_digest": node.ctx_digest.hex(),
+            "node_id": self.node_id(node.ctx_digest),
+            "mode": self.mode._value_, "claim_type": self.claim._value_,
+            "U": u_raw, "value": value_q, "incumbent": self.incumbent_q})
 
     def switch_to_fallback(self) -> None:
         """Restart from the root under the PRF heuristic (NoCert).  The
@@ -363,9 +350,10 @@ class _Engine:
         if self.budget is None:
             return False
         fields = self.budget.on_expansion(node, slack)
-        self.record(event="budget", ctx_digest=node.ctx_digest.hex(),
-                    mode=self.mode.value, claim_type=self.claim.value,
-                    **fields)
+        self.ledger.records.append({
+            "event": "budget", "ctx_digest": node.ctx_digest.hex(),
+            "mode": self.mode.value, "claim_type": self.claim.value,
+            **{k: v for k, v in fields.items() if v is not None}})
         exhausted = fields["budget_event"] == "Exhausted"
         if exhausted:
             self.guard("BudgetFail", node, reason="all catalog entries infeasible")
@@ -386,16 +374,15 @@ class _Engine:
         self.result.frontier_at_stop = [
             (e.digest.hex(), e.key_q) for *_, e in sorted(self.heap)
         ]
-        self.record(
-            event="stop",
-            mode=self.mode.value,
-            claim_type=self.claim.value,
-            privacy_scope="post_processing_only",
-            incumbent=self.incumbent_q,
-            key_raw=top,
-            reason=("StopHeuristic" if self.claim is ClaimType.NO_CERT
-                    else "StopCertified"),
-        )
+        rec = {"event": "stop", "mode": self.mode.value,
+               "claim_type": self.claim.value,
+               "privacy_scope": "post_processing_only",
+               "incumbent": self.incumbent_q,
+               "reason": ("StopHeuristic" if self.claim is ClaimType.NO_CERT
+                          else "StopCertified")}
+        if top is not None:
+            rec["key_raw"] = top
+        self.ledger.records.append(rec)
         return self.result
 
     # -- main loop --------------------------------------------------------
@@ -457,12 +444,11 @@ class _Engine:
             phi_extra = self.phi_fields(node, children)
             if self.mode is Mode.EXACT:
                 counts = [graph.suffix_count(c.ctx_digest) for c in children]
+                winner = 0
                 if len(children) > 1:
-                    w_raw = self.draw(node.ctx_digest, "winner")
+                    w_raw = phi_extra["W"] = self.draw(node.ctx_digest, "winner")
                     winner = quantile_cat(open_uniform(w_raw), counts)
-                else:
-                    w_raw, winner = None, 0
-                self.pop_record(node, entry, W=w_raw, **phi_extra)
+                self.pop_record(node, entry, **phi_extra)
                 raws = [None if i == winner else self.draw(child.ctx_digest, "residual")
                         for i, child in enumerate(children)]
                 arrivals = offset_propagate(

@@ -6,8 +6,14 @@ import os
 
 import pytest
 
+from racecert import cli
+from racecert.bounds import MtauConfig
 from racecert.cli import main
+from racecert.generators import suite_b
 from racecert.ledger import Ledger
+from racecert.prefix_dag import compile_dag
+from racecert.search import Mode, RunConfig, run
+from racecert.validator import validate
 
 
 def test_toy_replay_exit_zero(tmp_path, capsys):
@@ -90,6 +96,66 @@ def test_suite_ledgers_validate_against_saved_graph(tmp_path, capsys):
     assert main(["validate", ledgers[0]]) == 1
     text = capsys.readouterr().out
     assert "does not match graph root" in text
+
+
+def test_validate_without_counts_reads_the_replayed_contexts(tmp_path,
+                                                            monkeypatch):
+    shared = suite_b(6, 3, seed=2)
+    graph_path = str(tmp_path / "g.json")
+    shared.save(graph_path)
+    ledgers = []
+    for seed in range(3):
+        for mode in (Mode.EXACT, Mode.SURROGATE):  # Fallback builds all
+            path = str(tmp_path / f"{mode.value}-{seed}.ndjson")
+            run(compile_dag(shared)[0], mode,
+                RunConfig(mtau=MtauConfig(), seed=seed, n_ub_factor=2.0),
+                ledger_path=path)
+            ledgers.append(path)
+    counts_path = str(tmp_path / "counts.json")
+    with open(counts_path, "w", encoding="utf-8") as fh:
+        json.dump(compile_dag(shared)[0].public_counts(), fh)
+
+    def verdicts():
+        out = []
+        for path in ledgers:
+            with open(path + ".verdict.json", encoding="utf-8") as fh:
+                out.append(json.load(fh))
+        return out
+
+    assert main(["validate", *ledgers, "--graph", graph_path,
+                 "--counts", counts_path]) == 0
+    want = verdicts()
+    assert any(v["tightened"] for v in want)
+    graphs = []
+
+    def compile_and_keep(dag):
+        graphs.append(compile_dag(dag)[0])
+        return graphs[-1], None
+
+    monkeypatch.setattr(cli, "compile_dag", compile_and_keep)
+    assert main(["validate", *ledgers, "--graph", graph_path]) == 0
+    assert verdicts() == want
+    # The audit built exactly what a replay without tightening builds.
+    replayed, _ = compile_dag(shared)
+    for path in ledgers:
+        validate(path, replayed)
+    assert set(graphs[0].nodes) == set(replayed.nodes)
+    built = len(replayed.nodes)
+    assert built < len(replayed.unfold())
+
+
+def test_built_counts_know_only_built_contexts_by_their_exact_hex():
+    graph, _ = compile_dag(suite_b(3, 2, seed=0))
+    counts = cli._BuiltCounts(graph)
+    root = graph.root.hex()
+    assert dict(counts) == {root: graph.suffix_count(graph.root)}
+    child = graph.node(graph.root).children[0]
+    assert counts.get(child.hex()) is None  # listed, not built yet
+    graph.node(child)
+    assert counts[child.hex()] == graph.suffix_count(child)
+    for other in (root.upper(), " ".join(root[i:i + 2] for i in range(0, 64, 2)),
+                  "zz", root[:-1], None):
+        assert counts.get(other) is None
 
 
 def test_tightness_slack_signs(tmp_path):

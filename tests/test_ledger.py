@@ -1,6 +1,7 @@
 """Ledger round trips, parser strictness, and the downgrade-log excerpt."""
 
 import math
+import random
 
 import pytest
 
@@ -120,6 +121,13 @@ def test_raw_field_must_be_string():
         lg.Ledger.parse_text(text)
 
 
+@pytest.mark.parametrize("value", ["null", "[]", "{}"])
+def test_scaled_field_of_wrong_type_is_malformed(value):
+    text = '{"schema":"racecert/ledger/v1"}\n{"eta":%s}\n' % value
+    with pytest.raises(lg.MalformedLineError, match="bad decimal in eta"):
+        lg.Ledger.parse_text(text)
+
+
 def test_missing_schema_tag():
     with pytest.raises(lg.SchemaViolationError):
         lg.Ledger.parse_text('{"mode":"Exact"}\n')
@@ -149,6 +157,29 @@ def test_uuid7_layout():
     assert [src1.next(b"\x00" * 32) for _ in range(3)] == [
         src2.next(b"\x00" * 32) for _ in range(3)
     ]
+
+
+def _uuid7_by_slicing(unix_ms: int, rand_a: int, rand_b: int) -> str:
+    """``make_uuid7`` as first written: one 32-hex string, sliced five ways."""
+    unix_ms &= (1 << 48) - 1
+    rand_a &= (1 << 12) - 1
+    rand_b &= (1 << 62) - 1
+    value = (unix_ms << 80) | (0x7 << 76) | (rand_a << 64) | (0b10 << 62) | rand_b
+    hx = f"{value:032x}"
+    return f"{hx[0:8]}-{hx[8:12]}-{hx[12:16]}-{hx[16:20]}-{hx[20:32]}"
+
+
+def test_uuid7_matches_the_sliced_formatter():
+    rng = random.Random(7)
+    cases = [(0, 0, 0), ((1 << 48) - 1, (1 << 12) - 1, (1 << 62) - 1),
+             (1 << 48, 1 << 12, 1 << 62), ((1 << 70) - 1, (1 << 20) - 1,
+                                           (1 << 64) - 1)]
+    cases += [(rng.getrandbits(rng.choice((8, 48, 60))),
+               rng.getrandbits(rng.choice((12, 16))),
+               rng.getrandbits(rng.choice((52, 62, 70))))
+              for _ in range(20_000)]
+    for args in cases:
+        assert lg.make_uuid7(*args) == _uuid7_by_slicing(*args)
 
 
 def test_save_and_parse(tmp_path):

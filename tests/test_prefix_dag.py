@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import pytest
 
@@ -104,7 +105,12 @@ def _graph(edges, leaves, max_depth):
     # Reached first by a short path, then by one past the cap.
     ([("r", "c", 0), ("r", "a", 1), ("a", "b", 0), ("b", "c", 0),
       ("c", "l", 0)], {"l"}, 4, DepthCapExceededError),
-], ids=["deep-in-leafless-subtree", "cycle-below-leaf", "deep-via-shared"])
+    # s is reached again one level deeper; only its taller branch passes
+    # the cap, so the walk must keep a node's greatest height.
+    ([("r", "s", 0), ("r", "m", 1), ("m", "s", 0), ("s", "l", 0),
+      ("s", "c", 1), ("c", "k", 0)], {"l", "k"}, 4, DepthCapExceededError),
+], ids=["deep-in-leafless-subtree", "cycle-below-leaf", "deep-via-shared",
+        "deep-via-taller-branch"])
 def test_compile_raises_for_a_defect_no_route_reaches(edges, leaves,
                                                       max_depth, error):
     with pytest.raises(error):
@@ -185,6 +191,35 @@ def test_shared_node_unfolds_to_distinct_contexts():
                        if n.state_label == "s"]
     assert len(shared_contexts) == 2
     assert graph.suffix_count(graph.root) == 2
+
+
+def test_dag_node_keeps_value_semantics():
+    node = DagNode("n", "s", True, 0.5)
+    same = DagNode(node_id="n", state_label="s", is_leaf=True,
+                   det_score_delta=0.5)
+    assert node == same and hash(node) == hash(same)
+    assert (node.node_id, node.state_label, node.is_leaf,
+            node.det_score_delta) == ("n", "s", True, 0.5)
+    assert DagNode("n", "s", False) == DagNode("n", "s", False, 0.0)
+    assert node != DagNode("n", "s", True, 0.25)
+    assert len({node, same, DagNode("m", "s", True, 0.5)}) == 2
+    with pytest.raises(AttributeError):
+        node.is_leaf = False
+
+
+def test_unfolded_graph_releases_the_shared_tables():
+    shared = suite_b(4, 3, seed=1)
+    want = compile_dag(suite_b(4, 3, seed=1))[0].public_counts()
+    graph, _ = compile_dag(shared)
+    ref = weakref.ref(shared)
+    del shared
+    assert ref() is not None  # contexts still pending need it
+    nodes = graph.unfold()
+    assert ref() is None
+    for digest, node in nodes.items():
+        assert graph.node(digest) is node
+        assert graph.suffix_count(digest) == node.n_exact
+    assert graph.public_counts() == want
 
 
 def test_json_round_trip(tmp_path):

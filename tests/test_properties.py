@@ -7,6 +7,8 @@ a ledger yields a ``Verdict``, never an exception; and the lazily built
 graph is the full unfolding: a run writes the same ledger either way, every
 context's digest is its root path's, each context has one parent, and an
 Exact route builds only the contexts it pushes, a small share of them.
+The count walk matches a recursive reference, errors included, and a
+parsed ledger serializes back to its own bytes.
 """
 
 import functools
@@ -14,14 +16,19 @@ import json
 import statistics
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from racecert import validator
-from racecert.bounds import MtauConfig
+from racecert.bounds import MtauConfig, PhiConfig
 from racecert.budget import BudgetRuntime, BudgetState, default_catalog
 from racecert.generators import (full_binary_tree, random_tree, suite_a,
                                  suite_b)
-from racecert.prefix_dag import compile_dag, ctx_digest
+from racecert.ledger import Ledger
+from racecert.prefix_dag import (CycleDetectedError, DagNode,
+                                 DepthCapExceededError, NoLeafError,
+                                 PublicCaps, SharedDag, _shared_counts,
+                                 compile_dag, ctx_digest)
 from racecert.search import Mode, RunConfig, run
 from test_prefix_dag import _unique_parents
 
@@ -274,3 +281,84 @@ def test_field_mutant_yields_a_verdict(tmp_path, base, mode, seed, in_header,
     verdict = _validate_mutant(tmp_path, graph,
                                ("\n".join(mutant) + "\n").encode("utf-8"))
     assert isinstance(verdict, validator.Verdict)
+
+
+# -- the count walk and the ledger codec against plain references ---------
+
+@st.composite
+def _shared_dags(draw):
+    """Small shared graphs, defective ones included: edges point down the
+    node order, or anywhere (cycles, self-loops); parallel edges, leaves
+    with children and a too-low depth cap may all occur."""
+    size = draw(st.integers(1, 7))
+    ids = [f"n{i}" for i in range(size)]
+    leaves = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    pairs = draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                    st.integers(0, size - 1),
+                                    st.integers(0, 5)),
+                          min_size=size - 1, max_size=16))
+    if draw(st.booleans()):  # acyclic
+        pairs = [(min(a, b), max(a, b), o) for a, b, o in pairs if a != b]
+    edges = list({(a, o): (ids[a], ids[b], o) for a, b, o in pairs}.values())
+    nodes = {n: DagNode(n, n, leaf) for n, leaf in zip(ids, leaves)}
+    caps = PublicCaps(max_depth=draw(st.integers(1, size)), c_s_max=1.0,
+                      c_s_min=1.0)
+    return SharedDag(nodes, edges, "n0", caps)
+
+
+def _counts_by_recursion(dag):
+    """The count walk written recursively: the same visit order, checks
+    and errors, and a leaf counts 1, any other node the sum over its
+    children."""
+    counts, height, on_path = {}, {}, set()
+
+    def visit(node_id, depth):
+        if node_id in on_path:
+            raise CycleDetectedError(node_id)
+        if depth + height.get(node_id, 1) - 1 > dag.caps.max_depth:
+            raise DepthCapExceededError(node_id)
+        if node_id in counts:
+            return
+        on_path.add(node_id)
+        kids = [child for _, child in dag.children_of(node_id)]
+        for child in kids:
+            visit(child, depth + 1)
+        on_path.discard(node_id)
+        height[node_id] = 1 + max((height[c] for c in kids), default=0)
+        counts[node_id] = (1 if dag.nodes[node_id].is_leaf
+                           else sum(counts[c] for c in kids))
+
+    visit(dag.root_id, 1)
+    if counts[dag.root_id] == 0:
+        raise NoLeafError(dag.root_id)
+    return counts
+
+
+@settings(PROPERTY, max_examples=1000)  # a pure walk over tiny graphs
+@given(shared=_shared_dags())
+def test_shared_counts_match_a_recursive_reference(shared):
+    try:
+        want = _counts_by_recursion(shared)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _shared_counts(shared)
+        assert type(got.value) is type(exc)
+    else:
+        assert _shared_counts(shared) == want
+
+
+@PROPERTY
+@given(shared=GRAPHS, mode=st.sampled_from(list(Mode)),
+       seed=st.integers(0, 2**32 - 1), with_phi=st.booleans(),
+       with_budget=st.booleans())
+def test_parsed_ledger_serializes_to_its_bytes(shared, mode, seed, with_phi,
+                                               with_budget):
+    graph, _ = compile_dag(shared)
+    cfg = RunConfig(mtau=MtauConfig(), seed=seed, n_ub_factor=2.0,
+                    budget=BUDGET if with_budget else None,
+                    phi=(PhiConfig(step_cap=4, alpha=0.5, eta=0.5, c_s_min=1.0)
+                         if with_phi else None))
+    text = run(graph, mode, cfg).ledger.serialize()
+    data = text.encode("utf-8")
+    assert Ledger.parse_text(data).serialize() == text
+    assert Ledger.parse_text(text).serialize() == text

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -41,6 +42,40 @@ def test_rng_stream_is_pure_and_address_sensitive():
     assert a != s.raw(b"\x01" * 32, "winner")
     assert a != s.raw(b"\x02" * 32, "race")
     assert a != race.RngStream(43).raw(b"\x01" * 32, "race")
+
+
+def _raw_per_word(seed: int, digest: bytes, purpose: str, counter: int) -> int:
+    """``RngStream.raw`` as first written: slice a word, ``int.from_bytes``,
+    then the SplitMix64 finalizer, per 8 bytes of padded material."""
+    mask = (1 << 64) - 1
+
+    def mix64(z):
+        z &= mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    z = seed & mask
+    material = digest + purpose.encode("utf-8")
+    material += b"\x00" * ((-len(material)) % 8)
+    for i in range(0, len(material), 8):
+        z = mix64(z ^ int.from_bytes(material[i:i + 8], "big"))
+    return mix64((z + 0x9E3779B97F4A7C15 * (counter + 1)) & mask)
+
+
+def test_rng_raw_matches_the_per_word_loop():
+    rng = random.Random(11)
+    seeds = [0, 1, (1 << 64) - 1, rng.getrandbits(64), rng.getrandbits(80)]
+    digests = [rng.randbytes(n) for n in range(41)]
+    purposes = ["race", "winner", "residual", "uuid", "", "résidu-λ"]
+    counters = [0, 1, 1 << 32, rng.getrandbits(100)]
+    for seed in seeds:
+        stream = race.RngStream(seed)
+        for digest in digests:
+            for purpose in purposes:
+                for counter in counters:
+                    assert stream.raw(digest, purpose, counter) == \
+                        _raw_per_word(seed, digest, purpose, counter)
 
 
 def test_offset_propagate_child_minimum_law():
