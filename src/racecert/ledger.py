@@ -135,11 +135,14 @@ def _decode(obj: dict, lineno: int) -> dict:
         elif kind is None:
             raise SchemaViolationError(lineno, f"unknown field {key!r}")
         elif kind is float:
+            if not isinstance(val, str):  # Fraction would take 1, 1.5, true
+                raise MalformedLineError(
+                    lineno, f"bad decimal in {key}: {type(val).__name__}")
             try:
                 rec[key] = fp.parse_scaled_q32_32(val)
             except fp.NumClampError as exc:
                 raise OverflowOnParseError(lineno, str(exc)) from exc
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 raise MalformedLineError(lineno, f"bad decimal in {key}: {exc}")
         elif kind is list:
             if not isinstance(val, list) or not set(val) <= GUARD_NAMES:

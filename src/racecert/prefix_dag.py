@@ -157,9 +157,12 @@ class SharedDag:
         }
 
     def save(self, path: str) -> None:
+        """Write the spec as one line of compact, key-sorted JSON; ``json``
+        encodes that in C, where any ``indent`` falls back to Python."""
+        text = json.dumps(self.to_json_obj(), sort_keys=True,
+                          separators=(",", ":"))
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_obj(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
 
 
 

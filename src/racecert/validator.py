@@ -163,14 +163,14 @@ def _check_tightening(ledger: Ledger, public_counts: dict[str, int] | None,
     for i, rec in enumerate(ledger.records):
         if rec.get("mode") != "Surrogate" or "Nub" not in rec:
             continue
-        if "U" not in rec or "key_raw" not in rec:
-            continue
         n = public_counts.get(rec.get("ctx_digest"))  # a stop has none
         if n is None:
             continue
         n_ub = rec["Nub"]
-        if n > n_ub:
+        if n > n_ub:  # on every push: one never popped has no U
             verdict.fail(i, f"public count {n} exceeds logged Nub {n_ub}")
+            continue
+        if "U" not in rec or "key_raw" not in rec:
             continue
         # Quantile coupling: the same U evaluated at both rates.  kappa is
         # *defined* as the realized arrival-term difference, so

@@ -121,7 +121,7 @@ def test_raw_field_must_be_string():
         lg.Ledger.parse_text(text)
 
 
-@pytest.mark.parametrize("value", ["null", "[]", "{}"])
+@pytest.mark.parametrize("value", ["null", "[]", "{}", "true", "1", "1.5"])
 def test_scaled_field_of_wrong_type_is_malformed(value):
     text = '{"schema":"racecert/ledger/v1"}\n{"eta":%s}\n' % value
     with pytest.raises(lg.MalformedLineError, match="bad decimal in eta"):

@@ -1,10 +1,13 @@
+import json
 import random
 import weakref
 
 import pytest
 
 from racecert import prefix_dag
-from racecert.generators import random_tree, suite_b, toy_graph
+from racecert.generators import (adversarial_graph, full_binary_tree,
+                                 pipeline_mock, random_binary_tree,
+                                 random_tree, suite_a, suite_b, toy_graph)
 from racecert.prefix_dag import (
     CycleDetectedError,
     DagNode,
@@ -231,6 +234,55 @@ def test_json_round_trip(tmp_path):
     g2, _ = compile_dag(again)
     assert g1.root == g2.root
     assert set(g1.unfold()) == set(g2.unfold())
+
+
+def _non_ascii_graph() -> SharedDag:
+    nodes = {"r": DagNode("r", "état→λ", False),
+             "a": DagNode("a", "日本語", True, 0.25),
+             "b": DagNode("b", "emoji \U0001F600", True)}
+    return SharedDag(nodes=nodes, edges=[("r", "a", 0), ("r", "b", 1)],
+                     root_id="r", caps=PublicCaps(2, 1.0, 1.0))
+
+
+SPEC_GRAPHS = {
+    "toy": toy_graph,
+    "suite_a": lambda: suite_a(3, 3, seed=1),
+    "suite_b": lambda: suite_b(4, 3, seed=1),
+    "random_tree": lambda: random_tree(5),
+    "random_binary_tree": lambda: random_binary_tree(5),
+    "full_binary_tree": lambda: full_binary_tree(3),
+    "adversarial": adversarial_graph,
+    "pipeline_mock": pipeline_mock,
+    "non_ascii": _non_ascii_graph,
+}
+
+
+@pytest.mark.parametrize("name", list(SPEC_GRAPHS))
+def test_saved_spec_is_compact_sorted_json(tmp_path, name):
+    shared = SPEC_GRAPHS[name]()
+    path = tmp_path / "g.json"
+    shared.save(str(path))
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(shared.to_json_obj(), sort_keys=True,
+                              separators=(",", ":")) + "\n"
+    assert text.isascii()  # non-ASCII labels are escaped
+    assert SharedDag.load(str(path)) == shared
+
+
+@pytest.mark.parametrize("name", ["suite_b", "non_ascii"])
+def test_indented_spec_still_loads(tmp_path, name):
+    # Specs saved by earlier versions are indented; they must still load.
+    shared = SPEC_GRAPHS[name]()
+    path = tmp_path / "indented.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(shared.to_json_obj(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    again = SharedDag.load(str(path))
+    assert again == shared
+    g1, _ = compile_dag(shared)
+    g2, _ = compile_dag(again)
+    assert g1.root == g2.root
+    assert g1.public_counts() == g2.public_counts()
 
 
 _CAPS = {"max_depth": 2, "c_s_max": 1.0, "c_s_min": 1.0}

@@ -144,22 +144,26 @@ TAMPER_FIELDS = ("key_raw", "value", "incumbent", "tie_token", "claim_type",
 BUDGET = BudgetRuntime(default_catalog(), BudgetState(
     eps_max=10.0, delta=1e-6, price_max=40, slo_ms=60_000))
 
-# Graph and budget of each base run.  Zero edge costs make equal keys, so
-# full_binary_tree's Surrogate pops log tie tokens.
-BASES = {"suite_a": (lambda seed: suite_a(2, 3, seed), None),
-         "full_binary_tree": (lambda seed: full_binary_tree(3), None),
-         "suite_a+budget": (lambda seed: suite_a(2, 3, seed), BUDGET)}
+# Graph and extra run settings of each base run.  Zero edge costs make
+# equal keys, so full_binary_tree's Surrogate pops log tie tokens; a
+# PhiConfig puts the scaled potential fields on Exact and Surrogate pops.
+BASES = {"suite_a": (lambda seed: suite_a(2, 3, seed), {}),
+         "full_binary_tree": (lambda seed: full_binary_tree(3), {}),
+         "suite_a+budget": (lambda seed: suite_a(2, 3, seed),
+                            {"budget": BUDGET}),
+         "suite_a+phi": (lambda seed: suite_a(2, 3, seed),
+                         {"phi": PhiConfig(step_cap=8, eta=0.5)})}
 
 
 @functools.lru_cache(maxsize=None)
 def _base_ledger(base: str, mode: Mode, seed: int):
     """A run's graph and ledger lines."""
-    make_graph, budget = BASES[base]
+    make_graph, extra = BASES[base]
     graph, _ = compile_dag(make_graph(seed))
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/base.ndjson"
         run(graph, mode, RunConfig(mtau=MtauConfig(), seed=seed,
-                                   n_ub_factor=1.5, budget=budget),
+                                   n_ub_factor=1.5, **extra),
             ledger_path=path)
         with open(path, encoding="utf-8") as fh:
             return graph, fh.read().splitlines()

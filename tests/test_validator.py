@@ -17,6 +17,7 @@ from racecert.budget import (
     default_catalog,
     rdp_to_eps_delta,
 )
+from racecert.cli import main
 from racecert.generators import (
     TOY_SCRIPTED,
     adversarial_graph,
@@ -400,6 +401,52 @@ def test_verdict_with_a_failure_is_not_ok(tmp_path):
                for _, reason in verdict.failures)
     assert not verdict.ok
     assert verdict.to_json_obj()["ok"] is False
+
+
+@pytest.mark.parametrize("via_cli", [False, True])
+@pytest.mark.parametrize("nub", ["one", "count-1", "count", "3*count"])
+def test_nub_of_a_push_never_expanded_is_checked(tmp_path, nub, via_cli):
+    # A Surrogate push carries Nub but no U, and replay takes a logged Nub
+    # as the rate it replays with, so only the count check can catch a
+    # Nub below the public count of a context the run never expanded.
+    shared = suite_a(4, 5, 3)
+    graph, _ = compile_dag(shared)
+    path = str(tmp_path / "run.ndjson")
+    search.run(graph, Mode.SURROGATE,
+               RunConfig(mtau=MtauConfig(), seed=1, n_ub_factor=2.0),
+               ledger_path=path)
+    lines = open(path, encoding="utf-8").read().splitlines()
+    records = [json.loads(line) for line in lines]
+    popped = {r["ctx_digest"] for r in records if r.get("event") == "pop"}
+    counts = graph.public_counts()
+    idx = next(i for i, r in enumerate(records)
+               if r.get("event") == "push" and r["ctx_digest"] not in popped
+               and counts[r["ctx_digest"]] > 1)
+    rec = records[idx]
+    assert "U" not in rec
+    n = counts[rec["ctx_digest"]]
+    rec["Nub"] = str({"one": 1, "count-1": n - 1, "count": n,
+                      "3*count": 3 * n}[nub])
+    lines[idx] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    damaged = _write_lines(tmp_path, "nub.ndjson", lines)
+    if via_cli:  # no --counts: the replay builds every pushed context
+        graph_path = str(tmp_path / "g.json")
+        shared.save(graph_path)
+        ok = main(["validate", damaged, "--graph", graph_path]) == 0
+        with open(damaged + ".verdict.json", encoding="utf-8") as fh:
+            failures = [(f["index"], f["reason"])
+                        for f in json.load(fh)["failures"]]
+    else:
+        fresh, _ = compile_dag(shared)
+        verdict = validator.validate(damaged, fresh,
+                                     public_counts=fresh.public_counts())
+        ok, failures = verdict.ok, verdict.failures
+    if nub in ("one", "count-1"):
+        assert not ok
+        assert failures == [
+            (idx - 1, f"public count {n} exceeds logged Nub {rec['Nub']}")]
+    else:
+        assert ok, failures
 
 
 @pytest.mark.parametrize("event", ["push", "pop"])
