@@ -27,7 +27,7 @@ for entry in default_catalog():
 
 def toy_cfg(**kw):
     return RunConfig(mtau=toy_mtau(), scripted_uniforms=dict(TOY_SCRIPTED),
-                     seed=7, deterministic_ids=True, **kw)
+                     seed=7, **kw)
 
 
 def key_stream(result):

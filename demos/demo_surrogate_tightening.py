@@ -29,8 +29,7 @@ print(f"\n{'factor':>6} {'expansions':>10} {'mean kappa':>11} {'tightened':>9}")
 for factor in (1.0, 1.5, 2.0, 4.0):
     expansions, kappas, tightened = [], [], 0
     for seed in range(5):
-        cfg = RunConfig(mtau=MtauConfig(), seed=seed, n_ub_factor=factor,
-                        deterministic_ids=True)
+        cfg = RunConfig(mtau=MtauConfig(), seed=seed, n_ub_factor=factor)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "run.ndjson")
             result = run(graph, Mode.SURROGATE, cfg, ledger_path=path)

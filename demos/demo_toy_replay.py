@@ -37,7 +37,7 @@ t_root = -math.log1p(-0.20) / 4
 print(f"expected t(r) = {t_root:.6f}  (paper-checkable closed form)")
 
 cfg = RunConfig(mtau=toy_mtau(), scripted_uniforms=dict(TOY_SCRIPTED),
-                seed=7, deterministic_ids=True)
+                seed=7)
 with tempfile.TemporaryDirectory() as tmp:
     ledger_path = os.path.join(tmp, "toy-exact.ndjson")
     result = run(graph, Mode.EXACT, cfg, ledger_path=ledger_path)

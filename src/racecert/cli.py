@@ -7,8 +7,8 @@ the toy golden replay, and the adversarial-seed scan.  ``suite``,
 (``_seeds``: a ``--graph`` file or a ``SUITES`` family, compiled) and write
 their CSV through one writer.  CSV aggregates use normal-approximation 95%
 confidence intervals (stated in the CSV metadata).  ``--modes`` is checked
-before anything runs, and an input error (a bad file, graph, counts map or
-catalog) ends every subcommand with one stderr line and exit status 2.  No
+before anything runs, and an input error (a bad file, graph or catalog)
+ends every subcommand with one stderr line and exit status 2.  No
 interactive UI: everything is batch.
 """
 
@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import statistics
 import sys
 import time
-from collections.abc import Mapping
 from typing import Sequence
 
 from . import fixedpoint as fp
@@ -39,7 +37,7 @@ from .generators import (
     toy_mtau,
 )
 from .ledger import Ledger
-from .prefix_dag import PrefixDag, SharedDag, compile_dag
+from .prefix_dag import SharedDag, compile_dag
 from .race import RngStream
 from .reconstruct import (
     argmax_leaf,
@@ -235,49 +233,13 @@ def cmd_nub_sweep(args) -> int:
     return 0
 
 
-def _load_counts(path: str) -> dict[str, int]:
-    """Public counts: a JSON object from context digest (hex) to count."""
-    with open(path, encoding="utf-8") as fh:
-        counts = json.load(fh)
-    if not isinstance(counts, dict) or not all(
-            isinstance(v, (int, str)) for v in counts.values()):
-        raise ValueError(f"{path}: counts must be an object of integers")
-    return {k: int(v) for k, v in counts.items()}
-
-
-class _BuiltCounts(Mapping):
-    """ctx_digest hex -> exact count of each context built so far: a live
-    view, so an audit reads what its replay built; the rest are absent."""
-
-    def __init__(self, graph: PrefixDag):
-        self._nodes = graph.nodes
-
-    def __getitem__(self, digest_hex: str) -> int:
-        try:
-            node = self._nodes[bytes.fromhex(digest_hex)]
-        except (TypeError, ValueError):  # not a hex string
-            raise KeyError(digest_hex) from None
-        if node.ctx_digest.hex() != digest_hex:  # upper case or spaced hex
-            raise KeyError(digest_hex)
-        return node.n_exact
-
-    def __iter__(self):
-        return (digest.hex() for digest in self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-
 def cmd_validate(args) -> int:
     graph, _ = compile_dag(
         SharedDag.load(args.graph) if args.graph else toy_graph())
-    # A counts file wins; else tightening reads the contexts replay built.
-    counts = _load_counts(args.counts) if args.counts else _BuiltCounts(graph)
     all_ok = True
     for path in args.ledgers:
         started = time.perf_counter()
-        verdict = validate(path, graph, public_counts=counts,
-                           report_path=path + ".verdict.json")
+        verdict = validate(path, graph, report_path=path + ".verdict.json")
         elapsed = 1000.0 * (time.perf_counter() - started)
         print(f"{path}: replay_ok={verdict.replay_ok} "
               f"stop_rule_ok={verdict.stop_rule_ok} "
@@ -375,7 +337,6 @@ def main(argv: list[str] | None = None) -> int:
     p_val = sub.add_parser("validate", help="validate ledgers")
     p_val.add_argument("ledgers", nargs="+")
     p_val.add_argument("--graph", default=None)
-    p_val.add_argument("--counts", default=None)
     p_val.add_argument("--recompute-metrics", action="store_true")
     p_val.set_defaults(func=cmd_validate)
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 
 from . import fixedpoint as fp
 
@@ -235,8 +234,8 @@ class Ledger:
 def make_uuid7(unix_ms: int, rand_a: int, rand_b: int) -> str:
     """Assemble a UUIDv7 from an explicit timestamp and random bits.
 
-    Deterministic runs feed a seeded counter clock; otherwise callers pass
-    the wall clock.
+    ``Uuid7Source`` feeds it a counter clock and seeded stream bits, so a
+    node id is a pure function of the run and its replay mints the same.
     """
     unix_ms &= (1 << 48) - 1
     rand_a &= (1 << 12) - 1
@@ -248,19 +247,13 @@ def make_uuid7(unix_ms: int, rand_a: int, rand_b: int) -> str:
 
 
 class Uuid7Source:
-    """UUIDv7 generator; seeded (counter clock) or wall clock."""
+    """Seeded UUIDv7 generator: a counter clock and the run's stream."""
 
-    def __init__(self, stream=None, deterministic: bool = True):
-        self.deterministic = deterministic and stream is not None
+    def __init__(self, stream):
         self.stream = stream
         self.counter = 0
 
     def next(self, digest: bytes = b"") -> str:
         self.counter += 1
-        if self.deterministic:
-            ms = self.counter
-            bits = self.stream.raw(digest, "uuid", counter=self.counter)
-            return make_uuid7(ms, bits >> 52, bits & ((1 << 52) - 1))
-        ms = time.time_ns() // 1_000_000
-        bits = int.from_bytes(os.urandom(10), "big")
-        return make_uuid7(ms, bits >> 62, bits & ((1 << 62) - 1))
+        bits = self.stream.raw(digest, "uuid", counter=self.counter)
+        return make_uuid7(self.counter, bits >> 52, bits & ((1 << 52) - 1))

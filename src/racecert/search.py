@@ -17,8 +17,8 @@ A CountFail or BudgetFail that leaves no certified mode restarts the search
 from the root under Fallback; ``expansion_cap`` is the only Timeout source.
 Every uniform, count, key, guard and budget event is appended to the ledger
 in execution order; those records are the one per-node account of a run,
-and ``RunResult`` keeps per-run values only (plus the race arrivals, which
-the ledger does not carry).
+and ``RunResult`` keeps per-run values only.  Node ids are minted from the
+seeded stream, so replay re-derives them like every other field.
 
 The ledger is the whole record of a run's configuration: each ``RunConfig``
 setting is either in the header (``RunConfig.header_obj``, read back by
@@ -95,7 +95,7 @@ class RunConfig:
     scripted_uniforms: dict[tuple[str, str], int] = field(default_factory=dict)
     budget: BudgetRuntime | None = None
     expansion_cap: int | None = None
-    deterministic_ids: bool = True  # node ids only; replay skips them
+    deterministic_ids: bool = True  # unread: ids are seeded; perfbench sets it
 
     def header_obj(self, graph: PrefixDag, mode: Mode) -> dict:
         """The ledger header: every setting that is not rebuilt from logged
@@ -148,8 +148,6 @@ class RunResult:
     claim_type: ClaimType
     mode_final: Mode
     ledger: Ledger
-    internal_expansions: int = 0
-    arrivals: dict[str, float] = field(default_factory=dict)
     frontier_at_stop: list[tuple[str, int]] = field(default_factory=list)
     guards_seen: list[str] = field(default_factory=list)
 
@@ -174,7 +172,7 @@ class _Engine:
         self.draw = uniform_provider or stream_lookup(
             self.stream, cfg.scripted_uniforms, graph)
         self.ledger = Ledger(cfg.header_obj(graph, mode))
-        self.uuid = Uuid7Source(self.stream, cfg.deterministic_ids)
+        self.uuid = Uuid7Source(self.stream)
         self.node_ids: dict[bytes, str] = {}
         self.claim = ClaimType.RUN_WISE_EXACT
         # Entries order by (-key_q, not is_leaf, digest): equal keys pop
@@ -228,11 +226,8 @@ class _Engine:
         digest = node.ctx_digest
         entry = FrontierEntry(digest, key, key_q, t)
         heapq.heappush(self.heap, (-key_q, not node.is_leaf, digest, entry))
-        digest_hex = digest.hex()
-        if t is not None:
-            self.result.arrivals[digest_hex] = t
         # ``_value_`` skips the ``Enum.value`` descriptor on this hot path.
-        rec = {"event": "push", "ctx_digest": digest_hex,
+        rec = {"event": "push", "ctx_digest": digest.hex(),
                "node_id": self.node_id(digest), "mode": self.mode._value_,
                "claim_type": self.claim._value_, "key_raw": key_q}
         if node.parent is not None:  # minted after the node's own id
@@ -430,7 +425,6 @@ class _Engine:
                 self.update_incumbent(node, *self.leaf_value(node, entry))
                 continue
 
-            self.result.internal_expansions += 1
             slack = entry.key - fp.decode_q64_64(self.incumbent_q)
             if self.budget_step(node, slack):
                 continue  # budget exhausted: restarted under Fallback

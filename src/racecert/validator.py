@@ -1,11 +1,14 @@
 """Independent replay validator.
 
-Consumes only public artifacts — the ledger file, the graph spec, and an
-optional public-counts map — and re-derives everything else: keys from logged
-uniforms, budget records from the header's catalog and initial state, the
-stop inequality, kappa tightening, budget inequalities, and downgrade
-licensing.  Semantic problems become verdict failures with record
-indices; only I/O errors raise.
+Consumes only public artifacts — the ledger file and the graph spec — and
+re-derives everything else.  Replay reruns the search from the header and
+the logged draws and compares every record whole, node ids included: keys,
+ids minted from the seeded stream, and budget records recomputed from the
+header's catalog and initial state.  The stop inequality, budget
+inequalities and downgrade licensing are checked over the records, and
+Surrogate keys are tightened by kappa with the exact counts of the contexts
+the replay built (or an explicit public-counts map).  Semantic problems
+become verdict failures with record indices; only I/O errors raise.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .race import exp_from_uniform
 from .search import RunConfig, run
 
 RDP_VARIANT = "classic"
-_SKIP_FIELDS = {"node_id", "parent_id"}
 
 
 @dataclass
@@ -105,23 +107,12 @@ def _check_replay(graph: PrefixDag, ledger: Ledger, verdict: Verdict) -> None:
         verdict.replay_ok = False
         verdict.fail(min(len(replayed), len(records)),
                      f"record count {len(records)} != replayed {len(replayed)}")
-    id_map: dict[str, str] = {}
     for i, (orig, new) in enumerate(zip(records, replayed)):
-        if orig != new:  # replay mints the same ids: most records match whole
-            a = {k: v for k, v in orig.items() if k not in _SKIP_FIELDS}
-            b = {k: v for k, v in new.items() if k not in _SKIP_FIELDS}
-            if a != b:
-                verdict.replay_ok = False
-                bad = sorted(set(a) ^ set(b)) or [
-                    k for k in a if a[k] != b.get(k)]
-                verdict.fail(i, f"replay mismatch in fields {bad}")
-        # Structural id consistency: one UUID per digest, parent ids agree.
-        digest = orig.get("ctx_digest")
-        nid = orig.get("node_id")
-        if digest is not None and nid is not None:
-            if id_map.setdefault(digest, nid) != nid:
-                verdict.replay_ok = False
-                verdict.fail(i, "node_id differs for repeated ctx_digest")
+        if orig != new:
+            verdict.replay_ok = False
+            bad = sorted(set(orig) ^ set(new)) or [
+                k for k in orig if orig[k] != new[k]]
+            verdict.fail(i, f"replay mismatch in fields {bad}")
 
 
 def _check_stop_rule(ledger: Ledger, verdict: Verdict) -> None:
@@ -156,14 +147,14 @@ def _check_stop_rule(ledger: Ledger, verdict: Verdict) -> None:
         verdict.fail(len(ledger.records), "no stop record")
 
 
-def _check_tightening(ledger: Ledger, public_counts: dict[str, int] | None,
-                      verdict: Verdict) -> None:
-    if not public_counts:
-        return
+def _check_tightening(ledger: Ledger, graph: PrefixDag,
+                      counts: dict[str, int] | None, verdict: Verdict) -> None:
     for i, rec in enumerate(ledger.records):
         if rec.get("mode") != "Surrogate" or "Nub" not in rec:
             continue
-        n = public_counts.get(rec.get("ctx_digest"))  # a stop has none
+        if counts is None:  # every context the replay built, by digest hex
+            counts = {d.hex(): node.n_exact for d, node in graph.nodes.items()}
+        n = counts.get(rec.get("ctx_digest"))  # a stop has none
         if n is None:
             continue
         n_ub = rec["Nub"]
@@ -225,6 +216,9 @@ def _check_budget(ledger: Ledger, verdict: Verdict) -> None:
 def validate(ledger_path: str, graph_spec: str | SharedDag | PrefixDag,
              public_counts: dict[str, int] | None = None,
              report_path: str | None = None) -> Verdict:
+    """Replay and audit one ledger.  ``public_counts`` (ctx_digest hex ->
+    exact count), when given, replaces the replayed contexts' counts for
+    tightening and the ``N <= Nub`` check."""
     verdict = Verdict()
     try:
         ledger = Ledger.parse(ledger_path)
@@ -247,7 +241,7 @@ def validate(ledger_path: str, graph_spec: str | SharedDag | PrefixDag,
     if verdict.replay_ok:
         _check_replay(graph, ledger, verdict)
         _check_stop_rule(ledger, verdict)
-        _check_tightening(ledger, public_counts, verdict)
+        _check_tightening(ledger, graph, public_counts, verdict)
         _check_budget(ledger, verdict)
     if report_path:
         verdict.save(report_path)

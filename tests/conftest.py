@@ -55,5 +55,5 @@ def toy():
     graph, cert = compile_dag(toy_graph())
     assert cert.ok
     cfg = RunConfig(mtau=toy_mtau(), scripted_uniforms=dict(TOY_SCRIPTED),
-                    seed=7, deterministic_ids=True)
+                    seed=7)
     return graph, cfg

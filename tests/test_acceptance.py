@@ -53,7 +53,7 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 def _toy_cfg(seed=7, **kw):
     return RunConfig(mtau=toy_mtau(), scripted_uniforms=dict(TOY_SCRIPTED),
-                     seed=seed, deterministic_ids=True, **kw)
+                     seed=seed, **kw)
 
 
 def _compiled(shared):
@@ -74,10 +74,14 @@ def test_criterion_1():
     started = time.perf_counter()
     graph = _compiled(toy_graph())
     labels = {n.state_label: d.hex() for d, n in graph.unfold().items()}
-    result = search.run(graph, Mode.EXACT, _toy_cfg())
+    cfg = _toy_cfg()
+    result = search.run(graph, Mode.EXACT, cfg)
 
-    t_r = result.arrivals[labels["r"]]
-    t_u2 = result.arrivals[labels["u2"]]
+    # The run's arrivals: the race rebuilt from the run's own draws.
+    arrivals = exact_race(graph, stream_lookup(
+        RngStream(cfg.seed), cfg.scripted_uniforms, graph))
+    t_r = arrivals[bytes.fromhex(labels["r"])]
+    t_u2 = arrivals[bytes.fromhex(labels["u2"])]
     pushed = _pushed_keys(result)
     keys = {lbl: fp.decode_q64_64(pushed[labels[lbl]])
             for lbl in ("r", "u1", "u2")}
@@ -95,7 +99,10 @@ def test_criterion_1():
     assert math.isclose(keys["u1"], 4.5 - math.log(t_r_exact), abs_tol=1e-9)
 
     surro = search.run(graph, Mode.SURROGATE, _toy_cfg(n_ub_factor=1.5))
-    t_hat_r = surro.arrivals[labels["r"]]
+    root_push = next(r for r in surro.ledger.records
+                     if r.get("event") == "push"
+                     and r["ctx_digest"] == labels["r"])
+    t_hat_r = exp_from_uniform(open_uniform(root_push["U"]), root_push["Nub"])
     key_hat_r = fp.decode_q64_64(_pushed_keys(surro)[labels["r"]])
     assert math.isclose(t_hat_r, 0.03719, abs_tol=1e-5)
     assert math.isclose(t_hat_r, -math.log1p(-0.20) / 6, abs_tol=1e-9)
@@ -194,8 +201,7 @@ def test_criterion_5(tmp_path):
     for graph_seed in range(25):
         graph = _compiled(random_tree(graph_seed))
         cfg_m = MtauConfig()
-        cfg = RunConfig(mtau=cfg_m, seed=graph_seed, n_ub_factor=2.0,
-                        deterministic_ids=True)
+        cfg = RunConfig(mtau=cfg_m, seed=graph_seed, n_ub_factor=2.0)
         path = str(tmp_path / f"s{graph_seed}.ndjson")
         result = search.run(graph, Mode.SURROGATE, cfg, ledger_path=path)
 
@@ -237,6 +243,12 @@ def _pushed_leaves(result, graph):
             and graph.node(bytes.fromhex(r["ctx_digest"])).is_leaf]
 
 
+def _internal_expansions(result):
+    """Expansions of internal nodes: every pop but the leaf evaluations."""
+    return result.expansions - sum(1 for r in result.ledger.records
+                                   if r.get("event") == "leaf_eval")
+
+
 def _fallback_sets(graph, salt):
     # The worked-leaf set is the leaves the engine materialized (scored and
     # heaped); with exact leaf-wise LSE bounds, the pop stream alone reduces
@@ -248,7 +260,7 @@ def _fallback_sets(graph, salt):
     popped = {r["ctx_digest"] for r in result.ledger.records
               if r.get("event") == "leaf_eval"}
     assert popped <= worked
-    return worked, oracle_set, result.internal_expansions
+    return worked, oracle_set, _internal_expansions(result)
 
 
 def test_criterion_6():
@@ -333,7 +345,7 @@ def test_criterion_9():
                             salt=seed.to_bytes(8, "big"))
             result = search.run(graph, mode, cfg)
             if mode is Mode.FALLBACK:
-                expansions.append(result.internal_expansions
+                expansions.append(_internal_expansions(result)
                                   + len(_pushed_leaves(result, graph)))
             else:
                 expansions.append(result.expansions)

@@ -118,7 +118,7 @@ def _run_with_budget(state):
     assert cert.ok
     runtime = bd.BudgetRuntime(bd.default_catalog(), state)
     cfg = RunConfig(mtau=toy_mtau(), scripted_uniforms=dict(TOY_SCRIPTED),
-                    seed=7, deterministic_ids=True, budget=runtime)
+                    seed=7, budget=runtime)
     return search.run(graph, Mode.EXACT, cfg)
 
 
@@ -199,5 +199,5 @@ def _toy_pair():
     graph, cert = compile_dag(toy_graph())
     assert cert.ok
     cfg = RunConfig(mtau=toy_mtau(), scripted_uniforms=dict(TOY_SCRIPTED),
-                    seed=7, deterministic_ids=True)
+                    seed=7)
     return graph, Mode.EXACT, cfg

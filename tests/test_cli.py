@@ -3,6 +3,9 @@
 import csv
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -111,21 +114,6 @@ def test_validate_without_counts_reads_the_replayed_contexts(tmp_path,
                 RunConfig(mtau=MtauConfig(), seed=seed, n_ub_factor=2.0),
                 ledger_path=path)
             ledgers.append(path)
-    counts_path = str(tmp_path / "counts.json")
-    with open(counts_path, "w", encoding="utf-8") as fh:
-        json.dump(compile_dag(shared)[0].public_counts(), fh)
-
-    def verdicts():
-        out = []
-        for path in ledgers:
-            with open(path + ".verdict.json", encoding="utf-8") as fh:
-                out.append(json.load(fh))
-        return out
-
-    assert main(["validate", *ledgers, "--graph", graph_path,
-                 "--counts", counts_path]) == 0
-    want = verdicts()
-    assert any(v["tightened"] for v in want)
     graphs = []
 
     def compile_and_keep(dag):
@@ -134,8 +122,16 @@ def test_validate_without_counts_reads_the_replayed_contexts(tmp_path,
 
     monkeypatch.setattr(cli, "compile_dag", compile_and_keep)
     assert main(["validate", *ledgers, "--graph", graph_path]) == 0
-    assert verdicts() == want
-    # The audit built exactly what a replay without tightening builds.
+    # Every verdict is the one that the whole graph's counts give.
+    want = []
+    for path in ledgers:
+        full, _ = compile_dag(shared)
+        want.append(validate(path, full,
+                             public_counts=full.public_counts()).to_json_obj())
+        with open(path + ".verdict.json", encoding="utf-8") as fh:
+            assert json.load(fh) == want[-1]
+    assert any(v["tightened"] for v in want)
+    # The audit built exactly what the replays build, a share of the graph.
     replayed, _ = compile_dag(shared)
     for path in ledgers:
         validate(path, replayed)
@@ -144,18 +140,26 @@ def test_validate_without_counts_reads_the_replayed_contexts(tmp_path,
     assert built < len(replayed.unfold())
 
 
-def test_built_counts_know_only_built_contexts_by_their_exact_hex():
-    graph, _ = compile_dag(suite_b(3, 2, seed=0))
-    counts = cli._BuiltCounts(graph)
-    root = graph.root.hex()
-    assert dict(counts) == {root: graph.suffix_count(graph.root)}
-    child = graph.node(graph.root).children[0]
-    assert counts.get(child.hex()) is None  # listed, not built yet
-    graph.node(child)
-    assert counts[child.hex()] == graph.suffix_count(child)
-    for other in (root.upper(), " ".join(root[i:i + 2] for i in range(0, 64, 2)),
-                  "zz", root[:-1], None):
-        assert counts.get(other) is None
+def test_python_m_racecert_validates_the_golden_ledgers(tmp_path):
+    data = os.path.join(os.path.dirname(__file__), "data")
+    copies = [shutil.copy(os.path.join(data, name), tmp_path / name)
+              for name in ("toy-exact.ndjson", "toy-surrogate.ndjson")]
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "racecert", "validate", *map(str, copies)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    exact, surrogate = proc.stdout.splitlines()
+    assert "replay_ok=True" in exact and "tightened=0" in exact
+    assert "replay_ok=True" in surrogate and "tightened=4" in surrogate
+
+
+def test_validate_has_no_counts_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--help"])
+    assert exc.value.code == 0
+    assert "--counts" not in capsys.readouterr().out
 
 
 def test_tightness_slack_signs(tmp_path):
@@ -205,23 +209,14 @@ def _write_json(tmp_path, name, obj):
 
 
 @pytest.mark.parametrize("case", [
-    "graph-not-an-object", "counts-value-not-int", "counts-not-an-object",
-    "catalog-entry-incomplete", "catalog-empty", "ledger-missing",
-    "depth-negative"])
+    "graph-not-an-object", "catalog-entry-incomplete", "catalog-empty",
+    "ledger-missing", "depth-negative"])
 def test_input_error_is_one_line_and_exit_2(tmp_path, capsys, case):
-    golden = os.path.join(os.path.dirname(__file__), "data",
-                          "toy-exact.ndjson")
     out = str(tmp_path / "out")
     argv = {
         "graph-not-an-object": lambda: [
             "suite", "--graph", _write_json(tmp_path, "h.json", [1, 2]),
             "--out", out],
-        "counts-value-not-int": lambda: [
-            "validate", golden, "--counts",
-            _write_json(tmp_path, "c.json", {"a": "x"})],
-        "counts-not-an-object": lambda: [
-            "validate", golden, "--counts",
-            _write_json(tmp_path, "c.json", [1])],
         "catalog-entry-incomplete": lambda: [
             "suite", "--catalog",
             _write_json(tmp_path, "k.json", [{"model_id": 1}]),

@@ -135,8 +135,8 @@ def test_exact_route_builds_a_small_share_of_a_shared_graph():
 # them.
 TAMPER_EVENTS = ("push", "pop", "leaf_eval", "stop", "budget")
 TAMPER_FIELDS = ("key_raw", "value", "incumbent", "tie_token", "claim_type",
-                 "mode", "ctx_digest", "model_id", "price_spent",
-                 "budget_event")
+                 "mode", "ctx_digest", "node_id", "parent_id", "model_id",
+                 "price_spent", "budget_event")
 
 # Two m-large selections reach the price cap of 40, so a Surrogate run also
 # logs an Exhausted record and restarts under Fallback.  Every run charges
@@ -176,6 +176,8 @@ def _tampered(value, field, step):
         return next(m.value for m in Mode if m.value != value)
     if field == "ctx_digest":
         return f"{(int(value, 16) + step) % 2**256:064x}"
+    if field in ("node_id", "parent_id"):  # another last hex digit
+        return value[:-1] + f"{int(value[-1], 16) ^ 1:x}"
     if field == "tie_token":
         return str(1 - int(value))
     if field == "model_id":

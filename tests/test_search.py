@@ -4,10 +4,12 @@ import math
 
 import pytest
 
-from racecert import search
-from racecert.bounds import MtauConfig, MtauRecipe, PhiConfig
+from racecert import fixedpoint as fp, search
+from racecert.bounds import MtauConfig, MtauRecipe, PhiConfig, mtau
 from racecert.generators import toy_graph
 from racecert.prefix_dag import DagNode, PublicCaps, SharedDag, compile_dag
+from racecert.race import RngStream
+from racecert.reconstruct import exact_race, stream_lookup
 from racecert.search import ClaimType, Mode, RunConfig
 from racecert.validator import validate
 
@@ -55,13 +57,20 @@ def test_toy_exact_trace(toy):
 
 def test_toy_winner_reuse(toy):
     graph, cfg = toy
-    result = search.run(graph, Mode.EXACT, cfg)
     labels = _labels(graph)
-    arrivals = {labels[h]: t for h, t in result.arrivals.items()}
+    race = exact_race(graph, stream_lookup(
+        RngStream(cfg.seed), cfg.scripted_uniforms, graph))
+    arrivals = {labels[d.hex()]: t for d, t in race.items()}
     # Winner child u1 reuses the root arrival; u2 adds a residual on top.
     assert arrivals["u1"] == arrivals["r"]
     assert arrivals["u2"] > arrivals["r"]
     assert arrivals["p2"] == arrivals["u1"]
+    # The run keys every push with these arrivals, bit-exactly.
+    result = search.run(graph, Mode.EXACT, cfg)
+    for digest_hex, key_q in _pushed_keys(result).items():
+        digest = bytes.fromhex(digest_hex)
+        assert key_q == fp.encode_q64_64(
+            mtau(graph.node(digest), cfg.mtau) - math.log(race[digest]))
 
 
 def test_tie_with_lower_internal_digest_logs_token_one(tmp_path):
@@ -169,8 +178,7 @@ def test_deep_chain_runs_and_validates(tmp_path, mode):
     graph, cert = compile_dag(dag)
     assert cert.ok and cert.total_leaves == 1
     assert len(graph.nodes) == 1  # compile builds the root context only
-    cfg = RunConfig(mtau=MtauConfig(), seed=3, n_ub_factor=2.0,
-                    deterministic_ids=True)
+    cfg = RunConfig(mtau=MtauConfig(), seed=3, n_ub_factor=2.0)
     path = str(tmp_path / f"chain-{mode.value}.ndjson")
     result = search.run(graph, mode, cfg, ledger_path=path)
     assert result.incumbent_leaf is not None

@@ -55,7 +55,7 @@ def _run(tmp_path, mode, **cfg_kw):
     graph, cert = compile_dag(toy_graph())
     assert cert.ok
     cfg = RunConfig(mtau=toy_mtau(), scripted_uniforms=dict(TOY_SCRIPTED),
-                    seed=7, deterministic_ids=True, **cfg_kw)
+                    seed=7, **cfg_kw)
     path = str(tmp_path / f"{mode.value.lower()}.ndjson")
     result = search.run(graph, mode, cfg, ledger_path=path)
     return graph, result, path
@@ -149,6 +149,42 @@ def test_tampered_key_detected(tmp_path):
     assert not verdict.replay_ok
 
 
+def _golden_lines(name):
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+def test_tampered_parent_id_detected(tmp_path):
+    # Replay mints every node id from the seeded stream and compares it.
+    graph, _ = compile_dag(toy_graph())
+    lines = _golden_lines("toy-exact.ndjson")
+    rec = json.loads(lines[3])  # record 2: a push with a parent
+    assert rec["event"] == "push" and "parent_id" in rec
+    rec["parent_id"] = "00000000-0009-7000-8000-000000000000"  # no such node
+    lines[3] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    verdict = validator.validate(
+        _write_lines(tmp_path, "parent-id.ndjson", lines), graph)
+    assert not verdict.ok
+    assert verdict.failures == [(2, "replay mismatch in fields ['parent_id']")]
+
+
+def test_node_id_renamed_everywhere_detected(tmp_path):
+    graph, _ = compile_dag(toy_graph())
+    lines = _golden_lines("toy-exact.ndjson")
+    old = json.loads(lines[3])["node_id"]
+    new = old[:-1] + ("0" if old[-1] != "0" else "1")
+    renamed = [line.replace(old, new) for line in lines]
+    changed = [i - 1 for i, line in enumerate(lines) if old in line]
+    assert len(changed) > 2  # its push, its pop and its children's pushes
+    verdict = validator.validate(
+        _write_lines(tmp_path, "renamed.ndjson", renamed), graph)
+    assert not verdict.ok
+    assert [i for i, _ in verdict.failures] == changed
+    assert all(reason.startswith("replay mismatch in fields ")
+               for _, reason in verdict.failures)
+
+
 def test_malformed_ledger_fails_cleanly(tmp_path):
     graph, _ = compile_dag(toy_graph())
     bad = str(tmp_path / "bad.ndjson")
@@ -173,7 +209,7 @@ def _family_run(tmp_path, family, mode, seed):
     graph, cert = compile_dag(FAMILIES[family](seed))
     assert cert.ok
     cfg = RunConfig(mtau=MtauConfig(), seed=seed, n_ub_factor=2.0,
-                    salt=seed.to_bytes(8, "big"), deterministic_ids=True)
+                    salt=seed.to_bytes(8, "big"))
     path = str(tmp_path / f"{family}-{seed}-{mode.value}.ndjson")
     search.run(graph, mode, cfg, ledger_path=path)
     return graph, path
@@ -252,6 +288,8 @@ NON_DEFAULT_SETTINGS = {
         default_catalog(),
         BudgetState(eps_max=10.0, delta=1e-6, price_max=100, slo_ms=1000)),
     "expansion_cap": lambda g: 3,
+    # Read by nothing: ids are always seeded, so the run still replays
+    # with its node ids compared.
     "deterministic_ids": lambda g: False,
 }
 
@@ -429,7 +467,7 @@ def test_nub_of_a_push_never_expanded_is_checked(tmp_path, nub, via_cli):
                       "3*count": 3 * n}[nub])
     lines[idx] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
     damaged = _write_lines(tmp_path, "nub.ndjson", lines)
-    if via_cli:  # no --counts: the replay builds every pushed context
+    if via_cli:  # counts of the contexts replay built: every pushed one
         graph_path = str(tmp_path / "g.json")
         shared.save(graph_path)
         ok = main(["validate", damaged, "--graph", graph_path]) == 0
