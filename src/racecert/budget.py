@@ -5,6 +5,9 @@ the privacy, price, and latency cap inequalities, pick the one maximizing
 estimated key-slack reduction per weighted cost.  Exhaustion (no feasible
 entry) triggers a BudgetFail guard and a downgrade in the engine; it never
 touches race arithmetic or bound admissibility.
+
+A catalog entry names its key-slack estimator from the fixed table
+``_ESTIMATORS``, so a validator in a fresh process knows every one.
 """
 
 from __future__ import annotations
@@ -12,34 +15,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import fixedpoint as fp
 from .prefix_dag import PrefixNode
 
 SAFETY_FACTOR = 1.2
 
-DkeyEstimator = Callable[[PrefixNode, float], float]
-
-
-def dkey_zero(node: PrefixNode, slack: float) -> float:
-    """Default stub: no estimated key-slack reduction."""
-    return 0.0
-
-
-def dkey_slack_fraction(node: PrefixNode, slack: float) -> float:
-    """Synthetic estimator for tests: claims half the current slack."""
-    return max(0.0, 0.5 * slack)
-
-
-_ESTIMATORS: dict[str, DkeyEstimator] = {
-    "zero": dkey_zero,
-    "slack_fraction": dkey_slack_fraction,
+# Estimated key-slack reduction of one expansion, by estimator name.
+_ESTIMATORS = {
+    "zero": lambda node, slack: 0.0,  # the default: no reduction
+    "slack_fraction": lambda node, slack: max(0.0, 0.5 * slack),  # for tests
 }
-
-
-def register_estimator(name: str, fn: DkeyEstimator) -> None:
-    _ESTIMATORS[name] = fn
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,12 @@ ledgers and an aggregate CSV, tightness and N_ub sweeps, ledger validation,
 the toy golden replay, and the adversarial-seed scan.  ``suite``,
 ``tightness`` and ``nub-sweep`` take their graphs from one seed loop
 (``_seeds``: a ``--graph`` file or a ``SUITES`` family, compiled) and write
-their CSV through one writer.  CSV aggregates use normal-approximation 95%
-confidence intervals (stated in the CSV metadata).  ``--modes`` is checked
-before anything runs, and an input error (a bad file, graph or catalog)
-ends every subcommand with one stderr line and exit status 2.  No
-interactive UI: everything is batch.
+their CSV through one writer; ``tightness`` runs Exact only, the one mode
+whose keys bound the realized race it is measured against.  CSV aggregates
+use normal-approximation 95% confidence intervals (stated in the CSV
+metadata).  ``suite --modes`` is checked before anything runs, and an
+input error (a bad file, graph or catalog) ends every subcommand with one
+stderr line and exit status 2.  No interactive UI: everything is batch.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .generators import (
     toy_graph,
     toy_mtau,
 )
-from .ledger import Ledger
 from .prefix_dag import SharedDag, compile_dag
 from .race import RngStream
 from .reconstruct import (
@@ -66,8 +66,6 @@ BASELINES = {
     "beam3": lambda graph, mtau_cfg, values: beam_k(graph, 3, mtau_cfg, values),
     "dist-level": dist_level,
 }
-
-SEARCH_MODES = [mode.value for mode in Mode]
 
 
 def _mode_list(allowed: list[str]):
@@ -184,22 +182,22 @@ def cmd_suite(args) -> int:
 
 
 def cmd_tightness(args) -> int:
+    """Each Exact frontier key at stop against its realized suffix max: the
+    RSM comes from the Exact race, which only Exact keys bound."""
     rows = []
     for seed, _, graph, cfg in _seeds(args):
         rsm = realized_suffix_max(graph, _realized_leaf_values(graph, seed, cfg))
-        for mode in args.modes:
-            result = run(graph, Mode(mode), cfg)
-            b_star = result.incumbent
-            for digest_hex, key_q in result.frontier_at_stop:
-                key = fp.decode_q64_64(key_q)
-                node_rsm = rsm[bytes.fromhex(digest_hex)]
-                rows.append({
-                    "suite": args.suite, "seed": seed, "mode": mode,
-                    "ctx_digest": digest_hex[:16],
-                    "key": f"{key:.9f}", "rsm": f"{node_rsm:.9f}",
-                    "key_minus_rsm": f"{key - node_rsm:.9f}",
-                    "stop_slack": f"{key - b_star:.9f}",
-                })
+        result = run(graph, Mode.EXACT, cfg)
+        for digest_hex, key_q in result.frontier_at_stop:
+            key = fp.decode_q64_64(key_q)
+            node_rsm = rsm[bytes.fromhex(digest_hex)]
+            rows.append({
+                "suite": args.suite, "seed": seed, "mode": Mode.EXACT.value,
+                "ctx_digest": digest_hex[:16],
+                "key": f"{key:.9f}", "rsm": f"{node_rsm:.9f}",
+                "key_minus_rsm": f"{key - node_rsm:.9f}",
+                "stop_slack": f"{key - result.incumbent:.9f}",
+            })
     _write_csv(os.path.join(args.out, "tightness.csv"), rows, [
         "# stop_slack = key - incumbent; certified stops imply <= 0",
         "# key_minus_rsm >= 0 by admissibility (tightness gap)"])
@@ -248,10 +246,6 @@ def cmd_validate(args) -> int:
               f"validate_ms={elapsed:.2f}")
         for index, reason in verdict.failures[:10]:
             print(f"  record {index}: {reason}")
-        if args.recompute_metrics and verdict.ok:
-            led = Ledger.parse(path)
-            pops = sum(1 for r in led.records if r.get("event") == "pop")
-            print(f"  recomputed expansions={pops}")
         all_ok = all_ok and verdict.ok
     return 0 if all_ok else 1
 
@@ -320,13 +314,11 @@ def main(argv: list[str] | None = None) -> int:
     p_suite = sub.add_parser("suite", help="run a suite, emit ledgers + CSV")
     add_common(p_suite)
     p_suite.add_argument("--modes", default="Exact,Surrogate",
-                         type=_mode_list(SEARCH_MODES + list(BASELINES)))
+                         type=_mode_list([m.value for m in Mode] + list(BASELINES)))
     p_suite.set_defaults(func=cmd_suite)
 
-    p_tight = sub.add_parser("tightness", help="per-frontier slack CSV")
+    p_tight = sub.add_parser("tightness", help="per-frontier slack CSV (Exact)")
     add_common(p_tight)
-    p_tight.add_argument("--modes", default="Exact",
-                         type=_mode_list(SEARCH_MODES))
     p_tight.set_defaults(func=cmd_tightness)
 
     p_sweep = sub.add_parser("nub-sweep", help="surrogate N_ub factor sweep")
@@ -337,7 +329,6 @@ def main(argv: list[str] | None = None) -> int:
     p_val = sub.add_parser("validate", help="validate ledgers")
     p_val.add_argument("ledgers", nargs="+")
     p_val.add_argument("--graph", default=None)
-    p_val.add_argument("--recompute-metrics", action="store_true")
     p_val.set_defaults(func=cmd_validate)
 
     p_toy = sub.add_parser("toy-replay", help="golden toy fixture replay")

@@ -74,12 +74,7 @@ class ClaimType(str, Enum):
     NO_CERT = "NoCert"
 
 
-@dataclass
-class FrontierEntry:
-    digest: bytes
-    key: float
-    key_q: int
-    t: float | None  # race (or surrogate) arrival; None under Fallback
+PRF_DOMAIN = "leaf"  # of every leaf uniform; the header still names it
 
 
 @dataclass
@@ -90,7 +85,6 @@ class RunConfig:
     n_ub_factor: float = 1.0
     n_ub_map: dict[bytes, int] | None = None
     salt: bytes = b"\x00" * 8
-    prf_domain: str = "leaf"
     tau: float = 1.0
     scripted_uniforms: dict[tuple[str, str], int] = field(default_factory=dict)
     budget: BudgetRuntime | None = None
@@ -105,7 +99,7 @@ class RunConfig:
             "mode": mode.value,
             "seed": self.seed,
             "salt": self.salt.hex(),
-            "prf_domain": self.prf_domain,
+            "prf_domain": PRF_DOMAIN,
             "tau": self.tau,
             "n_ub_factor": self.n_ub_factor,
             # Surrogate leaves are always PRF-valued; the key keeps the
@@ -131,7 +125,6 @@ class RunConfig:
             seed=header["seed"],
             n_ub_factor=header["n_ub_factor"],
             salt=bytes.fromhex(header["salt"]),
-            prf_domain=header["prf_domain"],
             tau=header["tau"],
             expansion_cap=header["expansion_cap"],
             budget=None if budget is None else BudgetRuntime.from_json_obj(budget),
@@ -175,17 +168,14 @@ class _Engine:
         self.uuid = Uuid7Source(self.stream)
         self.node_ids: dict[bytes, str] = {}
         self.claim = ClaimType.RUN_WISE_EXACT
-        # Entries order by (-key_q, not is_leaf, digest): equal keys pop
-        # leaves first, then lower digests.
-        self.heap: list[tuple[int, bool, bytes, FrontierEntry]] = []
+        # Entries (-key_q, not is_leaf, digest, key, arrival t or None): the
+        # largest key pops first, then leaves, then lower digests.
+        self.heap: list[tuple[int, bool, bytes, float, float | None]] = []
         self.incumbent_q = fp.NEG_INF_Q64_64
         self.incumbent = float("-inf")
         self.incumbent_leaf: str | None = None
-        self.result = RunResult(
-            incumbent=float("-inf"), incumbent_leaf=None, expansions=0,
-            stop_slack=0.0, claim_type=self.claim, mode_final=mode,
-            ledger=self.ledger,
-        )
+        self.expansions = 0
+        self.guards_seen: list[str] = []
         # A fresh controller from the header: the caller's runtime keeps
         # its initial state, and replay charges exactly what the run did.
         self.budget = (None if cfg.budget is None else
@@ -206,7 +196,7 @@ class _Engine:
         before = self.claim
         if downgrade_to is not None and downgrade_to != self.claim:
             self.claim = downgrade_to
-        self.result.guards_seen.append(name)
+        self.guards_seen.append(name)
         rec = {"event": "guard", "guards": [name], "mode": self.mode.value,
                "claim_type_before": before.value,
                "claim_type_after": self.claim.value}
@@ -224,8 +214,7 @@ class _Engine:
         if clamped:
             self.guard("NumClamp", node, reason="key overflowed Q64.64")
         digest = node.ctx_digest
-        entry = FrontierEntry(digest, key, key_q, t)
-        heapq.heappush(self.heap, (-key_q, not node.is_leaf, digest, entry))
+        heapq.heappush(self.heap, (-key_q, not node.is_leaf, digest, key, t))
         # ``_value_`` skips the ``Enum.value`` descriptor on this hot path.
         rec = {"event": "push", "ctx_digest": digest.hex(),
                "node_id": self.node_id(digest), "mode": self.mode._value_,
@@ -238,24 +227,20 @@ class _Engine:
             rec["U"] = uniform_raw
         self.ledger.records.append(rec)
 
-    def pop_record(self, node: PrefixNode, entry: FrontierEntry, **extra) -> None:
+    def pop_record(self, node: PrefixNode, key_q: int, **extra) -> None:
         """Log a pop; on a key tie with the next entry, ``tie_token`` says
         whether the popped digest is the larger one.  Called before the
         node's children are pushed, so the heap top is that next entry."""
         rec = {"event": "pop", "ctx_digest": node.ctx_digest.hex(),
                "node_id": self.node_id(node.ctx_digest),
                "mode": self.mode._value_, "claim_type": self.claim._value_,
-               "key_raw": entry.key_q, **extra}
-        if self.heap and self.heap[0][3].key_q == entry.key_q:
-            rec["tie_token"] = int(entry.digest > self.heap[0][3].digest)
+               "key_raw": key_q, **extra}
+        if self.heap and self.heap[0][0] == -key_q:
+            rec["tie_token"] = int(node.ctx_digest > self.heap[0][2])
         self.ledger.records.append(rec)
 
     def max_key_q(self) -> int | None:
         return -self.heap[0][0] if self.heap else None
-
-    def should_stop(self) -> bool:
-        top = self.max_key_q()
-        return top is None or top <= self.incumbent_q
 
     # -- mode mechanics ---------------------------------------------------
 
@@ -270,7 +255,7 @@ class _Engine:
         if cached is None:
             cfg = self.cfg
             if node.is_leaf:
-                u = open_uniform(prf_raw(cfg.salt, cfg.prf_domain, digest))
+                u = open_uniform(prf_raw(cfg.salt, PRF_DOMAIN, digest))
                 g = gumbel_from_uniform(u)
                 e_p = -math.log1p(-u)
                 cached = g / cfg.tau + node.prefix_score - math.log(e_p)
@@ -282,15 +267,15 @@ class _Engine:
             self.fallback_keys[digest] = cached
         return cached
 
-    def leaf_value(self, node: PrefixNode, entry: FrontierEntry) -> tuple[float, int]:
-        """A popped leaf's value and the Q0.64 uniform behind it."""
-        cfg = self.cfg
+    def leaf_value(self, node: PrefixNode, t: float | None) -> tuple[float, int]:
+        """A popped leaf's value and the Q0.64 uniform behind it; ``t`` is
+        its arrival."""
         if self.mode is Mode.EXACT:
-            u_p, e_p, _ = exact_leaf_coupling(entry.t)
+            u_p, e_p, _ = exact_leaf_coupling(t)
             return node.prefix_score - math.log(e_p), fp.encode_q0_64(u_p)
+        u_p_raw = prf_raw(self.cfg.salt, PRF_DOMAIN, node.ctx_digest)
         if self.mode is Mode.FALLBACK:
-            return self.fallback_key(node), prf_raw(cfg.salt, cfg.prf_domain, node.ctx_digest)
-        u_p_raw = prf_raw(cfg.salt, cfg.prf_domain, node.ctx_digest)
+            return self.fallback_key(node), u_p_raw
         e_p = -math.log1p(-open_uniform(u_p_raw))
         return node.prefix_score - math.log(e_p), u_p_raw
 
@@ -356,19 +341,11 @@ class _Engine:
             self.switch_to_fallback()
         return exhausted
 
-    def finish(self) -> RunResult:
-        top = self.max_key_q()
+    def finish(self, top: int | None) -> RunResult:
+        """Log the stop record; ``top`` is the frontier's largest key."""
         slack = 0.0
         if top is not None:
             slack = max(0.0, fp.decode_q64_64(top) - fp.decode_q64_64(self.incumbent_q))
-        self.result.incumbent = self.incumbent
-        self.result.incumbent_leaf = self.incumbent_leaf
-        self.result.stop_slack = slack
-        self.result.claim_type = self.claim
-        self.result.mode_final = self.mode
-        self.result.frontier_at_stop = [
-            (e.digest.hex(), e.key_q) for *_, e in sorted(self.heap)
-        ]
         rec = {"event": "stop", "mode": self.mode.value,
                "claim_type": self.claim.value,
                "privacy_scope": "post_processing_only",
@@ -378,7 +355,13 @@ class _Engine:
         if top is not None:
             rec["key_raw"] = top
         self.ledger.records.append(rec)
-        return self.result
+        return RunResult(
+            incumbent=self.incumbent, incumbent_leaf=self.incumbent_leaf,
+            expansions=self.expansions, stop_slack=slack,
+            claim_type=self.claim, mode_final=self.mode, ledger=self.ledger,
+            frontier_at_stop=[(digest.hex(), -neg_q)
+                              for neg_q, _, digest, *_ in sorted(self.heap)],
+            guards_seen=self.guards_seen)
 
     # -- main loop --------------------------------------------------------
 
@@ -410,27 +393,28 @@ class _Engine:
         graph, cfg = self.graph, self.cfg
         self.start()
         while True:
-            if self.should_stop():
-                return self.finish()
-            if cfg.expansion_cap is not None and self.result.expansions >= cfg.expansion_cap:
+            key_q = self.max_key_q()
+            if key_q is None or key_q <= self.incumbent_q:
+                return self.finish(key_q)
+            if cfg.expansion_cap is not None and self.expansions >= cfg.expansion_cap:
                 self.guard("Timeout", reason="expansion cap reached")
-                return self.finish()
+                return self.finish(key_q)
 
-            entry = heapq.heappop(self.heap)[3]
-            node = graph.node(entry.digest)
-            self.result.expansions += 1
+            _, _, digest, key, t = heapq.heappop(self.heap)
+            node = graph.node(digest)
+            self.expansions += 1
 
             if node.is_leaf:
-                self.pop_record(node, entry)
-                self.update_incumbent(node, *self.leaf_value(node, entry))
+                self.pop_record(node, key_q)
+                self.update_incumbent(node, *self.leaf_value(node, t))
                 continue
 
-            slack = entry.key - fp.decode_q64_64(self.incumbent_q)
+            slack = key - fp.decode_q64_64(self.incumbent_q)
             if self.budget_step(node, slack):
                 continue  # budget exhausted: restarted under Fallback
             children = [graph.node(c) for c in node.children]
             if self.mode is Mode.FALLBACK:
-                self.pop_record(node, entry)
+                self.pop_record(node, key_q)
                 for child in children:
                     self.push(child, self.fallback_key(child), None)
                 continue
@@ -442,19 +426,19 @@ class _Engine:
                 if len(children) > 1:
                     w_raw = phi_extra["W"] = self.draw(node.ctx_digest, "winner")
                     winner = quantile_cat(open_uniform(w_raw), counts)
-                self.pop_record(node, entry, **phi_extra)
+                self.pop_record(node, key_q, **phi_extra)
                 raws = [None if i == winner else self.draw(child.ctx_digest, "residual")
                         for i, child in enumerate(children)]
                 arrivals = offset_propagate(
-                    entry.t, winner, counts,
+                    t, winner, counts,
                     [open_uniform(r) for r in raws if r is not None])
-                for child, t, count, raw_i in zip(children, arrivals, counts, raws):
-                    self.push(child, self.key_for(child, t), t, count, raw_i)
+                for child, t_c, count, raw_i in zip(children, arrivals, counts, raws):
+                    self.push(child, self.key_for(child, t_c), t_c, count, raw_i)
             else:  # Surrogate: children anchored at the parent's arrival.
                 rate_v = self.n_ub(node.ctx_digest)
                 v_raw = self.draw(node.ctx_digest, "race")
                 t_hat = exp_from_uniform(open_uniform(v_raw), rate_v)
-                self.pop_record(node, entry, U=v_raw, Nub=rate_v, **phi_extra)
+                self.pop_record(node, key_q, U=v_raw, Nub=rate_v, **phi_extra)
                 for child in children:
                     n_ub = self.n_ub(child.ctx_digest)
                     if n_ub == 0:

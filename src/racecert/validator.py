@@ -2,13 +2,14 @@
 
 Consumes only public artifacts — the ledger file and the graph spec — and
 re-derives everything else.  Replay reruns the search from the header and
-the logged draws and compares every record whole, node ids included: keys,
-ids minted from the seeded stream, and budget records recomputed from the
-header's catalog and initial state.  The stop inequality, budget
-inequalities and downgrade licensing are checked over the records, and
-Surrogate keys are tightened by kappa with the exact counts of the contexts
-the replay built (or an explicit public-counts map).  Semantic problems
-become verdict failures with record indices; only I/O errors raise.
+the logged draws, compares the header it rebuilds with the logged one, and
+compares every record whole, node ids included: keys, ids minted from the
+seeded stream, and budget records recomputed from the header's catalog and
+initial state.  The stop inequality, budget inequalities and downgrade
+licensing are checked over the records, and Surrogate keys are tightened
+by kappa with the exact counts of the contexts the replay built (or an
+explicit public-counts map).  Semantic problems become verdict failures
+with record indices; only I/O errors raise.
 """
 
 from __future__ import annotations
@@ -90,6 +91,11 @@ def _replay_lookup(records):
     return lookup
 
 
+def _differing_fields(orig: dict, new: dict) -> list[str]:
+    """The keys only one side has, else the keys whose values differ."""
+    return sorted(set(orig) ^ set(new)) or [k for k in orig if orig[k] != new[k]]
+
+
 def _check_replay(graph: PrefixDag, ledger: Ledger, verdict: Verdict) -> None:
     records = ledger.records
     try:
@@ -102,6 +108,11 @@ def _check_replay(graph: PrefixDag, ledger: Ledger, verdict: Verdict) -> None:
         verdict.replay_ok = False
         verdict.fail(0, f"replay aborted: {exc}")
         return
+    # The replay's header is ``header_obj`` of the settings read back.
+    if result.ledger.header != ledger.header:
+        verdict.replay_ok = False
+        verdict.fail(0, "header mismatch in fields "
+                        f"{_differing_fields(ledger.header, result.ledger.header)}")
     replayed = result.ledger.records
     if len(replayed) != len(records):
         verdict.replay_ok = False
@@ -110,9 +121,7 @@ def _check_replay(graph: PrefixDag, ledger: Ledger, verdict: Verdict) -> None:
     for i, (orig, new) in enumerate(zip(records, replayed)):
         if orig != new:
             verdict.replay_ok = False
-            bad = sorted(set(orig) ^ set(new)) or [
-                k for k in orig if orig[k] != new[k]]
-            verdict.fail(i, f"replay mismatch in fields {bad}")
+            verdict.fail(i, f"replay mismatch in fields {_differing_fields(orig, new)}")
 
 
 def _check_stop_rule(ledger: Ledger, verdict: Verdict) -> None:
@@ -213,7 +222,7 @@ def _check_budget(ledger: Ledger, verdict: Verdict) -> None:
                     verdict.fail(i, "claim downgrade without licensing guard")
 
 
-def validate(ledger_path: str, graph_spec: str | SharedDag | PrefixDag,
+def validate(ledger_path: str, graph_spec: str | PrefixDag,
              public_counts: dict[str, int] | None = None,
              report_path: str | None = None) -> Verdict:
     """Replay and audit one ledger.  ``public_counts`` (ctx_digest hex ->
@@ -229,11 +238,8 @@ def validate(ledger_path: str, graph_spec: str | SharedDag | PrefixDag,
         if report_path:
             verdict.save(report_path)
         return verdict
-    if isinstance(graph_spec, PrefixDag):
-        graph = graph_spec
-    else:
-        shared = graph_spec if isinstance(graph_spec, SharedDag) else SharedDag.load(graph_spec)
-        graph, _ = compile_dag(shared)
+    graph = (graph_spec if isinstance(graph_spec, PrefixDag)
+             else compile_dag(SharedDag.load(graph_spec))[0])
     if verdict.replay_ok and ledger.header.get("root") != graph.root.hex():
         verdict.replay_ok = False
         verdict.fail(0, f"ledger root {ledger.header.get('root')} does not "

@@ -253,7 +253,7 @@ def _fallback_sets(graph, salt):
     # The worked-leaf set is the leaves the engine materialized (scored and
     # heaped); with exact leaf-wise LSE bounds, the pop stream alone reduces
     # to the argmax, so materialization is where the Thm-3 work shows up.
-    cfg = RunConfig(mtau=MtauConfig(), seed=0, salt=salt, prf_domain="leaf")
+    cfg = RunConfig(mtau=MtauConfig(), seed=0, salt=salt)
     result = search.run(graph, Mode.FALLBACK, cfg)
     oracle_set = {d.hex() for d in oracle_a(graph, salt, "leaf")}
     worked = set(_pushed_leaves(result, graph))

@@ -112,7 +112,7 @@ def test_oracle_a_pops_argmax_only():
     pops = oracle_a(graph, salt, "leaf", tau=1.0)
     assert len(pops) == 1
     # Matches the fallback engine's incumbent under the same PRF addressing.
-    cfg = RunConfig(mtau=toy_mtau(), seed=0, salt=salt, prf_domain="leaf")
+    cfg = RunConfig(mtau=toy_mtau(), seed=0, salt=salt)
     res = search.run(graph, Mode.FALLBACK, cfg)
     assert res.incumbent_leaf == pops[0].hex()
 

@@ -14,9 +14,11 @@ from racecert.search import ClaimType, Mode, RunConfig
 from racecert.validator import validate
 
 
-def _register_gains():
-    bd.register_estimator("gain2", lambda node, slack: 2.0)
-    bd.register_estimator("gain3", lambda node, slack: 3.0)
+@pytest.fixture
+def gains(monkeypatch):
+    """Two constant-gain estimators, patched into the fixed table."""
+    monkeypatch.setitem(bd._ESTIMATORS, "gain2", lambda node, slack: 2.0)
+    monkeypatch.setitem(bd._ESTIMATORS, "gain3", lambda node, slack: 3.0)
 
 
 def _node():
@@ -30,8 +32,7 @@ def _state(**kw):
     return bd.BudgetState(**defaults)
 
 
-def test_ratio_selection_example():
-    _register_gains()
+def test_ratio_selection_example(gains):
     m1 = bd.ModelCatalogEntry("m1", "a1", "d1", 2.0, 1e-6, 1, 10,
                               dkey_estimator="gain2")
     m2 = bd.ModelCatalogEntry("m2", "a2", "d2", 3.5, 1e-6, 5, 20,
@@ -42,8 +43,7 @@ def test_ratio_selection_example():
     assert bd.select_model(node, [m1, m2], state).model_id == "m1"
 
 
-def test_tie_break_by_model_id():
-    _register_gains()
+def test_tie_break_by_model_id(gains):
     a = bd.ModelCatalogEntry("m-a", "a", "d", 2.0, 1e-6, 1, 10,
                              dkey_estimator="gain2")
     b = bd.ModelCatalogEntry("m-b", "a", "d", 2.0, 1e-6, 1, 10,
@@ -51,8 +51,7 @@ def test_tie_break_by_model_id():
     assert bd.select_model(_node(), [b, a], _state()).model_id == "m-a"
 
 
-def test_price_cap_filters():
-    _register_gains()
+def test_price_cap_filters(gains):
     cheap = bd.ModelCatalogEntry("m-cheap", "a", "d", 2.0, 1e-6, 1, 10,
                                  dkey_estimator="gain2")
     rich = bd.ModelCatalogEntry("m-rich", "a", "d", 2.0, 1e-6, 50, 10,

@@ -33,10 +33,9 @@ def test_validate_roundtrip_and_reports(tmp_path, capsys):
     out = str(tmp_path / "out")
     main(["toy-replay", "--out", out])
     ledger = os.path.join(out, "toy-exact.ndjson")
-    assert main(["validate", ledger, "--recompute-metrics"]) == 0
+    assert main(["validate", ledger]) == 0
     text = capsys.readouterr().out
     assert "replay_ok=True" in text
-    assert "recomputed expansions=" in text
     with open(ledger + ".verdict.json", encoding="utf-8") as fh:
         assert json.load(fh)["ok"] is True
 
@@ -159,7 +158,8 @@ def test_validate_has_no_counts_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["validate", "--help"])
     assert exc.value.code == 0
-    assert "--counts" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--counts" not in out and "--recompute-metrics" not in out
 
 
 def test_tightness_slack_signs(tmp_path):
@@ -171,6 +171,26 @@ def test_tightness_slack_signs(tmp_path):
     for row in csv.DictReader(rows):
         assert float(row["key_minus_rsm"]) >= -1e-9
         assert float(row["stop_slack"]) <= 1e-9
+
+
+def test_tightness_runs_exact_only(tmp_path, capsys):
+    out = tmp_path / "tight"
+    with pytest.raises(SystemExit) as exc:
+        main(["tightness", "--modes", "Exact", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--modes" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit):
+        main(["tightness", "--help"])
+    assert "--modes" not in capsys.readouterr().out
+    assert main(["tightness", "--suite", "A", "--seeds", "5",
+                 "--out", str(out)]) == 0
+    with open(out / "tightness.csv", encoding="utf-8") as fh:
+        rows = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
+    body = list(csv.DictReader(rows))
+    assert body and {row["mode"] for row in body} == {"Exact"}
+    # The RSM comes from the Exact race, which Exact keys bound.
+    assert all(float(row["key_minus_rsm"]) >= -1e-9 for row in body)
 
 
 def test_nub_sweep_monotone(tmp_path):
@@ -259,8 +279,6 @@ def test_suite_modes_do_not_share_budget_spend(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["tightness", "--modes", "Bogus"],
-    ["tightness", "--modes", "greedy"],
     ["suite", "--modes", "Exact,Bogus", "--seeds", "1"],
 ])
 def test_unknown_mode_is_refused_before_any_file(tmp_path, capsys, argv):

@@ -289,6 +289,26 @@ def test_field_mutant_yields_a_verdict(tmp_path, base, mode, seed, in_header,
     assert isinstance(verdict, validator.Verdict)
 
 
+# Header values that no run setting changes, and another value for each.
+HEADER_CONSTANTS = {"prf_domain": "route", "privacy_scope": "none",
+                    "surrogate_leaf_prf": False}
+
+
+@PROPERTY
+@given(base=st.sampled_from(list(BASES)), mode=st.sampled_from(list(Mode)),
+       seed=st.integers(0, 3),
+       key=st.sampled_from([*HEADER_CONSTANTS, "n_ub_map", "x"]),
+       value=st.sampled_from(ILL_TYPED))
+def test_changed_header_constant_or_added_key_fails(tmp_path, base, mode,
+                                                    seed, key, value):
+    graph, lines = _base_ledger(base, mode, seed)
+    header = json.loads(lines[0])
+    header[key] = HEADER_CONSTANTS.get(key, value)
+    verdict = _validate_mutant(tmp_path, graph, "\n".join(
+        [json.dumps(header, sort_keys=True), *lines[1:], ""]).encode("utf-8"))
+    assert verdict.failures == [(0, f"header mismatch in fields [{key!r}]")]
+
+
 # -- the count walk and the ledger codec against plain references ---------
 
 @st.composite

@@ -185,6 +185,24 @@ def test_node_id_renamed_everywhere_detected(tmp_path):
                for _, reason in verdict.failures)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("prf_domain", "route"), ("privacy_scope", "none"),
+    ("surrogate_leaf_prf", False), ("deterministic_ids", False)])
+def test_tampered_golden_header_detected(tmp_path, key, value):
+    # Replay rebuilds the header from the settings it reads back; a
+    # constant changed, or a key no setting writes, differs from it.
+    graph, _ = compile_dag(toy_graph())
+    lines = _golden_lines("toy-exact.ndjson")
+    header = json.loads(lines[0])
+    assert header.get(key) != value
+    header[key] = value
+    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    verdict = validator.validate(
+        _write_lines(tmp_path, "header.ndjson", lines), graph)
+    assert verdict.failures == [(0, f"header mismatch in fields [{key!r}]")]
+    assert not verdict.replay_ok
+
+
 def test_malformed_ledger_fails_cleanly(tmp_path):
     graph, _ = compile_dag(toy_graph())
     bad = str(tmp_path / "bad.ndjson")
@@ -279,7 +297,6 @@ NON_DEFAULT_SETTINGS = {
     "n_ub_factor": lambda g: 3.0,
     "n_ub_map": lambda g: {d: 2 * n.n_exact for d, n in g.unfold().items()},
     "salt": lambda g: b"\x01" * 8,
-    "prf_domain": lambda g: "route",
     "tau": lambda g: 0.5,
     "scripted_uniforms": lambda g: {
         (g.node(g.root).state_label, "race"): 1 << 62,
@@ -319,7 +336,7 @@ def test_header_round_trips_through_from_header():
     cfg = RunConfig(mtau=toy_mtau(), phi=PhiConfig(step_cap=4, alpha=0.5,
                                                    eta=0.5),
                     seed=9, n_ub_factor=1.5, salt=b"\x02" * 8,
-                    prf_domain="route", tau=0.25, expansion_cap=7,
+                    tau=0.25, expansion_cap=7,
                     budget=BudgetRuntime(
                         [*default_catalog(),
                          ModelCatalogEntry("m-dp", "adp-d", "dpc-d", 1.0,
