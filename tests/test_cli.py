@@ -279,6 +279,8 @@ def test_suite_modes_do_not_share_budget_spend(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["suite", "--modes", "Bogus", "--seeds", "1"],
+    ["suite", "--modes", "exact", "--seeds", "1"],
     ["suite", "--modes", "Exact,Bogus", "--seeds", "1"],
 ])
 def test_unknown_mode_is_refused_before_any_file(tmp_path, capsys, argv):
