@@ -84,8 +84,11 @@ def encode_q0_64(u: float) -> int:
 
 
 def parse_raw(text: str, lo: int, hi: int) -> int:
-    """Parse a decimal-string raw integer with range check (locale free)."""
+    """Parse a raw integer in canonical decimal, as ``str`` writes it (no
+    ``+``, leading zero, ``-0``, space, ``_`` or non-ASCII digit)."""
     raw = int(text, 10)
+    if str(raw) != text:
+        raise ValueError(f"not canonical decimal: {text!r}")
     if raw < lo or raw > hi:
         raise NumClampError(f"raw {text} outside [{lo}, {hi}]")
     return raw

@@ -87,6 +87,9 @@ class SharedDag:
         nodes = self.nodes
         if self.root_id not in nodes:
             raise ValueError(f"root {self.root_id!r} not a node")
+        for n in nodes.values():  # scores only fall, so M_tau is admissible
+            if not n.det_score_delta >= 0.0:
+                raise ValueError(f"node {n.node_id!r} cost {n.det_score_delta} not >= 0")
         seen: set[tuple[str, int]] = set()
         for parent, child, order in self.edges:
             if parent not in nodes or child not in nodes:

@@ -24,7 +24,7 @@ PRF_DOMAIN_TAG = b"racecert/prf/v1"
 
 
 class RateZeroError(ValueError):
-    """Exponential rate 0: the node has no leaves and must be pruned."""
+    """Exponential rate 0: no arrival exists for a node with no leaves."""
 
 
 def _mix64(z: int) -> int:
@@ -66,7 +66,7 @@ class RngStream:
 def exp_from_uniform(u: float, rate: int) -> float:
     """Inverse-CDF exponential with the compensated log1p transform."""
     if rate == 0:
-        raise RateZeroError("rate 0: prune the node instead")
+        raise RateZeroError("rate 0: every node has a leaf, so its rate must be >= 1")
     if rate < 0:
         raise ValueError("negative rate")
     return -math.log1p(-u) / rate
@@ -118,20 +118,6 @@ def offset_propagate(
 def prf_raw(salt: bytes, domain: str, leaf_id: bytes) -> int:
     h = hashlib.sha256(PRF_DOMAIN_TAG + salt + domain.encode("utf-8") + leaf_id)
     return int.from_bytes(h.digest()[:8], "big")
-
-
-def exact_leaf_coupling(t_leaf: float) -> tuple[float, float, float]:
-    """Recover (U_P, E_P, G_P) from an already realized leaf arrival.
-
-    No new randomness: E_P is the race time itself, U_P its exponential
-    quantile, G_P the matching Gumbel.
-    """
-    if t_leaf <= 0:
-        raise ValueError("arrival must be positive")
-    e = t_leaf
-    u = -math.expm1(-t_leaf)
-    g = -math.log(-math.log(u))
-    return u, e, g
 
 
 def gumbel_from_uniform(u: float) -> float:

@@ -16,7 +16,6 @@ from typing import Callable
 from .prefix_dag import PrefixDag
 from .race import (
     RngStream,
-    exact_leaf_coupling,
     exp_from_uniform,
     offset_propagate,
     open_uniform,
@@ -74,8 +73,7 @@ def exact_leaf_values(graph: PrefixDag,
     """V(P) = s_det(P) - log E_P with the coupled E_P = t(P)."""
     values: dict[bytes, float] = {}
     for leaf in graph.iter_leaves():
-        _, e_p, _ = exact_leaf_coupling(arrivals[leaf])
-        values[leaf] = graph.node(leaf).prefix_score - math.log(e_p)
+        values[leaf] = graph.node(leaf).prefix_score - math.log(arrivals[leaf])
     return values
 
 

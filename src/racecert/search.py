@@ -52,7 +52,6 @@ from .ledger import Ledger, Uuid7Source
 from .prefix_dag import COUNT_LIMIT, PrefixDag, PrefixNode
 from .race import (
     RngStream,
-    exact_leaf_coupling,
     exp_from_uniform,
     gumbel_from_uniform,
     offset_propagate,
@@ -119,14 +118,16 @@ class RunConfig:
     def from_header(header: dict) -> tuple[Mode, RunConfig]:
         """The mode and config that ``header_obj`` wrote into ``header``."""
         mt, phi_obj, budget = header["mtau"], header["phi"], header.get("budget")
+        cap = header["expansion_cap"]
         cfg = RunConfig(
             mtau=MtauConfig(**{**mt, "recipe": MtauRecipe(mt["recipe"])}),
             phi=None if phi_obj is None else PhiConfig(**phi_obj),
-            seed=header["seed"],
-            n_ub_factor=header["n_ub_factor"],
+            # Cast, so a retyped value (``"tau":1``) writes back differently.
+            seed=int(header["seed"]),
+            n_ub_factor=float(header["n_ub_factor"]),
             salt=bytes.fromhex(header["salt"]),
-            tau=header["tau"],
-            expansion_cap=header["expansion_cap"],
+            tau=float(header["tau"]),
+            expansion_cap=None if cap is None else int(cap),
             budget=None if budget is None else BudgetRuntime.from_json_obj(budget),
         )
         return Mode(header["mode"]), cfg
@@ -239,9 +240,6 @@ class _Engine:
             rec["tie_token"] = int(node.ctx_digest > self.heap[0][2])
         self.ledger.records.append(rec)
 
-    def max_key_q(self) -> int | None:
-        return -self.heap[0][0] if self.heap else None
-
     # -- mode mechanics ---------------------------------------------------
 
     def key_for(self, node: PrefixNode, t: float) -> float:
@@ -270,9 +268,8 @@ class _Engine:
     def leaf_value(self, node: PrefixNode, t: float | None) -> tuple[float, int]:
         """A popped leaf's value and the Q0.64 uniform behind it; ``t`` is
         its arrival."""
-        if self.mode is Mode.EXACT:
-            u_p, e_p, _ = exact_leaf_coupling(t)
-            return node.prefix_score - math.log(e_p), fp.encode_q0_64(u_p)
+        if self.mode is Mode.EXACT:  # E_P is the arrival; U_P its quantile
+            return node.prefix_score - math.log(t), fp.encode_q0_64(-math.expm1(-t))
         u_p_raw = prf_raw(self.cfg.salt, PRF_DOMAIN, node.ctx_digest)
         if self.mode is Mode.FALLBACK:
             return self.fallback_key(node), u_p_raw
@@ -282,13 +279,16 @@ class _Engine:
     def n_ub(self, digest: bytes) -> int:
         """Surrogate upper-bound count: the given map (replay), else the
         inflated exact count."""
-        if self.cfg.n_ub_map is not None:
-            return self.cfg.n_ub_map.get(digest, 0)
-        return math.ceil(self.cfg.n_ub_factor * self.graph.suffix_count(digest))
+        if self.cfg.n_ub_map is None:
+            return math.ceil(self.cfg.n_ub_factor * self.graph.suffix_count(digest))
+        try:
+            return self.cfg.n_ub_map[digest]
+        except KeyError:
+            raise LookupError(f"no Nub for node {digest.hex()[:16]}…") from None
 
     def phi_fields(self, parent: PrefixNode, children: list[PrefixNode]) -> dict:
         cfg = self.cfg.phi
-        if cfg is None or not children:
+        if cfg is None:
             return {}
         before = phi(parent, cfg)
         worst = max(phi(c, cfg) for c in children)
@@ -393,7 +393,7 @@ class _Engine:
         graph, cfg = self.graph, self.cfg
         self.start()
         while True:
-            key_q = self.max_key_q()
+            key_q = -self.heap[0][0] if self.heap else None
             if key_q is None or key_q <= self.incumbent_q:
                 return self.finish(key_q)
             if cfg.expansion_cap is not None and self.expansions >= cfg.expansion_cap:
@@ -440,10 +440,8 @@ class _Engine:
                 t_hat = exp_from_uniform(open_uniform(v_raw), rate_v)
                 self.pop_record(node, key_q, U=v_raw, Nub=rate_v, **phi_extra)
                 for child in children:
-                    n_ub = self.n_ub(child.ctx_digest)
-                    if n_ub == 0:
-                        continue  # empty subtree: pruned immediately
-                    self.push(child, self.key_for(child, t_hat), t_hat, n_ub)
+                    self.push(child, self.key_for(child, t_hat), t_hat,
+                              self.n_ub(child.ctx_digest))
 
 
 def run(graph: PrefixDag, mode: Mode, cfg: RunConfig,

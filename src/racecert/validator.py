@@ -2,14 +2,15 @@
 
 Consumes only public artifacts — the ledger file and the graph spec — and
 re-derives everything else.  Replay reruns the search from the header and
-the logged draws, compares the header it rebuilds with the logged one, and
-compares every record whole, node ids included: keys, ids minted from the
-seeded stream, and budget records recomputed from the header's catalog and
-initial state.  The stop inequality, budget inequalities and downgrade
-licensing are checked over the records, and Surrogate keys are tightened
-by kappa with the exact counts of the contexts the replay built (or an
-explicit public-counts map).  Semantic problems become verdict failures
-with record indices; only I/O errors raise.
+the logged draws, compares the header it rebuilds with the logged one as
+JSON text, and compares every record whole, node ids included: keys, ids
+minted from the seeded stream, and budget records recomputed from the
+header's catalog and initial state.  The stop inequality, budget
+inequalities and downgrade licensing are checked over the records, and
+Surrogate keys are tightened by kappa with the exact counts of the
+contexts the replay built (or an explicit public-counts map).  Semantic
+problems become verdict failures with record indices, and a verdict is
+its failures; only I/O errors raise.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 from . import fixedpoint as fp
 from .bounds import kappa
-from .ledger import Ledger, MalformedLineError
+from .ledger import Ledger, MalformedLineError, _dump
 from .prefix_dag import PrefixDag, SharedDag, compile_dag
 from .race import exp_from_uniform
 from .search import RunConfig, run
@@ -30,24 +31,28 @@ RDP_VARIANT = "classic"
 
 @dataclass
 class Verdict:
-    replay_ok: bool = True
-    stop_rule_ok: bool = True
-    budget_ok: bool = True
     # The last logged router_rdp_eps: the ledger carries no eps_m, so the
     # accountant's epsilon is reported, not recomputed.
     rdp_logged: float = 0.0
     rdp_variant: str = RDP_VARIANT
     tightened: list[tuple[int, int, int]] = field(default_factory=list)
-    failures: list[tuple[int, str]] = field(default_factory=list)
+    # (check, record index, reason) of every failure, in the order found; a
+    # check is "parse", "replay", "stop_rule", "tightening" or "budget".
+    found: list[tuple[str, int, str]] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        """Every check passed and no failure was recorded."""
-        return (self.replay_ok and self.stop_rule_ok and self.budget_ok
-                and not self.failures)
+    def fail(self, check: str, index: int, reason: str) -> None:
+        self.found.append((check, index, reason))
 
-    def fail(self, index: int, reason: str) -> None:
-        self.failures.append((index, reason))
+    def _passed(self, *checks: str) -> bool:
+        return all(check not in checks for check, _, _ in self.found)
+
+    # Read-only, from the failures: a ledger that does not parse neither
+    # replays nor passes the stop rule, and tightening sets no flag.
+    replay_ok = property(lambda self: self._passed("parse", "replay"))
+    stop_rule_ok = property(lambda self: self._passed("parse", "stop_rule"))
+    budget_ok = property(lambda self: self._passed("budget"))
+    ok = property(lambda self: not self.found)
+    failures = property(lambda self: [(i, r) for _, i, r in self.found])
 
     def to_json_obj(self) -> dict:
         return {
@@ -92,8 +97,10 @@ def _replay_lookup(records):
 
 
 def _differing_fields(orig: dict, new: dict) -> list[str]:
-    """The keys only one side has, else the keys whose values differ."""
-    return sorted(set(orig) ^ set(new)) or [k for k in orig if orig[k] != new[k]]
+    """The keys only one side has, else the keys whose values dump to
+    different JSON."""
+    return (sorted(set(orig) ^ set(new))
+            or [k for k in orig if _dump(orig[k]) != _dump(new[k])])
 
 
 def _check_replay(graph: PrefixDag, ledger: Ledger, verdict: Verdict) -> None:
@@ -105,23 +112,21 @@ def _check_replay(graph: PrefixDag, ledger: Ledger, verdict: Verdict) -> None:
                         if "Nub" in rec and "ctx_digest" in rec} or None
         result = run(graph, mode, cfg, uniform_provider=_replay_lookup(records))
     except Exception as exc:  # semantic: the ledger does not describe a run
-        verdict.replay_ok = False
-        verdict.fail(0, f"replay aborted: {exc}")
+        verdict.fail("replay", 0, f"replay aborted: {exc}")
         return
-    # The replay's header is ``header_obj`` of the settings read back.
-    if result.ledger.header != ledger.header:
-        verdict.replay_ok = False
-        verdict.fail(0, "header mismatch in fields "
-                        f"{_differing_fields(ledger.header, result.ledger.header)}")
+    # The replay's header is ``header_obj`` of the settings read back,
+    # compared as JSON text: ``1 == 1.0 == True`` but their bytes differ.
+    if _dump(result.ledger.header) != _dump(ledger.header):
+        verdict.fail("replay", 0, "header mismatch in fields "
+                     f"{_differing_fields(ledger.header, result.ledger.header)}")
     replayed = result.ledger.records
     if len(replayed) != len(records):
-        verdict.replay_ok = False
-        verdict.fail(min(len(replayed), len(records)),
+        verdict.fail("replay", min(len(replayed), len(records)),
                      f"record count {len(records)} != replayed {len(replayed)}")
     for i, (orig, new) in enumerate(zip(records, replayed)):
         if orig != new:
-            verdict.replay_ok = False
-            verdict.fail(i, f"replay mismatch in fields {_differing_fields(orig, new)}")
+            verdict.fail("replay", i, "replay mismatch in fields "
+                         f"{_differing_fields(orig, new)}")
 
 
 def _check_stop_rule(ledger: Ledger, verdict: Verdict) -> None:
@@ -141,19 +146,16 @@ def _check_stop_rule(ledger: Ledger, verdict: Verdict) -> None:
         elif event == "stop":
             saw_stop = True
             if rec.get("incumbent") != incumbent:
-                verdict.stop_rule_ok = False
-                verdict.fail(i, "stop incumbent does not match last leaf_eval")
+                verdict.fail("stop_rule", i,
+                             "stop incumbent does not match last leaf_eval")
             top = max(frontier.values(), default=None)
             if rec.get("key_raw") != top:
-                verdict.stop_rule_ok = False
-                verdict.fail(i, "stop frontier max does not match pushes/pops")
-            if rec.get("claim_type") != "NoCert":
-                if top is not None and top > incumbent:
-                    verdict.stop_rule_ok = False
-                    verdict.fail(i, "certified stop with frontier key above B*")
+                verdict.fail("stop_rule", i,
+                             "stop frontier max does not match pushes/pops")
+            if rec.get("claim_type") != "NoCert" and top is not None and top > incumbent:
+                verdict.fail("stop_rule", i, "certified stop with frontier key above B*")
     if not saw_stop:
-        verdict.stop_rule_ok = False
-        verdict.fail(len(ledger.records), "no stop record")
+        verdict.fail("stop_rule", len(ledger.records), "no stop record")
 
 
 def _check_tightening(ledger: Ledger, graph: PrefixDag,
@@ -168,7 +170,8 @@ def _check_tightening(ledger: Ledger, graph: PrefixDag,
             continue
         n_ub = rec["Nub"]
         if n > n_ub:  # on every push: one never popped has no U
-            verdict.fail(i, f"public count {n} exceeds logged Nub {n_ub}")
+            verdict.fail("tightening", i,
+                         f"public count {n} exceeds logged Nub {n_ub}")
             continue
         if "U" not in rec or "key_raw" not in rec:
             continue
@@ -180,14 +183,15 @@ def _check_tightening(ledger: Ledger, graph: PrefixDag,
         k = (-math.log(exp_from_uniform(u, n))
              - -math.log(exp_from_uniform(u, n_ub)))
         if k > 0.0:
-            verdict.fail(i, "kappa positive: tightening would loosen the key")
+            verdict.fail("tightening", i,
+                         "kappa positive: tightening would loosen the key")
             continue
         if not math.isclose(k, kappa(n, n_ub), rel_tol=1e-9, abs_tol=1e-9):
-            verdict.fail(i, "kappa deviates from log(n/n_ub)")
+            verdict.fail("tightening", i, "kappa deviates from log(n/n_ub)")
         k_q = fp.encode_q32_32(k)
         key_tight = fp.encode_q64_64(fp.decode_q64_64(rec["key_raw"]) + k)
         if key_tight > rec["key_raw"]:
-            verdict.fail(i, "tightened key exceeds key_raw")
+            verdict.fail("tightening", i, "tightened key exceeds key_raw")
         verdict.tightened.append((i, k_q, key_tight))
 
 
@@ -197,29 +201,22 @@ def _check_budget(ledger: Ledger, verdict: Verdict) -> None:
         event = rec.get("event")
         if event == "budget":
             if rec.get("budget_event") == "Selected" and "model_id" in rec:
-                for need in ("model_id", "adapter_id", "dp_cert_id",
-                             "eps_train", "delta_train"):
+                for need in ("adapter_id", "dp_cert_id", "eps_train", "delta_train"):
                     if need not in rec:
-                        verdict.budget_ok = False
-                        verdict.fail(i, f"missing adapter metadata {need}")
+                        verdict.fail("budget", i, f"missing adapter metadata {need}")
                 spent, cap = rec.get("price_spent"), rec.get("price_cap")
                 if spent is not None and cap is not None and spent > cap:
-                    verdict.budget_ok = False
-                    verdict.fail(i, "price_spent exceeds price_cap")
+                    verdict.fail("budget", i, "price_spent exceeds price_cap")
                 if spent is not None:
                     if spent < price_prev:
-                        verdict.budget_ok = False
-                        verdict.fail(i, "price_spent decreased")
+                        verdict.fail("budget", i, "price_spent decreased")
                     price_prev = spent
                 if "router_rdp_eps" in rec:
-                    verdict.rdp_logged = fp.decode_q32_32(
-                        rec["router_rdp_eps"])
+                    verdict.rdp_logged = fp.decode_q32_32(rec["router_rdp_eps"])
         elif event == "guard":
             before, after = rec.get("claim_type_before"), rec.get("claim_type_after")
-            if before is not None and after is not None and before != after:
-                if not rec.get("guards"):
-                    verdict.budget_ok = False
-                    verdict.fail(i, "claim downgrade without licensing guard")
+            if before != after and None not in (before, after) and not rec.get("guards"):
+                verdict.fail("budget", i, "claim downgrade without licensing guard")
 
 
 def validate(ledger_path: str, graph_spec: str | PrefixDag,
@@ -231,24 +228,19 @@ def validate(ledger_path: str, graph_spec: str | PrefixDag,
     verdict = Verdict()
     try:
         ledger = Ledger.parse(ledger_path)
-    except MalformedLineError as exc:
-        verdict.replay_ok = False
-        verdict.stop_rule_ok = False
-        verdict.fail(getattr(exc, "lineno", 0), str(exc))
-        if report_path:
-            verdict.save(report_path)
-        return verdict
-    graph = (graph_spec if isinstance(graph_spec, PrefixDag)
-             else compile_dag(SharedDag.load(graph_spec))[0])
-    if verdict.replay_ok and ledger.header.get("root") != graph.root.hex():
-        verdict.replay_ok = False
-        verdict.fail(0, f"ledger root {ledger.header.get('root')} does not "
-                        f"match graph root {graph.root.hex()}")
-    if verdict.replay_ok:
-        _check_replay(graph, ledger, verdict)
-        _check_stop_rule(ledger, verdict)
-        _check_tightening(ledger, graph, public_counts, verdict)
-        _check_budget(ledger, verdict)
+    except MalformedLineError as exc:  # fails replay and the stop rule
+        verdict.fail("parse", exc.lineno, str(exc))
+    else:
+        graph = (graph_spec if isinstance(graph_spec, PrefixDag)
+                 else compile_dag(SharedDag.load(graph_spec))[0])
+        if ledger.header.get("root") != graph.root.hex():
+            verdict.fail("replay", 0, f"ledger root {ledger.header.get('root')} "
+                                      f"does not match graph root {graph.root.hex()}")
+        else:
+            _check_replay(graph, ledger, verdict)
+            _check_stop_rule(ledger, verdict)
+            _check_tightening(ledger, graph, public_counts, verdict)
+            _check_budget(ledger, verdict)
     if report_path:
         verdict.save(report_path)
     return verdict

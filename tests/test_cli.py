@@ -230,7 +230,7 @@ def _write_json(tmp_path, name, obj):
 
 @pytest.mark.parametrize("case", [
     "graph-not-an-object", "catalog-entry-incomplete", "catalog-empty",
-    "ledger-missing", "depth-negative"])
+    "ledger-missing", "depth-negative", "graph-negative-cost"])
 def test_input_error_is_one_line_and_exit_2(tmp_path, capsys, case):
     out = str(tmp_path / "out")
     argv = {
@@ -248,6 +248,17 @@ def test_input_error_is_one_line_and_exit_2(tmp_path, capsys, case):
             "validate", str(tmp_path / "missing.ndjson")],
         "depth-negative": lambda: [
             "suite", "--depth", "-1", "--seeds", "1", "--out", out],
+        "graph-negative-cost": lambda: [  # refused before the ledger is read
+            "validate", shutil.copy(os.path.join(
+                os.path.dirname(__file__), "data", "toy-exact.ndjson"), tmp_path),
+            "--graph",
+            _write_json(tmp_path, "neg.json", {
+                "root": "r",
+                "caps": {"max_depth": 2, "c_s_max": 1.0, "c_s_min": 1.0},
+                "nodes": [{"id": "r", "state": "r"},
+                          {"id": "a", "state": "a", "leaf": True,
+                           "delta_cost": -5.0}],
+                "edges": [{"from": "r", "to": "a", "order": 0}]})],
     }[case]()
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -311,3 +311,27 @@ def test_deeply_nested_graph_file_is_a_graph_spec_error(tmp_path):
     path.write_text('{"root":' + "[" * 100_000 + "]" * 100_000 + "}")
     with pytest.raises(GraphSpecError, match="bad graph spec"):
         SharedDag.load(str(path))
+
+
+def _spec_with_leaf_cost(cost):
+    """r -> a -> {l1, l2} and r -> b; leaf l1 costs ``cost``."""
+    nodes = [("r", False, 0.0), ("a", False, 1.0), ("b", True, 1.0),
+             ("l1", True, cost), ("l2", True, 0.5)]
+    return {"root": "r", "caps": dict(_CAPS, max_depth=3),
+            "nodes": [{"id": n, "state": n, "leaf": leaf, "delta_cost": c}
+                      for n, leaf, c in nodes],
+            "edges": [{"from": p, "to": c, "order": o} for p, c, o in
+                      [("r", "a", 0), ("r", "b", 1), ("a", "l1", 0), ("a", "l2", 1)]]}
+
+
+@pytest.mark.parametrize("cost", [-5.0, float("nan")], ids=["negative", "nan"])
+def test_negative_or_nan_cost_is_refused(cost):
+    # A negative cost lets a prefix score rise along a path, so M_tau would
+    # no longer bound the leaves below a node.
+    with pytest.raises(GraphSpecError,
+                       match=f"ValueError: node 'l1' cost {cost} not >= 0"):
+        SharedDag.from_json_obj(_spec_with_leaf_cost(cost))
+    dag = SharedDag.from_json_obj(_spec_with_leaf_cost(0.0))
+    with pytest.raises(ValueError, match="cost"):
+        SharedDag(nodes={**dag.nodes, "l1": DagNode("l1", "l1", True, cost)},
+                  edges=dag.edges, root_id="r", caps=dag.caps)

@@ -101,18 +101,6 @@ def test_offset_propagate_child_minimum_law():
     assert chi.pvalue > 0.01
 
 
-def test_exact_leaf_coupling_closed_forms():
-    u, e, g = race.exact_leaf_coupling(math.log(2))
-    assert math.isclose(u, 0.5, rel_tol=1e-12)
-    assert math.isclose(g, -math.log(math.log(2)), rel_tol=1e-12)
-    assert math.isclose(g, 0.36651292, abs_tol=1e-6)
-    # Round trip at rate 1 recovers the arrival.
-    t = 0.055786
-    u, e, _ = race.exact_leaf_coupling(t)
-    assert math.isclose(u, 0.054259, abs_tol=1e-5)
-    assert math.isclose(race.exp_from_uniform(u, 1), t, rel_tol=1e-12)
-
-
 def test_gumbel_from_uniform():
     assert math.isclose(race.gumbel_from_uniform(math.e**-1), 0.0,
                         abs_tol=1e-12)

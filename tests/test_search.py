@@ -8,7 +8,7 @@ from racecert import fixedpoint as fp, search
 from racecert.bounds import MtauConfig, MtauRecipe, PhiConfig, mtau
 from racecert.generators import suite_a, toy_graph
 from racecert.prefix_dag import DagNode, PublicCaps, SharedDag, compile_dag
-from racecert.race import RngStream, open_uniform, prf_raw
+from racecert.race import RateZeroError, RngStream, open_uniform, prf_raw
 from racecert.reconstruct import exact_race, stream_lookup
 from racecert.search import ClaimType, Mode, RunConfig
 from racecert.validator import validate
@@ -261,22 +261,83 @@ def test_surrogate_keys_dominate_exact(toy):
     assert surrogate.expansions >= 1
 
 
-def test_surrogate_zero_bound_prunes():
-    graph, _ = compile_dag(toy_graph())
-    labels = {n.state_label: d for d, n in graph.unfold().items()}
-    n_ub = {d: 8 for d in graph.unfold()}
-    n_ub[labels["u2"]] = 0
-    n_ub[labels["p4"]] = 0
-    cfg = RunConfig(
+def _toy_surrogate_cfg(n_ub_map):
+    return RunConfig(
         mtau=MtauConfig(recipe=MtauRecipe.FIXED,
                         fixed_table={"r": 5.0, "u1": 4.5, "u2": 4.2,
                                      "p1": 0.0, "p2": 0.0, "p3": 0.0, "p4": 0.0}),
-        seed=11, n_ub_map=n_ub,
-    )
-    result = search.run(graph, Mode.SURROGATE, cfg)
-    pushed = _pushed_keys(result)
-    assert labels["u2"].hex() not in pushed
-    assert labels["p4"].hex() not in pushed
+        seed=11, n_ub_map=n_ub_map)
+
+
+def test_surrogate_bound_map_without_a_child_raises():
+    graph, _ = compile_dag(toy_graph())
+    labels = {n.state_label: d for d, n in graph.unfold().items()}
+    n_ub = {d: 8 for d in graph.unfold()}
+    del n_ub[labels["u2"]]
+    with pytest.raises(LookupError, match=f"no Nub for node {labels['u2'].hex()[:16]}"):
+        search.run(graph, Mode.SURROGATE, _toy_surrogate_cfg(n_ub))
+
+
+def test_surrogate_zero_bound_fails_the_verdict(tmp_path):
+    # Every built context has a leaf below it, so a zero bound is a wrong
+    # bound: pushed, it fails N <= Nub; popped, it has no arrival.
+    graph, _ = compile_dag(toy_graph())
+    labels = {n.state_label: d for d, n in graph.unfold().items()}
+    n_ub = {d: 8 for d in graph.unfold()}
+    n_ub[labels["p4"]] = 0
+    path = str(tmp_path / "zero.ndjson")
+    result = search.run(graph, Mode.SURROGATE, _toy_surrogate_cfg(n_ub),
+                        ledger_path=path)
+    index, rec = next((i, r) for i, r in enumerate(result.ledger.records)
+                      if r.get("ctx_digest") == labels["p4"].hex())
+    assert rec["event"] == "push" and rec["Nub"] == 0
+    verdict = validate(path, compile_dag(toy_graph())[0])
+    assert verdict.failures == [(index, "public count 1 exceeds logged Nub 0")]
+    n_ub[graph.root] = 0
+    with pytest.raises(RateZeroError):
+        search.run(graph, Mode.SURROGATE, _toy_surrogate_cfg(n_ub))
+
+
+def test_surrogate_ledger_without_a_child_push_fails(tmp_path, monkeypatch):
+    # A run that never pushes a child logs no Nub for it, so its replay
+    # cannot bound that child and aborts instead of skipping it.
+    shared = suite_a(3, 3, 0)
+    graph, _ = compile_dag(shared)
+    skipped = graph.node(graph.root).children[1]
+    push = search._Engine.push
+    monkeypatch.setattr(search._Engine, "push", lambda self, node, *a, **kw: (
+        None if node.ctx_digest == skipped else push(self, node, *a, **kw)))
+    path = str(tmp_path / "skipped.ndjson")
+    result = search.run(graph, Mode.SURROGATE,
+                        RunConfig(mtau=MtauConfig(), seed=0, n_ub_factor=2.0),
+                        ledger_path=path)
+    monkeypatch.undo()
+    assert result.claim_type is ClaimType.RUN_WISE_EXACT
+    verdict = validate(path, compile_dag(shared)[0])
+    assert verdict.failures == [
+        (0, f"replay aborted: no Nub for node {skipped.hex()[:16]}…")]
+
+
+@pytest.mark.parametrize("family", ["toy", "suite_a"])
+def test_exact_leaf_eval_logs_its_arrival(toy, family):
+    # An Exact leaf's E_P is its arrival t: U is 1 - e^-t (by expm1, so
+    # without cancellation) and the value s - log t, with t from the race
+    # reconstruction.
+    graph, cfg = toy
+    if family == "suite_a":
+        graph, _ = compile_dag(suite_a(3, 3, 1))
+        cfg = RunConfig(mtau=MtauConfig(), seed=1)
+    result = search.run(graph, Mode.EXACT, cfg)
+    arrivals = exact_race(graph, stream_lookup(RngStream(cfg.seed),
+                                               cfg.scripted_uniforms, graph))
+    evals = [r for r in result.ledger.records if r["event"] == "leaf_eval"]
+    assert evals
+    for rec in evals:
+        digest = bytes.fromhex(rec["ctx_digest"])
+        t = arrivals[digest]
+        assert rec["U"] == fp.encode_q0_64(-math.expm1(-t))
+        assert rec["value"] == fp.encode_q64_64(
+            graph.node(digest).prefix_score - math.log(t))
 
 
 def test_deterministic_reruns_identical(toy):

@@ -187,20 +187,66 @@ def test_node_id_renamed_everywhere_detected(tmp_path):
 
 @pytest.mark.parametrize("key, value", [
     ("prf_domain", "route"), ("privacy_scope", "none"),
-    ("surrogate_leaf_prf", False), ("deterministic_ids", False)])
+    ("surrogate_leaf_prf", False), ("deterministic_ids", False),
+    ("tau", 1), ("surrogate_leaf_prf", 1), ("n_ub_factor", True)])
 def test_tampered_golden_header_detected(tmp_path, key, value):
     # Replay rebuilds the header from the settings it reads back; a
-    # constant changed, or a key no setting writes, differs from it.
+    # constant changed, a key no setting writes, or a value retyped
+    # (``1 == 1.0 == True``) differs from it as JSON text.
     graph, _ = compile_dag(toy_graph())
     lines = _golden_lines("toy-exact.ndjson")
     header = json.loads(lines[0])
-    assert header.get(key) != value
+    assert json.dumps(header.get(key)) != json.dumps(value)
     header[key] = value
     lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
     verdict = validator.validate(
         _write_lines(tmp_path, "header.ndjson", lines), graph)
     assert verdict.failures == [(0, f"header mismatch in fields [{key!r}]")]
     assert not verdict.replay_ok
+
+
+@pytest.mark.parametrize("field, rewrite", [
+    ("key_raw", lambda d: "+" + d),
+    ("key_raw", lambda d: "0" + d),
+    ("key_raw", lambda d: f" {d} "),
+    ("key_raw", lambda d: f"{d[:2]}_{d[2:]}"),
+    ("key_raw", lambda d: "-0"),
+    ("Nub", lambda d: "\u0664"),  # ARABIC-INDIC DIGIT FOUR
+], ids=["plus", "leading-zero", "spaces", "underscore", "minus-zero",
+        "arabic-indic-digit"])
+def test_non_canonical_raw_field_detected(tmp_path, field, rewrite):
+    # Raw fields take canonical decimals only: ``int`` reads each of these,
+    # but the writer never emits them.
+    graph, _ = compile_dag(toy_graph())
+    lines = _golden_lines("toy-exact.ndjson")
+    rec = json.loads(lines[1])  # record 0: the root push, Nub "4"
+    rec[field] = rewrite(rec[field])
+    int(rec[field])
+    lines[1] = json.dumps(rec, sort_keys=True, separators=(",", ":"),
+                          ensure_ascii=False)
+    verdict = validator.validate(
+        _write_lines(tmp_path, "raw.ndjson", lines), graph)
+    [(index, reason)] = verdict.failures
+    assert index == 2
+    assert reason.startswith(f"line 2: bad integer in {field}: not canonical")
+    assert not verdict.replay_ok and not verdict.stop_rule_ok
+
+
+def test_verdict_flags_follow_its_failures():
+    verdict = validator.Verdict()
+    assert verdict.ok and verdict.replay_ok and verdict.stop_rule_ok
+    for name in ("replay_ok", "stop_rule_ok", "budget_ok", "ok"):
+        with pytest.raises(AttributeError):
+            setattr(verdict, name, False)
+    verdict.fail("tightening", 3, "kappa positive")
+    assert not verdict.ok and verdict.failures == [(3, "kappa positive")]
+    assert verdict.replay_ok and verdict.stop_rule_ok and verdict.budget_ok
+    verdict.fail("budget", 4, "price_spent decreased")
+    assert not verdict.budget_ok and verdict.replay_ok
+    verdict.fail("parse", 1, "line 1: bad JSON")
+    assert not verdict.replay_ok and not verdict.stop_rule_ok
+    assert verdict.to_json_obj()["failures"][2] == {
+        "index": 1, "reason": "line 1: bad JSON"}
 
 
 def test_malformed_ledger_fails_cleanly(tmp_path):
