@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .bounds import MtauConfig, mtau
 from .prefix_dag import PrefixDag
-from .race import gumbel_from_uniform, open_uniform, prf_raw
+from .race import fallback_value
 from .reconstruct import argmax_leaf
 
 EULER_GAMMA = 0.57721566
@@ -115,8 +115,7 @@ def beam_k(graph: PrefixDag, k: float, mtau_cfg: MtauConfig,
     )
 
 
-def oracle_a(graph: PrefixDag, salt: bytes, domain: str,
-             tau: float = 1.0) -> list[bytes]:
+def oracle_a(graph: PrefixDag, salt: bytes, tau: float = 1.0) -> list[bytes]:
     """Baseline A: realized-score best-first over all leaves.
 
     With exhaustive knowledge of every perturbed value, the exact leaf-wise
@@ -124,12 +123,8 @@ def oracle_a(graph: PrefixDag, salt: bytes, domain: str,
     popped one, so it pops exactly the argmax (plus exact ties), in a
     deterministic replay-stable order.
     """
-    scored: list[tuple[float, bytes]] = []
-    for leaf in graph.iter_leaves():
-        u = open_uniform(prf_raw(salt, domain, leaf))
-        v = (gumbel_from_uniform(u) / tau + graph.node(leaf).prefix_score
-             - math.log(-math.log1p(-u)))
-        scored.append((v, leaf))
+    scored = [(fallback_value(salt, leaf, graph.node(leaf).prefix_score, tau), leaf)
+              for leaf in graph.iter_leaves()]
     scored.sort(key=lambda item: (-item[0], item[1]))
     pops = [scored[0][1]]
     best = scored[0][0]

@@ -38,13 +38,12 @@ from .generators import (
     toy_mtau,
 )
 from .prefix_dag import SharedDag, compile_dag
-from .race import RngStream
+from .race import RngStream, stream_lookup
 from .reconstruct import (
     argmax_leaf,
     exact_leaf_values,
     exact_race,
     realized_suffix_max,
-    stream_lookup,
 )
 from .search import Mode, RunConfig, run
 from .validator import validate

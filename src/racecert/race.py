@@ -1,7 +1,7 @@
-"""Run randomness: open-interval uniforms, exponential arrivals, winner
-selection, offset propagation (shared by the engine and the race
-reconstruction) and the PRF-per-leaf uniforms used by Surrogate leaf
-instantiation and Fallback.
+"""Run randomness and the race arithmetic: draw addressing, open-interval
+uniforms, exponential arrivals, the Exact winner/residual step (shared by
+the engine and the race reconstruction) and the PRF-perturbed leaf value of
+Fallback (shared by the engine and oracle-A).
 
 Every draw is addressable by (seed, node digest, purpose tag), so a replay
 or a race reconstruction obtains bit-identical values without carrying
@@ -13,14 +13,18 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .fixedpoint import q0_64_value
+from .prefix_dag import PrefixDag
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 PRF_DOMAIN_TAG = b"racecert/prf/v1"
+PRF_DOMAIN = "leaf"  # of every leaf uniform; the header still names it
+
+RawLookup = Callable[[bytes, str], int | None]  # (ctx digest, purpose) -> draw
 
 
 class RateZeroError(ValueError):
@@ -63,6 +67,23 @@ class RngStream:
         return _mix64((z + _GOLDEN * (counter + 1)) & _MASK64)
 
 
+def stream_lookup(stream: RngStream,
+                  scripted: dict[tuple[str, str], int] | None = None,
+                  graph: PrefixDag | None = None) -> RawLookup:
+    """The engine's draw addressing: a draw scripted by the node's
+    ``(state_label, purpose)`` (needs ``graph``), else the stream's."""
+    if not scripted or graph is None:
+        return stream.raw
+
+    def lookup(digest: bytes, purpose: str) -> int:
+        key = (graph.node(digest).state_label, purpose)
+        if key in scripted:
+            return scripted[key]
+        return stream.raw(digest, purpose)
+
+    return lookup
+
+
 def exp_from_uniform(u: float, rate: int) -> float:
     """Inverse-CDF exponential with the compensated log1p transform."""
     if rate == 0:
@@ -70,6 +91,11 @@ def exp_from_uniform(u: float, rate: int) -> float:
     if rate < 0:
         raise ValueError("negative rate")
     return -math.log1p(-u) / rate
+
+
+def arrival(raw: int, rate: int) -> float:
+    """The Exp(rate) quantile of the Q0.64 draw ``raw``."""
+    return exp_from_uniform(open_uniform(raw), rate)
 
 
 def quantile_cat(w: float, weights: Sequence[int]) -> int:
@@ -115,6 +141,22 @@ def offset_propagate(
     return arrivals
 
 
+def exact_step(digest: bytes, t: float, children: Sequence[bytes],
+               counts: Sequence[int], draw: RawLookup
+               ) -> tuple[int | None, list[int | None], list[float]]:
+    """Expand ``digest``, reached at arrival ``t``, in the lazily-propagated
+    Exact race: the winner draw (None for an only child), each child's
+    residual draw (None for the winner) and the child arrivals."""
+    w_raw, winner = None, 0
+    if len(children) > 1:
+        w_raw = draw(digest, "winner")
+        winner = quantile_cat(open_uniform(w_raw), counts)
+    raws = [None if i == winner else draw(child, "residual")
+            for i, child in enumerate(children)]
+    return w_raw, raws, offset_propagate(
+        t, winner, counts, [open_uniform(r) for r in raws if r is not None])
+
+
 def prf_raw(salt: bytes, domain: str, leaf_id: bytes) -> int:
     h = hashlib.sha256(PRF_DOMAIN_TAG + salt + domain.encode("utf-8") + leaf_id)
     return int.from_bytes(h.digest()[:8], "big")
@@ -122,3 +164,11 @@ def prf_raw(salt: bytes, domain: str, leaf_id: bytes) -> int:
 
 def gumbel_from_uniform(u: float) -> float:
     return -math.log(-math.log(u))
+
+
+def fallback_value(salt: bytes, digest: bytes, score: float, tau: float) -> float:
+    """A leaf's PRF-perturbed value ``G/tau + s - log E``: the Gumbel G and
+    the Exp(1) arrival E both come from the leaf's one PRF uniform."""
+    raw = prf_raw(salt, PRF_DOMAIN, digest)
+    return (gumbel_from_uniform(open_uniform(raw)) / tau + score
+            - math.log(arrival(raw, 1)))

@@ -11,43 +11,16 @@ optimality.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from .prefix_dag import PrefixDag
-from .race import (
-    RngStream,
-    exp_from_uniform,
-    offset_propagate,
-    open_uniform,
-    quantile_cat,
-)
-
-RawLookup = Callable[[bytes, str], int | None]
-
-
-def stream_lookup(stream: RngStream,
-                  scripted: dict[tuple[str, str], int] | None = None,
-                  graph: PrefixDag | None = None) -> RawLookup:
-    """The engine's draw addressing: a draw scripted by the node's
-    ``(state_label, purpose)`` (needs ``graph``), else the stream's."""
-    if not scripted or graph is None:
-        return stream.raw
-
-    def lookup(digest: bytes, purpose: str) -> int:
-        key = (graph.node(digest).state_label, purpose)
-        if key in scripted:
-            return scripted[key]
-        return stream.raw(digest, purpose)
-
-    return lookup
+# ``stream_lookup`` lives in ``race``; perfbench/bench.py imports it from here.
+from .race import RawLookup, arrival, exact_step, stream_lookup  # noqa: F401
 
 
 def exact_race(graph: PrefixDag, lookup: RawLookup) -> dict[bytes, float]:
     """Arrival time of every node under the lazily-propagated exact race."""
-    arrivals: dict[bytes, float] = {}
-    root = graph.node(graph.root)
-    u0 = open_uniform(lookup(root.ctx_digest, "race"))
-    arrivals[graph.root] = exp_from_uniform(u0, graph.suffix_count(graph.root))
+    arrivals = {graph.root: arrival(lookup(graph.root, "race"),
+                                    graph.suffix_count(graph.root))}
     stack = [graph.root]
     while stack:
         digest = stack.pop()
@@ -55,15 +28,9 @@ def exact_race(graph: PrefixDag, lookup: RawLookup) -> dict[bytes, float]:
         if node.is_leaf:
             continue
         counts = [graph.suffix_count(c) for c in node.children]
-        if len(node.children) > 1:
-            w = open_uniform(lookup(digest, "winner"))
-            winner = quantile_cat(w, counts)
-        else:
-            winner = 0
-        residuals = [open_uniform(lookup(child, "residual"))
-                     for i, child in enumerate(node.children) if i != winner]
-        arrivals.update(zip(node.children, offset_propagate(
-            arrivals[digest], winner, counts, residuals)))
+        _, _, child_arrivals = exact_step(
+            digest, arrivals[digest], node.children, counts, lookup)
+        arrivals.update(zip(node.children, child_arrivals))
         stack.extend(node.children)
     return arrivals
 
@@ -71,10 +38,8 @@ def exact_race(graph: PrefixDag, lookup: RawLookup) -> dict[bytes, float]:
 def exact_leaf_values(graph: PrefixDag,
                       arrivals: dict[bytes, float]) -> dict[bytes, float]:
     """V(P) = s_det(P) - log E_P with the coupled E_P = t(P)."""
-    values: dict[bytes, float] = {}
-    for leaf in graph.iter_leaves():
-        values[leaf] = graph.node(leaf).prefix_score - math.log(arrivals[leaf])
-    return values
+    return {leaf: graph.node(leaf).prefix_score - math.log(arrivals[leaf])
+            for leaf in graph.iter_leaves()}
 
 
 def realized_suffix_max(graph: PrefixDag,
@@ -117,23 +82,16 @@ def coupled_monotone_race(graph: PrefixDag,
     was logged; nodes without one inherit the parent arrival (a valid lower
     bound, so derived keys stay upper bounds).
     """
-    arrivals: dict[bytes, float] = {}
-    root = graph.root
-    u0 = uniform_raw.get(root)
-    n0 = graph.suffix_count(root)
-    arrivals[root] = (exp_from_uniform(open_uniform(u0), n0)
-                      if u0 is not None else 0.0)
-    stack = [root]
+    def coupled(digest: bytes, t_parent: float) -> float:
+        u = uniform_raw.get(digest)
+        return (t_parent if u is None
+                else max(t_parent, arrival(u, graph.suffix_count(digest))))
+
+    arrivals = {graph.root: coupled(graph.root, 0.0)}  # max(0.0, t) == t
+    stack = [graph.root]
     while stack:
         digest = stack.pop()
-        t_parent = arrivals[digest]
         for child in graph.node(digest).children:
-            u = uniform_raw.get(child)
-            if u is None:
-                arrivals[child] = t_parent
-            else:
-                t_own = exp_from_uniform(open_uniform(u),
-                                         graph.suffix_count(child))
-                arrivals[child] = max(t_parent, t_own)
+            arrivals[child] = coupled(child, arrivals[digest])
             stack.append(child)
     return arrivals

@@ -51,15 +51,15 @@ from .budget import BudgetRuntime
 from .ledger import Ledger, Uuid7Source
 from .prefix_dag import COUNT_LIMIT, PrefixDag, PrefixNode
 from .race import (
+    PRF_DOMAIN,
+    RawLookup,
     RngStream,
-    exp_from_uniform,
-    gumbel_from_uniform,
-    offset_propagate,
-    open_uniform,
+    arrival,
+    exact_step,
+    fallback_value,
     prf_raw,
-    quantile_cat,
+    stream_lookup,
 )
-from .reconstruct import RawLookup, stream_lookup
 
 
 class Mode(str, Enum):
@@ -71,9 +71,6 @@ class Mode(str, Enum):
 class ClaimType(str, Enum):
     RUN_WISE_EXACT = "RunWiseExact"
     NO_CERT = "NoCert"
-
-
-PRF_DOMAIN = "leaf"  # of every leaf uniform; the header still names it
 
 
 @dataclass
@@ -146,14 +143,6 @@ class RunResult:
     guards_seen: list[str] = field(default_factory=list)
 
 
-def _encode_key(value: float) -> tuple[int, bool]:
-    """Q64.64 key encode; overflow clamps and reports (NumClamp guard)."""
-    try:
-        return fp.encode_q64_64(value), False
-    except fp.NumClampError:
-        return (fp.Q64_64_MAX if value > 0 else fp.Q64_64_MIN), True
-
-
 class _Engine:
     def __init__(self, graph: PrefixDag, mode: Mode, cfg: RunConfig,
                  uniform_provider: RawLookup | None = None):
@@ -209,36 +198,43 @@ class _Engine:
         rec.update(extra)
         self.ledger.records.append(rec)
 
+    def record(self, event: str, node: PrefixNode, **fields) -> dict:
+        """Append a push, pop or leaf_eval record of ``node``."""
+        # ``_value_`` skips the ``Enum.value`` descriptor on this hot path.
+        rec = {"event": event, "ctx_digest": node.ctx_digest.hex(),
+               "node_id": self.node_id(node.ctx_digest),
+               "mode": self.mode._value_, "claim_type": self.claim._value_,
+               **fields}
+        self.ledger.records.append(rec)
+        return rec
+
+    def fixed(self, node: PrefixNode, value: float, what: str) -> int:
+        """Q64.64 encode; an overflow clamps and logs a NumClamp guard."""
+        try:
+            return fp.encode_q64_64(value)
+        except fp.NumClampError:
+            self.guard("NumClamp", node, reason=f"{what} overflowed Q64.64")
+            return fp.Q64_64_MAX if value > 0 else fp.Q64_64_MIN
+
     def push(self, node: PrefixNode, key: float, t: float | None,
              rate: int | None = None, uniform_raw: int | None = None) -> None:
-        key_q, clamped = _encode_key(key)
-        if clamped:
-            self.guard("NumClamp", node, reason="key overflowed Q64.64")
-        digest = node.ctx_digest
-        heapq.heappush(self.heap, (-key_q, not node.is_leaf, digest, key, t))
-        # ``_value_`` skips the ``Enum.value`` descriptor on this hot path.
-        rec = {"event": "push", "ctx_digest": digest.hex(),
-               "node_id": self.node_id(digest), "mode": self.mode._value_,
-               "claim_type": self.claim._value_, "key_raw": key_q}
-        if node.parent is not None:  # minted after the node's own id
+        key_q = self.fixed(node, key, "key")
+        heapq.heappush(self.heap, (-key_q, not node.is_leaf, node.ctx_digest, key, t))
+        rec = self.record("push", node, key_raw=key_q)
+        if node.parent is not None:  # pushed earlier, so its id exists
             rec["parent_id"] = self.node_id(node.parent)
         if rate is not None:
             rec["Nub"] = rate
         if uniform_raw is not None:
             rec["U"] = uniform_raw
-        self.ledger.records.append(rec)
 
     def pop_record(self, node: PrefixNode, key_q: int, **extra) -> None:
         """Log a pop; on a key tie with the next entry, ``tie_token`` says
         whether the popped digest is the larger one.  Called before the
         node's children are pushed, so the heap top is that next entry."""
-        rec = {"event": "pop", "ctx_digest": node.ctx_digest.hex(),
-               "node_id": self.node_id(node.ctx_digest),
-               "mode": self.mode._value_, "claim_type": self.claim._value_,
-               "key_raw": key_q, **extra}
         if self.heap and self.heap[0][0] == -key_q:
-            rec["tie_token"] = int(node.ctx_digest > self.heap[0][2])
-        self.ledger.records.append(rec)
+            extra["tie_token"] = int(node.ctx_digest > self.heap[0][2])
+        self.record("pop", node, key_raw=key_q, **extra)
 
     # -- mode mechanics ---------------------------------------------------
 
@@ -251,12 +247,9 @@ class _Engine:
         digest = node.ctx_digest
         cached = self.fallback_keys.get(digest)
         if cached is None:
-            cfg = self.cfg
             if node.is_leaf:
-                u = open_uniform(prf_raw(cfg.salt, PRF_DOMAIN, digest))
-                g = gumbel_from_uniform(u)
-                e_p = -math.log1p(-u)
-                cached = g / cfg.tau + node.prefix_score - math.log(e_p)
+                cached = fallback_value(self.cfg.salt, digest,
+                                        node.prefix_score, self.cfg.tau)
             else:
                 values = [self.fallback_key(self.graph.node(leaf))
                           for leaf in self.graph.iter_leaves(digest)]
@@ -273,8 +266,7 @@ class _Engine:
         u_p_raw = prf_raw(self.cfg.salt, PRF_DOMAIN, node.ctx_digest)
         if self.mode is Mode.FALLBACK:
             return self.fallback_key(node), u_p_raw
-        e_p = -math.log1p(-open_uniform(u_p_raw))
-        return node.prefix_score - math.log(e_p), u_p_raw
+        return node.prefix_score - math.log(arrival(u_p_raw, 1)), u_p_raw
 
     def n_ub(self, digest: bytes) -> int:
         """Surrogate upper-bound count: the given map (replay), else the
@@ -303,18 +295,13 @@ class _Engine:
         return fields
 
     def update_incumbent(self, node: PrefixNode, value: float, u_raw: int) -> None:
-        value_q, clamped = _encode_key(value)
-        if clamped:
-            self.guard("NumClamp", node, reason="leaf value overflowed Q64.64")
+        value_q = self.fixed(node, value, "leaf value")
         if value_q > self.incumbent_q:
             self.incumbent_q = value_q
             self.incumbent = value
             self.incumbent_leaf = node.ctx_digest.hex()
-        self.ledger.records.append({
-            "event": "leaf_eval", "ctx_digest": node.ctx_digest.hex(),
-            "node_id": self.node_id(node.ctx_digest),
-            "mode": self.mode._value_, "claim_type": self.claim._value_,
-            "U": u_raw, "value": value_q, "incumbent": self.incumbent_q})
+        self.record("leaf_eval", node, U=u_raw, value=value_q,
+                    incumbent=self.incumbent_q)
 
     def switch_to_fallback(self) -> None:
         """Restart from the root under the PRF heuristic (NoCert).  The
@@ -386,7 +373,7 @@ class _Engine:
         root = graph.node(graph.root)
         rate = root_count if self.mode is Mode.EXACT else self.n_ub(graph.root)
         raw = self.draw(root.ctx_digest, "race")
-        t_root = exp_from_uniform(open_uniform(raw), rate)
+        t_root = arrival(raw, rate)
         self.push(root, self.key_for(root, t_root), t_root, rate, raw)
 
     def run(self) -> RunResult:
@@ -421,23 +408,18 @@ class _Engine:
 
             phi_extra = self.phi_fields(node, children)
             if self.mode is Mode.EXACT:
-                counts = [graph.suffix_count(c.ctx_digest) for c in children]
-                winner = 0
-                if len(children) > 1:
-                    w_raw = phi_extra["W"] = self.draw(node.ctx_digest, "winner")
-                    winner = quantile_cat(open_uniform(w_raw), counts)
+                counts = [graph.suffix_count(c) for c in node.children]
+                w_raw, raws, arrivals = exact_step(
+                    digest, t, node.children, counts, self.draw)
+                if w_raw is not None:
+                    phi_extra["W"] = w_raw
                 self.pop_record(node, key_q, **phi_extra)
-                raws = [None if i == winner else self.draw(child.ctx_digest, "residual")
-                        for i, child in enumerate(children)]
-                arrivals = offset_propagate(
-                    t, winner, counts,
-                    [open_uniform(r) for r in raws if r is not None])
                 for child, t_c, count, raw_i in zip(children, arrivals, counts, raws):
                     self.push(child, self.key_for(child, t_c), t_c, count, raw_i)
             else:  # Surrogate: children anchored at the parent's arrival.
                 rate_v = self.n_ub(node.ctx_digest)
                 v_raw = self.draw(node.ctx_digest, "race")
-                t_hat = exp_from_uniform(open_uniform(v_raw), rate_v)
+                t_hat = arrival(v_raw, rate_v)
                 self.pop_record(node, key_q, U=v_raw, Nub=rate_v, **phi_extra)
                 for child in children:
                     self.push(child, self.key_for(child, t_hat), t_hat,

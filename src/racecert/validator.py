@@ -23,7 +23,7 @@ from . import fixedpoint as fp
 from .bounds import kappa
 from .ledger import Ledger, MalformedLineError, _dump
 from .prefix_dag import PrefixDag, SharedDag, compile_dag
-from .race import exp_from_uniform
+from .race import arrival
 from .search import RunConfig, run
 
 RDP_VARIANT = "classic"
@@ -170,8 +170,7 @@ def _check_tightening(ledger: Ledger, graph: PrefixDag,
             continue
         n_ub = rec["Nub"]
         if n > n_ub:  # on every push: one never popped has no U
-            verdict.fail("tightening", i,
-                         f"public count {n} exceeds logged Nub {n_ub}")
+            verdict.fail("tightening", i, f"public count {n} exceeds logged Nub {n_ub}")
             continue
         if "U" not in rec or "key_raw" not in rec:
             continue
@@ -179,20 +178,20 @@ def _check_tightening(ledger: Ledger, graph: PrefixDag,
         # *defined* as the realized arrival-term difference, so
         # key_raw + kappa equals the exact-rate key bit-exactly; it agrees
         # with log(n / n_ub) up to float rounding.
-        u = fp.q0_64_value(rec["U"])
-        k = (-math.log(exp_from_uniform(u, n))
-             - -math.log(exp_from_uniform(u, n_ub)))
+        k = -math.log(arrival(rec["U"], n)) - -math.log(arrival(rec["U"], n_ub))
         if k > 0.0:
             verdict.fail("tightening", i,
                          "kappa positive: tightening would loosen the key")
             continue
         if not math.isclose(k, kappa(n, n_ub), rel_tol=1e-9, abs_tol=1e-9):
             verdict.fail("tightening", i, "kappa deviates from log(n/n_ub)")
-        k_q = fp.encode_q32_32(k)
-        key_tight = fp.encode_q64_64(fp.decode_q64_64(rec["key_raw"]) + k)
+        try:
+            key_tight = fp.encode_q64_64(fp.decode_q64_64(rec["key_raw"]) + k)
+        except fp.NumClampError:  # a key clamped to the Q64.64 top
+            continue
         if key_tight > rec["key_raw"]:
             verdict.fail("tightening", i, "tightened key exceeds key_raw")
-        verdict.tightened.append((i, k_q, key_tight))
+        verdict.tightened.append((i, fp.encode_q32_32(k), key_tight))
 
 
 def _check_budget(ledger: Ledger, verdict: Verdict) -> None:
@@ -229,7 +228,8 @@ def validate(ledger_path: str, graph_spec: str | PrefixDag,
     try:
         ledger = Ledger.parse(ledger_path)
     except MalformedLineError as exc:  # fails replay and the stop rule
-        verdict.fail("parse", exc.lineno, str(exc))
+        # The record index; a header fault gets 0, like a header mismatch.
+        verdict.fail("parse", max(exc.lineno - 2, 0), str(exc))
     else:
         graph = (graph_spec if isinstance(graph_spec, PrefixDag)
                  else compile_dag(SharedDag.load(graph_spec))[0])

@@ -36,14 +36,19 @@ from racecert.generators import (
     toy_mtau,
 )
 from racecert.prefix_dag import compile_dag
-from racecert.race import RngStream, exp_from_uniform, open_uniform, prf_raw
+from racecert.race import (
+    RngStream,
+    exp_from_uniform,
+    open_uniform,
+    prf_raw,
+    stream_lookup,
+)
 from racecert.reconstruct import (
     coupled_monotone_race,
     exact_leaf_values,
     exact_race,
     oracle_optimum,
     realized_suffix_max,
-    stream_lookup,
 )
 from racecert.search import ClaimType, Mode, RunConfig
 from racecert import fixedpoint as fp
@@ -255,7 +260,7 @@ def _fallback_sets(graph, salt):
     # to the argmax, so materialization is where the Thm-3 work shows up.
     cfg = RunConfig(mtau=MtauConfig(), seed=0, salt=salt)
     result = search.run(graph, Mode.FALLBACK, cfg)
-    oracle_set = {d.hex() for d in oracle_a(graph, salt, "leaf")}
+    oracle_set = {d.hex() for d in oracle_a(graph, salt)}
     worked = set(_pushed_leaves(result, graph))
     popped = {r["ctx_digest"] for r in result.ledger.records
               if r.get("event") == "leaf_eval"}

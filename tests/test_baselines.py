@@ -14,13 +14,8 @@ from racecert.generators import (
     toy_mtau,
 )
 from racecert.prefix_dag import DagNode, PublicCaps, SharedDag, compile_dag
-from racecert.race import RngStream
-from racecert.reconstruct import (
-    exact_leaf_values,
-    exact_race,
-    oracle_optimum,
-    stream_lookup,
-)
+from racecert.race import RngStream, stream_lookup
+from racecert.reconstruct import exact_leaf_values, exact_race, oracle_optimum
 from racecert.search import Mode, RunConfig
 
 
@@ -109,7 +104,7 @@ def test_adversarial_seed_regression():
 def test_oracle_a_pops_argmax_only():
     graph = _toy()
     salt = (9).to_bytes(8, "big")
-    pops = oracle_a(graph, salt, "leaf", tau=1.0)
+    pops = oracle_a(graph, salt, tau=1.0)
     assert len(pops) == 1
     # Matches the fallback engine's incumbent under the same PRF addressing.
     cfg = RunConfig(mtau=toy_mtau(), seed=0, salt=salt)
@@ -120,5 +115,5 @@ def test_oracle_a_pops_argmax_only():
 def test_oracle_a_deterministic():
     graph = _toy()
     salt = (7).to_bytes(8, "big")
-    assert oracle_a(graph, salt, "leaf") == oracle_a(graph, salt, "leaf")
-    assert oracle_a(graph, salt, "leaf") != oracle_a(graph, (8).to_bytes(8, "big"), "leaf")
+    assert oracle_a(graph, salt) == oracle_a(graph, salt)
+    assert oracle_a(graph, salt) != oracle_a(graph, (8).to_bytes(8, "big"))

@@ -8,8 +8,8 @@ from racecert import fixedpoint as fp, search
 from racecert.bounds import MtauConfig, MtauRecipe, PhiConfig, mtau
 from racecert.generators import suite_a, toy_graph
 from racecert.prefix_dag import DagNode, PublicCaps, SharedDag, compile_dag
-from racecert.race import RateZeroError, RngStream, open_uniform, prf_raw
-from racecert.reconstruct import exact_race, stream_lookup
+from racecert.race import RateZeroError, RngStream, open_uniform, prf_raw, stream_lookup
+from racecert.reconstruct import exact_race
 from racecert.search import ClaimType, Mode, RunConfig
 from racecert.validator import validate
 

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from racecert import search, validator
+from racecert import fixedpoint as fp, search, validator
 from racecert.bounds import MtauConfig, MtauRecipe, PhiConfig
 from racecert.budget import (
     BudgetRuntime,
@@ -30,7 +30,7 @@ from racecert.generators import (
     toy_mtau,
 )
 from racecert.ledger import Ledger, MalformedLineError, SchemaViolationError
-from racecert.prefix_dag import compile_dag
+from racecert.prefix_dag import SharedDag, compile_dag
 from racecert.search import Mode, RunConfig
 
 FAMILIES = {
@@ -227,9 +227,24 @@ def test_non_canonical_raw_field_detected(tmp_path, field, rewrite):
     verdict = validator.validate(
         _write_lines(tmp_path, "raw.ndjson", lines), graph)
     [(index, reason)] = verdict.failures
-    assert index == 2
+    assert index == 0  # the record index; the reason names the file line
     assert reason.startswith(f"line 2: bad integer in {field}: not canonical")
     assert not verdict.replay_ok and not verdict.stop_rule_ok
+
+
+def test_surrogate_key_at_the_q64_64_top_is_a_verdict(tmp_path):
+    # Tightening re-encodes key_raw + kappa; a key that decodes to 2**63
+    # (the NumClamp sentinel or one just below it) overflows Q64.64 there.
+    graph, _ = compile_dag(toy_graph())
+    lines = _golden_lines("toy-surrogate.ndjson")
+    line = next(i for i, ln in enumerate(lines) if '"event":"pop"' in ln)
+    rec = json.loads(lines[line])
+    assert "U" in rec and "Nub" in rec
+    rec["key_raw"] = str(fp.Q64_64_MAX - 1)
+    lines[line] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    verdict = validator.validate(
+        _write_lines(tmp_path, "key-top.ndjson", lines), graph)
+    assert verdict.failures == [(line - 1, "replay mismatch in fields ['key_raw']")]
 
 
 def test_verdict_flags_follow_its_failures():
@@ -256,7 +271,7 @@ def test_malformed_ledger_fails_cleanly(tmp_path):
         fh.write("not json\n")
     verdict = validator.validate(bad, graph)
     assert not verdict.ok
-    assert verdict.failures[0][0] == 1
+    assert verdict.failures[0][0] == 0  # a header fault, like a header mismatch
 
 
 def test_budget_run_validates(tmp_path):
@@ -288,6 +303,34 @@ def test_every_mode_and_family_validates(tmp_path, mode, family, seed):
                                  public_counts=graph.public_counts())
     assert verdict.ok, verdict.failures
     _assert_stop_reason_matches_claim(path)
+
+
+def _costly(shared):
+    """``shared`` with every non-root node cost 1e19."""
+    nodes = {k: n if k == shared.root_id else n._replace(det_score_delta=1e19)
+             for k, n in shared.nodes.items()}
+    return SharedDag(nodes, shared.edges, shared.root_id, shared.caps)
+
+
+@pytest.mark.parametrize("overflow", ["r1-c-s-max", "node-cost"])
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_clamped_run_validates(tmp_path, mode, overflow):
+    # Keys or leaf values overflow Q64.64: the engine clamps them to the
+    # layout's ends and logs NumClamp, and its ledger still validates.
+    shared, mt = suite_a(2, 3, 0), MtauConfig()
+    if overflow == "r1-c-s-max":
+        mt = MtauConfig(recipe=MtauRecipe.R1, c_s_max=1e19, max_depth=3)
+    else:
+        shared = _costly(shared)
+    graph, _ = compile_dag(shared)
+    path = str(tmp_path / f"{overflow}-{mode.value}.ndjson")
+    result = search.run(graph, mode, RunConfig(mtau=mt, n_ub_factor=2.0),
+                        ledger_path=path)
+    # Fallback keys ignore M_tau, so only the costly graph clamps there.
+    assert "NumClamp" in result.guards_seen or (mode, overflow) == (
+        Mode.FALLBACK, "r1-c-s-max")
+    verdict = validator.validate(path, graph)
+    assert verdict.ok, verdict.failures
 
 
 @pytest.mark.parametrize("price_max", [0, 1, 5, 20])
@@ -440,7 +483,7 @@ def test_record_without_required_field_is_a_verdict(tmp_path, event, field):
     assert exc.value.lineno == idx + 1
     verdict = validator.validate(damaged, graph)
     assert not verdict.ok
-    assert verdict.failures[0][0] == idx + 1
+    assert verdict.failures[0][0] == idx - 1  # file line idx + 1 is record idx - 1
     assert field in verdict.failures[0][1]
 
 
@@ -457,7 +500,7 @@ def test_non_utf8_line_is_a_malformed_line(tmp_path):
     assert "not UTF-8" in str(exc.value)
     verdict = validator.validate(damaged, graph)
     assert not verdict.ok
-    assert verdict.failures[0][0] == 3
+    assert verdict.failures[0][0] == 1  # record 1 is file line 3
 
 
 def test_stop_record_with_surrogate_fields_is_a_verdict(tmp_path):
