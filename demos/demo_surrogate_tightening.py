@@ -22,7 +22,7 @@ from racecert.validator import validate
 graph, cert = compile_dag(suite_b(layers=3, width=3, seed=0))
 assert cert.ok
 print(f"suite-B graph: {len(graph.unfold())} contexts, "
-      f"{sum(1 for _ in graph.iter_leaves())} leaves")
+      f"{sum(n.is_leaf for n in graph.walk())} leaves")
 
 # Sweep the inflation factor: N_ub = ceil(factor * N).
 print(f"\n{'factor':>6} {'expansions':>10} {'mean kappa':>11} {'tightened':>9}")

@@ -32,7 +32,7 @@ from .prefix_dag import (
     compile_dag,
     ctx_digest,
 )
-from .race import RngStream, open_uniform
+from .race import RngStream
 from .search import ClaimType, Mode, RunConfig, RunResult, run
 from .validator import Verdict, validate
 
@@ -43,6 +43,5 @@ __all__ = [
     "ModelCatalogEntry", "MtauConfig", "MtauRecipe", "PhiConfig", "PrefixDag",
     "PublicCaps", "RngStream", "RunConfig", "RunResult", "SharedDag",
     "Verdict", "compile_dag", "ctx_digest", "default_catalog", "kappa",
-    "lse_truncation_bound", "mtau", "open_uniform", "phi", "run",
-    "select_model", "validate",
+    "lse_truncation_bound", "mtau", "phi", "run", "select_model", "validate",
 ]

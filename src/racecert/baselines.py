@@ -123,8 +123,8 @@ def oracle_a(graph: PrefixDag, salt: bytes, tau: float = 1.0) -> list[bytes]:
     popped one, so it pops exactly the argmax (plus exact ties), in a
     deterministic replay-stable order.
     """
-    scored = [(fallback_value(salt, leaf, graph.node(leaf).prefix_score, tau), leaf)
-              for leaf in graph.iter_leaves()]
+    scored = [(fallback_value(salt, leaf.ctx_digest, leaf.prefix_score, tau),
+               leaf.ctx_digest) for leaf in graph.walk() if leaf.is_leaf]
     scored.sort(key=lambda item: (-item[0], item[1]))
     pops = [scored[0][1]]
     best = scored[0][0]

@@ -236,8 +236,9 @@ def cmd_validate(args) -> int:
     all_ok = True
     for path in args.ledgers:
         started = time.perf_counter()
-        verdict = validate(path, graph, report_path=path + ".verdict.json")
+        verdict = validate(path, graph)
         elapsed = 1000.0 * (time.perf_counter() - started)
+        verdict.save(path + ".verdict.json")
         print(f"{path}: replay_ok={verdict.replay_ok} "
               f"stop_rule_ok={verdict.stop_rule_ok} "
               f"budget_ok={verdict.budget_ok} "

@@ -39,10 +39,8 @@ RAW_INT_FIELDS: dict[str, tuple[int, int]] = {
     "W": (0, fp.Q0_64_MAX),
     "Nub": (0, (1 << 64) - 1),
     "key_raw": (fp.Q64_64_MIN, fp.Q64_64_MAX),
-    "key_tight": (fp.Q64_64_MIN, fp.Q64_64_MAX),
     "value": (fp.Q64_64_MIN, fp.Q64_64_MAX),
     "incumbent": (fp.Q64_64_MIN, fp.Q64_64_MAX),
-    "kappa": (fp.Q32_32_MIN, fp.Q32_32_MAX),
     "router_rdp_eps": (fp.Q32_32_MIN, fp.Q32_32_MAX),
     "dkey_pred": (fp.Q32_32_MIN, fp.Q32_32_MAX),
     "dkey_real": (fp.Q32_32_MIN, fp.Q32_32_MAX),

@@ -4,10 +4,11 @@ Unfolding duplicates shared subgraphs per prefix context, so every context
 has a unique root path and a unique parent.  ``compile_dag`` does shared-DAG
 work only: one walk counts the leaves below each shared node and rejects a
 cycle, an over-deep path or a root without leaves.  A context is built the
-first time it is asked for, and a context with no leaf below it is never
-built, so the children of any internal context partition its leaves into
-non-empty blocks by construction.  Suffix counts are exact Python ints;
-``COUNT_LIMIT`` is the 63-bit ceiling the search certifies under.
+first time it is asked for.  A context with no leaf below it is never built
+and a leaf context lists no children, so the children of any internal
+context partition its leaves into non-empty blocks by construction.  Suffix
+counts are exact Python ints; ``COUNT_LIMIT`` is the 63-bit ceiling the
+search certifies under.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 CTX_DOMAIN_TAG = b"racecert/ctx/v1"
 
@@ -229,11 +230,12 @@ class CompileCertificate:
 class PrefixDag:
     """Digest-addressed contexts of a shared DAG, built on demand.
 
-    A context is built the first time ``node()`` asks for it.  Building it
-    digests its children, the contexts of its shared node's children that
-    have a leaf below them, from the path body it carried, and then drops
-    that body.  ``nodes`` holds the contexts built so far; ``unfold()``
-    builds the rest.  Once every context is built, the shared graph and
+    A context is built the first time ``node()`` asks for it.  Building a
+    non-leaf context digests its children, the contexts of its shared
+    node's children that have a leaf below them, from the path body it
+    carried, and then drops that body.  ``nodes`` holds the contexts built
+    so far; ``walk()`` builds those it reaches, and ``unfold()`` drains it
+    to build the rest.  Once every context is built, the shared graph and
     its counts are dropped.  A repeated digest is detected among the
     contexts built so far and the children they list.
     """
@@ -265,7 +267,8 @@ class PrefixDag:
         node = self.nodes[digest] = PrefixNode(
             digest, shared.state_label, depth, score, parent, shared.is_leaf,
             [], counts[node_id])
-        for order, child_id in dag.children_of(node_id):
+        # A leaf ends every path through it, so it lists no children.
+        for order, child_id in () if shared.is_leaf else dag.children_of(node_id):
             if counts[child_id] == 0:
                 continue  # no leaf below: never built
             child = dag.nodes[child_id]
@@ -282,27 +285,26 @@ class PrefixDag:
             self._dag = self._counts = None
         return node
 
+    def walk(self, digest: bytes | None = None) -> Iterator[PrefixNode]:
+        """The contexts below ``digest`` (the root by default), itself
+        included, in preorder: a parent before its children, siblings in
+        edge order.  Builds each context it reaches; it is the one loop
+        over contexts that every whole-graph or subtree pass reads."""
+        stack = [self.root if digest is None else digest]
+        while stack:
+            node = self.node(stack.pop())
+            yield node
+            stack.extend(reversed(node.children))
+
     def unfold(self) -> dict[bytes, PrefixNode]:
         """Build every context; returns ``nodes``."""
-        stack = [self.root]
-        while stack:
-            stack.extend(self.node(stack.pop()).children)
+        for _ in self.walk():
+            pass
         return self.nodes
 
     def suffix_count(self, digest: bytes) -> int:
         """Exact number of canonical leaves below a node."""
         return self.node(digest).n_exact
-
-    def iter_leaves(self, digest: bytes | None = None):
-        start = digest if digest is not None else self.root
-        stack = [start]
-        while stack:
-            d = stack.pop()
-            node = self.node(d)
-            if node.is_leaf:
-                yield d
-            else:
-                stack.extend(reversed(node.children))
 
     def public_counts(self) -> dict[str, int]:
         """ctx_digest hex -> exact leaf count, for validator tightening."""

@@ -1,5 +1,5 @@
-"""Run randomness and the race arithmetic: draw addressing, open-interval
-uniforms, exponential arrivals, the Exact winner/residual step (shared by
+"""Run randomness and the race arithmetic: draw addressing, exponential
+arrivals of Q0.64 draws, the Exact winner/residual step (shared by
 the engine and the race reconstruction) and the PRF-perturbed leaf value of
 Fallback (shared by the engine and oracle-A).
 
@@ -36,13 +36,6 @@ def _mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-def open_uniform(x: int) -> float:
-    """Map an unsigned 64-bit integer to the open interval (0, 1)."""
-    if not 0 <= x <= _MASK64:
-        raise ValueError("raw uniform out of range")
-    return q0_64_value(x)
 
 
 class RngStream:
@@ -95,7 +88,7 @@ def exp_from_uniform(u: float, rate: int) -> float:
 
 def arrival(raw: int, rate: int) -> float:
     """The Exp(rate) quantile of the Q0.64 draw ``raw``."""
-    return exp_from_uniform(open_uniform(raw), rate)
+    return exp_from_uniform(q0_64_value(raw), rate)
 
 
 def quantile_cat(w: float, weights: Sequence[int]) -> int:
@@ -150,11 +143,11 @@ def exact_step(digest: bytes, t: float, children: Sequence[bytes],
     w_raw, winner = None, 0
     if len(children) > 1:
         w_raw = draw(digest, "winner")
-        winner = quantile_cat(open_uniform(w_raw), counts)
+        winner = quantile_cat(q0_64_value(w_raw), counts)
     raws = [None if i == winner else draw(child, "residual")
             for i, child in enumerate(children)]
     return w_raw, raws, offset_propagate(
-        t, winner, counts, [open_uniform(r) for r in raws if r is not None])
+        t, winner, counts, [q0_64_value(r) for r in raws if r is not None])
 
 
 def prf_raw(salt: bytes, domain: str, leaf_id: bytes) -> int:
@@ -170,5 +163,5 @@ def fallback_value(salt: bytes, digest: bytes, score: float, tau: float) -> floa
     """A leaf's PRF-perturbed value ``G/tau + s - log E``: the Gumbel G and
     the Exp(1) arrival E both come from the leaf's one PRF uniform."""
     raw = prf_raw(salt, PRF_DOMAIN, digest)
-    return (gumbel_from_uniform(open_uniform(raw)) / tau + score
+    return (gumbel_from_uniform(q0_64_value(raw)) / tau + score
             - math.log(arrival(raw, 1)))

@@ -21,43 +21,30 @@ def exact_race(graph: PrefixDag, lookup: RawLookup) -> dict[bytes, float]:
     """Arrival time of every node under the lazily-propagated exact race."""
     arrivals = {graph.root: arrival(lookup(graph.root, "race"),
                                     graph.suffix_count(graph.root))}
-    stack = [graph.root]
-    while stack:
-        digest = stack.pop()
-        node = graph.node(digest)
-        if node.is_leaf:
-            continue
-        counts = [graph.suffix_count(c) for c in node.children]
-        _, _, child_arrivals = exact_step(
-            digest, arrivals[digest], node.children, counts, lookup)
-        arrivals.update(zip(node.children, child_arrivals))
-        stack.extend(node.children)
+    for node in graph.walk():  # a parent's arrival is set before its children
+        if not node.is_leaf:
+            counts = [graph.suffix_count(c) for c in node.children]
+            _, _, child_arrivals = exact_step(
+                node.ctx_digest, arrivals[node.ctx_digest], node.children,
+                counts, lookup)
+            arrivals.update(zip(node.children, child_arrivals))
     return arrivals
 
 
 def exact_leaf_values(graph: PrefixDag,
                       arrivals: dict[bytes, float]) -> dict[bytes, float]:
     """V(P) = s_det(P) - log E_P with the coupled E_P = t(P)."""
-    return {leaf: graph.node(leaf).prefix_score - math.log(arrivals[leaf])
-            for leaf in graph.iter_leaves()}
+    return {n.ctx_digest: n.prefix_score - math.log(arrivals[n.ctx_digest])
+            for n in graph.walk() if n.is_leaf}
 
 
 def realized_suffix_max(graph: PrefixDag,
                         leaf_values: dict[bytes, float]) -> dict[bytes, float]:
     """RSM(v): the best realized leaf value anywhere below v."""
     rsm: dict[bytes, float] = {}
-    order: list[bytes] = []
-    stack = [graph.root]
-    while stack:
-        digest = stack.pop()
-        order.append(digest)
-        stack.extend(graph.node(digest).children)
-    for digest in reversed(order):
-        node = graph.node(digest)
-        if node.is_leaf:
-            rsm[digest] = leaf_values[digest]
-        else:
-            rsm[digest] = max(rsm[c] for c in node.children)
+    for node in reversed(list(graph.walk())):  # children before their parent
+        rsm[node.ctx_digest] = (leaf_values[node.ctx_digest] if node.is_leaf
+                                else max(rsm[c] for c in node.children))
     return rsm
 
 
@@ -82,16 +69,10 @@ def coupled_monotone_race(graph: PrefixDag,
     was logged; nodes without one inherit the parent arrival (a valid lower
     bound, so derived keys stay upper bounds).
     """
-    def coupled(digest: bytes, t_parent: float) -> float:
-        u = uniform_raw.get(digest)
-        return (t_parent if u is None
-                else max(t_parent, arrival(u, graph.suffix_count(digest))))
-
-    arrivals = {graph.root: coupled(graph.root, 0.0)}  # max(0.0, t) == t
-    stack = [graph.root]
-    while stack:
-        digest = stack.pop()
-        for child in graph.node(digest).children:
-            arrivals[child] = coupled(child, arrivals[digest])
-            stack.append(child)
+    arrivals: dict[bytes, float] = {}
+    for node in graph.walk():  # a parent's arrival is set before its children
+        t = 0.0 if node.parent is None else arrivals[node.parent]
+        u = uniform_raw.get(node.ctx_digest)
+        arrivals[node.ctx_digest] = (t if u is None
+                                     else max(t, arrival(u, node.n_exact)))
     return arrivals

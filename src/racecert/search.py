@@ -251,8 +251,8 @@ class _Engine:
                 cached = fallback_value(self.cfg.salt, digest,
                                         node.prefix_score, self.cfg.tau)
             else:
-                values = [self.fallback_key(self.graph.node(leaf))
-                          for leaf in self.graph.iter_leaves(digest)]
+                values = [self.fallback_key(leaf)
+                          for leaf in self.graph.walk(digest) if leaf.is_leaf]
                 m = max(values)
                 cached = m + math.log(math.fsum(math.exp(v - m) for v in values))
             self.fallback_keys[digest] = cached
@@ -408,7 +408,7 @@ class _Engine:
 
             phi_extra = self.phi_fields(node, children)
             if self.mode is Mode.EXACT:
-                counts = [graph.suffix_count(c) for c in node.children]
+                counts = [child.n_exact for child in children]
                 w_raw, raws, arrivals = exact_step(
                     digest, t, node.children, counts, self.draw)
                 if w_raw is not None:

@@ -23,7 +23,7 @@ from . import fixedpoint as fp
 from .bounds import kappa
 from .ledger import Ledger, MalformedLineError, _dump
 from .prefix_dag import PrefixDag, SharedDag, compile_dag
-from .race import arrival
+from .race import RawLookup, arrival
 from .search import RunConfig, run
 
 RDP_VARIANT = "classic"
@@ -75,25 +75,29 @@ class Verdict:
             fh.write("\n")
 
 
-def _replay_lookup(records):
-    """The replay engine's draw lookup: for each ``(ctx_digest, U/W)``, the
-    first value the original run logged.  A draw the ledger never logged
-    aborts the replay."""
-    draws: dict[tuple[str, str], int] = {}
+def _replay_inputs(records) -> tuple[RawLookup, dict[bytes, int] | None]:
+    """What the replay engine reads from the ledger, by one rule: the first
+    ``U``, ``W`` and ``Nub`` logged per context, so a later copy that
+    differs is a replay mismatch.  Returns the draw lookup, where a draw
+    the ledger never logged aborts the replay, and the ``Nub`` map (None
+    without any)."""
+    logged: dict[tuple[str, str], int] = {}
     for rec in records:
-        for want in ("U", "W"):
+        for want in ("U", "W", "Nub"):
             if want in rec and "ctx_digest" in rec:
-                draws.setdefault((rec["ctx_digest"], want), rec[want])
+                logged.setdefault((rec["ctx_digest"], want), rec[want])
 
     def lookup(digest: bytes, purpose: str) -> int:
         want = "W" if purpose == "winner" else "U"
         try:
-            return draws[(digest.hex(), want)]
+            return logged[(digest.hex(), want)]
         except KeyError:
             raise LookupError(
                 f"no logged {want} for node {digest.hex()[:16]}…") from None
 
-    return lookup
+    n_ub = {bytes.fromhex(d): n for (d, want), n in logged.items()
+            if want == "Nub"}
+    return lookup, n_ub or None
 
 
 def _differing_fields(orig: dict, new: dict) -> list[str]:
@@ -107,10 +111,8 @@ def _check_replay(graph: PrefixDag, ledger: Ledger, verdict: Verdict) -> None:
     records = ledger.records
     try:
         mode, cfg = RunConfig.from_header(ledger.header)
-        cfg.n_ub_map = {bytes.fromhex(rec["ctx_digest"]): rec["Nub"]
-                        for rec in records
-                        if "Nub" in rec and "ctx_digest" in rec} or None
-        result = run(graph, mode, cfg, uniform_provider=_replay_lookup(records))
+        lookup, cfg.n_ub_map = _replay_inputs(records)
+        result = run(graph, mode, cfg, uniform_provider=lookup)
     except Exception as exc:  # semantic: the ledger does not describe a run
         verdict.fail("replay", 0, f"replay aborted: {exc}")
         return
@@ -169,8 +171,9 @@ def _check_tightening(ledger: Ledger, graph: PrefixDag,
         if n is None:
             continue
         n_ub = rec["Nub"]
-        if n > n_ub:  # on every push: one never popped has no U
-            verdict.fail("tightening", i, f"public count {n} exceeds logged Nub {n_ub}")
+        if not 1 <= n <= n_ub:  # on every push: one never popped has no U
+            verdict.fail("tightening", i, f"public count {n} below 1" if n < 1
+                         else f"public count {n} exceeds logged Nub {n_ub}")
             continue
         if "U" not in rec or "key_raw" not in rec:
             continue
@@ -219,8 +222,7 @@ def _check_budget(ledger: Ledger, verdict: Verdict) -> None:
 
 
 def validate(ledger_path: str, graph_spec: str | PrefixDag,
-             public_counts: dict[str, int] | None = None,
-             report_path: str | None = None) -> Verdict:
+             public_counts: dict[str, int] | None = None) -> Verdict:
     """Replay and audit one ledger.  ``public_counts`` (ctx_digest hex ->
     exact count), when given, replaces the replayed contexts' counts for
     tightening and the ``N <= Nub`` check."""
@@ -241,6 +243,4 @@ def validate(ledger_path: str, graph_spec: str | PrefixDag,
             _check_stop_rule(ledger, verdict)
             _check_tightening(ledger, graph, public_counts, verdict)
             _check_budget(ledger, verdict)
-    if report_path:
-        verdict.save(report_path)
     return verdict

@@ -39,7 +39,6 @@ from racecert.prefix_dag import compile_dag
 from racecert.race import (
     RngStream,
     exp_from_uniform,
-    open_uniform,
     prf_raw,
     stream_lookup,
 )
@@ -107,7 +106,7 @@ def test_criterion_1():
     root_push = next(r for r in surro.ledger.records
                      if r.get("event") == "push"
                      and r["ctx_digest"] == labels["r"])
-    t_hat_r = exp_from_uniform(open_uniform(root_push["U"]), root_push["Nub"])
+    t_hat_r = exp_from_uniform(fp.q0_64_value(root_push["U"]), root_push["Nub"])
     key_hat_r = fp.decode_q64_64(_pushed_keys(surro)[labels["r"]])
     assert math.isclose(t_hat_r, 0.03719, abs_tol=1e-5)
     assert math.isclose(t_hat_r, -math.log1p(-0.20) / 6, abs_tol=1e-9)
@@ -155,7 +154,7 @@ def test_criterion_3():
     tol = 1e-9
     for graph_seed in range(200):
         graph = _compiled(random_tree(graph_seed))
-        assert sum(1 for _ in graph.iter_leaves()) <= 200
+        assert sum(n.is_leaf for n in graph.walk()) <= 200
         cfg_m = MtauConfig()  # R2 envelope
         for run_seed in range(5):
             for mode in (Mode.EXACT, Mode.SURROGATE):
@@ -168,9 +167,9 @@ def test_criterion_3():
                 else:
                     arrivals = coupled_monotone_race(
                         graph, _surrogate_uniforms(result, graph))
-                    values = {leaf: graph.node(leaf).prefix_score
-                              - math.log(arrivals[leaf])
-                              for leaf in graph.iter_leaves()}
+                    values = {leaf.ctx_digest: leaf.prefix_score
+                              - math.log(arrivals[leaf.ctx_digest])
+                              for leaf in graph.walk() if leaf.is_leaf}
                 rsm = realized_suffix_max(graph, values)
                 # Every pushed key covers its whole subtree, which implies
                 # coverage of every unexpanded leaf at every pop.
@@ -384,8 +383,7 @@ def test_criterion_10():
     # Soundness on 100 enumerable fixtures for every truncation depth K.
     for seed in range(100):
         graph = _compiled(random_tree(seed, max_depth=3, c_s_max=1.5))
-        leaves = [(graph.node(l).depth, graph.node(l).prefix_score)
-                  for l in graph.iter_leaves()]
+        leaves = [(n.depth, n.prefix_score) for n in graph.walk() if n.is_leaf]
         exact_lse = math.log(math.fsum(math.exp(s) for _, s in leaves))
         depth = max(d for d, _ in leaves)
         c_s_min = 1e-9

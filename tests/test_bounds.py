@@ -17,8 +17,8 @@ def test_mtau_r1_admissible_on_random_trees():
                                 max_depth=shared.caps.max_depth)
         for digest, node in graph.unfold().items():
             bound = bounds.mtau(node, cfg)
-            for leaf in graph.iter_leaves(digest):
-                assert bound >= graph.node(leaf).prefix_score - 1e-12
+            for leaf in graph.walk(digest):
+                assert not leaf.is_leaf or bound >= leaf.prefix_score - 1e-12
 
 
 def test_mtau_r2_admissible_with_nonnegative_costs():
@@ -29,8 +29,8 @@ def test_mtau_r2_admissible_with_nonnegative_costs():
         cfg = bounds.MtauConfig(recipe=bounds.MtauRecipe.R2)
         for digest, node in graph.unfold().items():
             bound = bounds.mtau(node, cfg)
-            for leaf in graph.iter_leaves(digest):
-                assert bound >= graph.node(leaf).prefix_score - 1e-12
+            for leaf in graph.walk(digest):
+                assert not leaf.is_leaf or bound >= leaf.prefix_score - 1e-12
 
 
 def test_lse_truncation_empty_tail():
@@ -54,7 +54,7 @@ def test_lse_truncation_sound_on_enumerable_trees():
         # Per-edge costs are >= 0 but not bounded below by caps.c_s_min for
         # this family, so use the trivially valid floor c = 0 via b_k built
         # from realized leaf scores instead: bound with exact depth counts.
-        leaves = list(graph.iter_leaves())
+        leaves = [n.ctx_digest for n in graph.walk() if n.is_leaf]
         scores = {d: graph.node(d).prefix_score for d in leaves}
         exact = math.log(math.fsum(math.exp(s) for s in scores.values()))
         depth_max = max(graph.node(d).depth for d in leaves)

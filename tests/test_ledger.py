@@ -78,7 +78,7 @@ def test_malformed_line_reports_lineno():
 
 
 def test_unknown_field_rejected():
-    for field in ("bogus", "_display"):
+    for field in ("bogus", "_display", "key_tight", "kappa"):
         text = '{"schema":"racecert/ledger/v1"}\n{"event":"push","%s":"x"}\n' % field
         with pytest.raises(lg.SchemaViolationError, match="unknown field"):
             lg.Ledger.parse_text(text)

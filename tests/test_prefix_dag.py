@@ -5,6 +5,7 @@ import weakref
 import pytest
 
 from racecert import prefix_dag
+from racecert.bounds import MtauConfig
 from racecert.generators import (adversarial_graph, full_binary_tree,
                                  pipeline_mock, random_binary_tree,
                                  random_tree, suite_a, suite_b, toy_graph)
@@ -20,6 +21,10 @@ from racecert.prefix_dag import (
     compile_dag,
     ctx_digest,
 )
+from racecert.race import RngStream
+from racecert.reconstruct import (coupled_monotone_race, exact_leaf_values,
+                                  exact_race, realized_suffix_max)
+from racecert.search import Mode, RunConfig, run
 
 
 def _brute_force_paths(dag: SharedDag, node_id: str) -> int:
@@ -49,7 +54,7 @@ def test_toy_compiles_with_certificates():
     assert cert.ok
     assert cert.total_leaves == 4
     assert graph.suffix_count(graph.root) == 4
-    assert len(list(graph.iter_leaves())) == 4
+    assert sum(n.is_leaf for n in graph.walk()) == 4
 
 
 def test_shared_dag_counts_match_brute_force_paths():
@@ -223,6 +228,79 @@ def test_unfolded_graph_releases_the_shared_tables():
         assert graph.node(digest) is node
         assert graph.suffix_count(digest) == node.n_exact
     assert graph.public_counts() == want
+
+
+def _preorder(graph, digest):
+    """Reference preorder: a context, then each child's subtree in edge
+    order."""
+    return [digest] + [d for child in graph.node(digest).children
+                       for d in _preorder(graph, child)]
+
+
+def test_walk_yields_every_context_once_in_preorder():
+    graph, _ = compile_dag(suite_b(4, 3, seed=1))
+    order = [node.ctx_digest for node in graph.walk()]
+    assert len(set(order)) == len(order) == len(graph.nodes)
+    assert order == _preorder(graph, graph.root)
+    at = {digest: i for i, digest in enumerate(order)}
+    for node in graph.nodes.values():  # after its parent, siblings in order
+        assert node.parent is None or at[node.parent] < at[node.ctx_digest]
+        assert [at[c] for c in node.children] == sorted(
+            at[c] for c in node.children)
+
+
+def test_walk_of_a_context_yields_its_subtree():
+    graph, _ = compile_dag(suite_b(4, 3, seed=1))
+    root = graph.node(graph.root)
+    mid = graph.node(root.children[-1]).children[0]
+    assert mid not in graph.nodes  # listed, not built yet
+    assert [n.ctx_digest for n in graph.walk(mid)] == _preorder(graph, mid)
+    leaf = next(n for n in graph.walk() if n.is_leaf)
+    assert list(graph.walk(leaf.ctx_digest)) == [leaf]
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.SURROGATE])
+def test_walk_of_a_routed_graph_matches_a_fresh_compile(mode):
+    # A route builds some contexts; walking it yields what a fresh compile
+    # does, and the passes that read the walk give equal dicts on both.
+    shared = suite_b(4, 3, seed=1)
+    cfg = RunConfig(mtau=MtauConfig(), seed=3, n_ub_factor=2.0)
+    fresh, _ = compile_dag(shared)
+    walked = list(fresh.walk())
+
+    def routed():
+        graph, _ = compile_dag(shared)
+        result = run(graph, mode, cfg)
+        assert 1 < len(graph.nodes) < len(walked)
+        return graph, result
+
+    graph, result = routed()
+    assert list(graph.walk()) == walked
+    lookup = RngStream(cfg.seed).raw
+    graph, _ = routed()
+    arrivals = exact_race(graph, lookup)
+    assert arrivals == exact_race(fresh, lookup)
+    values = exact_leaf_values(fresh, arrivals)
+    graph, _ = routed()
+    assert realized_suffix_max(graph, values) == realized_suffix_max(fresh, values)
+    uniforms = {bytes.fromhex(rec["ctx_digest"]): rec["U"]
+                for rec in result.ledger.records
+                if "U" in rec and rec["event"] != "leaf_eval"}
+    graph, _ = routed()
+    assert (coupled_monotone_race(graph, uniforms)
+            == coupled_monotone_race(fresh, uniforms))
+
+
+def test_a_leaf_context_lists_no_children():
+    # r -> a -> b with both a and b leaves: a ends every path through it,
+    # so b gets no context and the realized race covers the whole graph.
+    graph, cert = compile_dag(_graph([("r", "a", 0), ("a", "b", 0)],
+                                     {"a", "b"}, 3))
+    assert cert.total_leaves == 1
+    assert [n.state_label for n in graph.walk()] == ["r", "a"]
+    values = exact_leaf_values(graph, exact_race(graph, RngStream(1).raw))
+    rsm = realized_suffix_max(graph, values)
+    assert rsm[graph.root] == max(values.values())
 
 
 def test_json_round_trip(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from racecert import race
-from racecert.fixedpoint import encode_q0_64
+from racecert.fixedpoint import encode_q0_64, q0_64_value
 
 
 def test_exp_from_uniform_examples():
@@ -28,11 +28,6 @@ def test_quantile_cat_examples():
     assert race.quantile_cat(0.75, [3, 1]) == 1  # half-open cell boundary
     assert race.quantile_cat(0.0, [1, 1]) == 0
     assert race.quantile_cat(0.5, [1, 1]) == 1
-
-
-def test_open_uniform_never_hits_endpoints():
-    assert 0.0 < race.open_uniform(0) < 1.0
-    assert 0.0 < race.open_uniform((1 << 64) - 1) < 1.0
 
 
 def test_rng_stream_is_pure_and_address_sensitive():
@@ -111,7 +106,7 @@ def test_gumbel_from_uniform():
 def test_gumbel_prf_mean_matches_euler_gamma():
     salt = b"\x07" * 8
     draws = [race.gumbel_from_uniform(
-        race.open_uniform(race.prf_raw(salt, "leaf", i.to_bytes(4, "big"))))
+        q0_64_value(race.prf_raw(salt, "leaf", i.to_bytes(4, "big"))))
         for i in range(100_000)]
     assert abs(np.mean(draws) - 0.5772) < 0.01
 
@@ -125,7 +120,7 @@ def test_prf_is_deterministic_and_salt_sensitive():
 
 def test_coupling_monotonicity_prop1():
     for raw in (encode_q0_64(0.1), encode_q0_64(0.5), encode_q0_64(0.999)):
-        u = race.open_uniform(raw)
+        u = q0_64_value(raw)
         for n, n_ub in ((1, 1), (2, 5), (7, 7), (3, 100)):
             t_hat = race.exp_from_uniform(u, n_ub)
             assert t_hat <= race.exp_from_uniform(u, n) + 1e-18

@@ -8,7 +8,7 @@ from racecert import fixedpoint as fp, search
 from racecert.bounds import MtauConfig, MtauRecipe, PhiConfig, mtau
 from racecert.generators import suite_a, toy_graph
 from racecert.prefix_dag import DagNode, PublicCaps, SharedDag, compile_dag
-from racecert.race import RateZeroError, RngStream, open_uniform, prf_raw, stream_lookup
+from racecert.race import RateZeroError, RngStream, prf_raw, stream_lookup
 from racecert.reconstruct import exact_race
 from racecert.search import ClaimType, Mode, RunConfig
 from racecert.validator import validate
@@ -370,10 +370,11 @@ def test_certified_surrogate_stop_dominates_every_leaf_value():
             continue
         popped = {rec["ctx_digest"] for rec in result.ledger.records
                   if rec.get("event") == "leaf_eval"}
-        for digest in graph.iter_leaves():
-            if digest.hex() in popped:
+        for leaf in graph.walk():
+            digest = leaf.ctx_digest
+            if not leaf.is_leaf or digest.hex() in popped:
                 continue
             # The value the engine would give the leaf on its pop.
-            u = open_uniform(prf_raw(cfg.salt, search.PRF_DOMAIN, digest))
-            value = graph.node(digest).prefix_score - math.log(-math.log1p(-u))
+            u = fp.q0_64_value(prf_raw(cfg.salt, search.PRF_DOMAIN, digest))
+            value = leaf.prefix_score - math.log(-math.log1p(-u))
             assert value <= result.incumbent, (seed, digest.hex())

@@ -98,7 +98,8 @@ def test_surrogate_round_trip_tightens(tmp_path):
 def test_report_file_written(tmp_path):
     graph, _, path = _run(tmp_path, Mode.EXACT)
     report = str(tmp_path / "verdict.json")
-    verdict = validator.validate(path, graph, report_path=report)
+    verdict = validator.validate(path, graph)
+    verdict.save(report)
     with open(report, encoding="utf-8") as fh:
         obj = json.load(fh)
     assert obj["ok"] == verdict.ok is True
@@ -609,6 +610,37 @@ def test_every_copy_of_a_logged_draw_must_replay(tmp_path, event):
         _write_lines(tmp_path, f"root-{event}-u.ndjson", lines), graph)
     assert not verdict.replay_ok
     assert not verdict.ok
+
+
+def test_public_count_below_one_is_a_verdict():
+    # Rate 0 has no arrival: a count of 0 fails the record's tightening
+    # check instead of raising.
+    graph, _ = compile_dag(toy_graph())
+    golden = os.path.join(os.path.dirname(__file__), "data",
+                          "toy-surrogate.ndjson")
+    zeros = {digest: 0 for digest in graph.public_counts()}
+    verdict = validator.validate(golden, graph, public_counts=zeros)
+    assert not verdict.ok
+    assert [check for check, _, _ in verdict.found] == ["tightening"] * 10
+    assert all(reason == "public count 0 below 1"
+               for _, reason in verdict.failures)
+
+
+def test_first_logged_nub_is_the_one_replayed(tmp_path):
+    # Replay reads every logged input by the first copy per context, so a
+    # later Nub that differs is the one record flagged.
+    graph, _ = compile_dag(toy_graph())
+    lines = _golden_lines("toy-surrogate.ndjson")
+    idx = max(i for i, ln in enumerate(lines)
+              if '"Nub":' in ln and '"event":"pop"' in ln)
+    assert idx - 1 == 8  # record 3 pushed the same context, same Nub
+    rec = json.loads(lines[idx])
+    rec["Nub"] = str(int(rec["Nub"]) + 1)
+    lines[idx] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    verdict = validator.validate(
+        _write_lines(tmp_path, "later-nub.ndjson", lines), graph)
+    assert verdict.found == [
+        ("replay", idx - 1, "replay mismatch in fields ['Nub']")]
 
 
 def test_pop_without_its_winner_draw_aborts_replay(tmp_path):
