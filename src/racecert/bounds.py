@@ -21,12 +21,13 @@ LOG2 = math.log(2.0)
 class MtauRecipe(Enum):
     R1 = "R1"  # per-step envelope: prefix score + d(v) * c_s_max
     R2 = "R2"  # prefix score: scores only fall when edge costs are >= 0
+    R3 = "R3"  # exact score-to-go: the best leaf score below, rounded up
     FIXED = "FIXED"  # per-state table (fixture replays)
 
 
 @dataclass(frozen=True)
 class MtauConfig:
-    recipe: MtauRecipe = MtauRecipe.R2
+    recipe: MtauRecipe = MtauRecipe.R3
     c_s_max: float = 0.0
     max_depth: int = 0
     fixed_table: dict[str, float] = field(default_factory=dict, hash=False)
@@ -38,6 +39,8 @@ class MtauConfig:
 
 def mtau(node: PrefixNode, cfg: MtauConfig) -> float:
     """Upper bound on the deterministic score of any leaf below ``node``."""
+    if cfg.recipe is MtauRecipe.R3:
+        return node.score_ub
     if cfg.recipe is MtauRecipe.R1:
         return node.prefix_score + cfg.remaining_steps(node) * cfg.c_s_max
     if cfg.recipe is MtauRecipe.R2:

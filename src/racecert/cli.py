@@ -22,6 +22,7 @@ import os
 import statistics
 import sys
 import time
+from dataclasses import replace
 from typing import Sequence
 
 from . import fixedpoint as fp
@@ -208,8 +209,7 @@ def cmd_nub_sweep(args) -> int:
     for factor in [float(f) for f in args.factors.split(",")]:
         expansions, kappas = [], []
         for _, _, graph, cfg in _seeds(args):
-            cfg.n_ub_factor = factor
-            result = run(graph, Mode.SURROGATE, cfg)
+            result = run(graph, Mode.SURROGATE, replace(cfg, n_ub_factor=factor))
             expansions.append(result.expansions)
             for rec in result.ledger.records:
                 if rec.get("event") in ("push", "pop") and "Nub" in rec:
@@ -277,7 +277,7 @@ def cmd_find_adversarial(args) -> int:
     realized winner on the adversarial fixture while Exact keeps it."""
     graph, _ = compile_dag(adversarial_graph())
     for seed in range(args.max_seeds):
-        cfg = RunConfig(mtau=MtauConfig(), seed=seed)  # R2: prefix-score envelope
+        cfg = RunConfig(mtau=MtauConfig(), seed=seed)  # R3: exact score-to-go
         values = _realized_leaf_values(graph, seed, cfg)
         winner, _ = argmax_leaf(values)
         if (dist_level(graph, cfg.mtau, values).pruned_winner

@@ -31,6 +31,7 @@ GUARD_NAMES = {
     "NumClamp",
     "Timeout",
     "BudgetFail",
+    "MtauInadmissible",
 }
 
 # field -> (lo, hi) for raw-integer decimal-string fields.

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -213,6 +214,8 @@ class PrefixNode:
     is_leaf: bool
     children: list[bytes] = field(default_factory=list)
     n_exact: int = 0
+    # No leaf below scores more: prefix score plus score-to-go, rounded up.
+    score_ub: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -236,15 +239,16 @@ class PrefixDag:
     carried, and then drops that body.  ``nodes`` holds the contexts built
     so far; ``walk()`` builds those it reaches, and ``unfold()`` drains it
     to build the rest.  Once every context is built, the shared graph and
-    its counts are dropped.  A repeated digest is detected among the
+    its tables are dropped.  A repeated digest is detected among the
     contexts built so far and the children they list.
     """
 
-    def __init__(self, dag: SharedDag, counts: dict[str, int]):
+    def __init__(self, dag: SharedDag, counts: dict[str, int],
+                 togo: dict[str, float], height: dict[str, int]):
         self.caps = dag.caps
         self.nodes: dict[bytes, PrefixNode] = {}
         self._dag = dag
-        self._counts = counts
+        self._counts, self._togo, self._height = counts, togo, height
         self._head = _caps_head(dag.caps)
         # Digest -> (shared node id, path body, parent digest, prefix score,
         # depth) of every listed child not built yet.
@@ -264,9 +268,17 @@ class PrefixDag:
         node_id, body, parent, score, depth = self._pending.pop(digest)
         dag, counts, pending = self._dag, self._counts, self._pending
         shared = dag.nodes[node_id]
+        # The best leaf's float score subtracts the h <= height - 1 costs
+        # below one by one, and score + togo sums them in another order: at
+        # most 2h roundings, each within half an ulp of |score_ub|, so 2h
+        # ulps round the sum up past it.  A childless leaf gets none.
+        score_ub = score + self._togo[node_id]
+        ulps = 2 * (self._height[node_id] - 1)
+        if ulps and score_ub > -math.inf:
+            score_ub += ulps * math.ulp(score_ub)
         node = self.nodes[digest] = PrefixNode(
             digest, shared.state_label, depth, score, parent, shared.is_leaf,
-            [], counts[node_id])
+            [], counts[node_id], score_ub)
         # A leaf ends every path through it, so it lists no children.
         for order, child_id in () if shared.is_leaf else dag.children_of(node_id):
             if counts[child_id] == 0:
@@ -282,7 +294,7 @@ class PrefixDag:
                                      score - child.det_score_delta, depth + 1)
             node.children.append(child_digest)
         if not pending:  # every context is built: drop the shared tables
-            self._dag = self._counts = None
+            self._dag = self._counts = self._togo = self._height = None
         return node
 
     def walk(self, digest: bytes | None = None) -> Iterator[PrefixNode]:
@@ -311,17 +323,24 @@ class PrefixDag:
         return {d.hex(): n.n_exact for d, n in self.unfold().items()}
 
 
-def _shared_counts(dag: SharedDag) -> dict[str, int]:
-    """Leaf count of every shared node reachable from the root.
+def _shared_counts(dag: SharedDag) -> tuple[dict[str, int], dict[str, float],
+                                             dict[str, int]]:
+    """Leaf count, score-to-go and height of every shared node reachable
+    from the root.
 
     One iterative post-order walk: a leaf counts 1, any other node the sum
-    over its children.  It also walks the subtrees that hold no leaf and
-    those below a leaf, so a cycle or an over-deep path anywhere is an
+    over its children.  A leaf's score-to-go is 0, any other node's the
+    best ``togo(c) - cost(c)`` over its children, where a node without a
+    leaf below has -inf, so a context's best leaf scores its prefix score
+    plus ``togo``.  A node's height counts the nodes on its longest path
+    down, itself included.  It also walks the subtrees that hold no leaf
+    and those below a leaf, so a cycle or an over-deep path anywhere is an
     error, as in a full unfolding; so is a root without leaves.
     """
     max_depth = dag.caps.max_depth
     counts: dict[str, int] = {}
-    height: dict[str, int] = {}  # nodes on the longest path down, itself included
+    togo: dict[str, float] = {}
+    height: dict[str, int] = {}
     on_path: set[str] = set()
     # (node id, depth of the root path to it, its children on exit or None)
     stack: list[tuple[str, int, list[str] | None]] = [(dag.root_id, 1, None)]
@@ -331,8 +350,12 @@ def _shared_counts(dag: SharedDag) -> dict[str, int]:
         if kids is not None:  # exit: every child is counted
             on_path.discard(node_id)
             height[node_id] = 1 + max([height[c] for c in kids])
-            counts[node_id] = (1 if nodes[node_id].is_leaf
-                               else sum([counts[c] for c in kids]))
+            if nodes[node_id].is_leaf:
+                counts[node_id], togo[node_id] = 1, 0.0
+            else:
+                counts[node_id] = sum([counts[c] for c in kids])
+                togo[node_id] = max([togo[c] - nodes[c].det_score_delta
+                                     for c in kids])
             continue
         if node_id in on_path:
             raise CycleDetectedError(f"cycle through {node_id!r}")
@@ -347,14 +370,15 @@ def _shared_counts(dag: SharedDag) -> dict[str, int]:
         kids = [child_id for _, child_id in dag.children_of(node_id)]
         if not kids:  # entry and exit at once
             height[node_id] = 1
-            counts[node_id] = 1 if nodes[node_id].is_leaf else 0
+            leaf = nodes[node_id].is_leaf
+            counts[node_id], togo[node_id] = (1, 0.0) if leaf else (0, -math.inf)
             continue
         on_path.add(node_id)
         stack.append((node_id, depth, kids))
         stack.extend([(child_id, depth + 1, None) for child_id in reversed(kids)])
     if counts[dag.root_id] == 0:
         raise NoLeafError(f"no leaf below root {dag.root_id!r}")
-    return counts
+    return counts, togo, height
 
 
 def compile_dag(dag: SharedDag) -> tuple[PrefixDag, CompileCertificate]:
@@ -365,7 +389,7 @@ def compile_dag(dag: SharedDag) -> tuple[PrefixDag, CompileCertificate]:
     a silent truncation) or a root without leaves raises here.  It builds
     the root context; every other context is built when first reached.
     """
-    counts = _shared_counts(dag)
-    graph = PrefixDag(dag, counts)
+    counts, togo, height = _shared_counts(dag)
+    graph = PrefixDag(dag, counts, togo, height)
     return graph, CompileCertificate(ok=True,
                                      total_leaves=counts[dag.root_id])

@@ -87,6 +87,16 @@ class RunConfig:
     expansion_cap: int | None = None
     deterministic_ids: bool = True  # unread: ids are seeded; perfbench sets it
 
+    def __post_init__(self):
+        """Refuse the settings no run can certify under; ``from_header``
+        builds through here, so a ledger's header is checked too."""
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and > 0: {self.tau}")
+        if not 1.0 <= self.n_ub_factor < math.inf:
+            raise ValueError(f"n_ub_factor must be finite and >= 1: {self.n_ub_factor}")
+        if self.expansion_cap is not None and self.expansion_cap < 0:
+            raise ValueError(f"expansion_cap must be None or >= 0: {self.expansion_cap}")
+
     def header_obj(self, graph: PrefixDag, mode: Mode) -> dict:
         """The ledger header: every setting that is not rebuilt from logged
         records (``Nub`` and ``U``/``W``).  ``budget`` is written only when
@@ -239,7 +249,14 @@ class _Engine:
     # -- mode mechanics ---------------------------------------------------
 
     def key_for(self, node: PrefixNode, t: float) -> float:
-        return mtau(node, self.cfg.mtau) - math.log(t)
+        """``mtau - log t``; a FIXED entry below the node's best leaf score
+        is not admissible, so the first one downgrades a certified run."""
+        bound = mtau(node, self.cfg.mtau)
+        if (self.cfg.mtau.recipe is MtauRecipe.FIXED and bound < node.score_ub
+                and self.claim is ClaimType.RUN_WISE_EXACT):
+            self.guard("MtauInadmissible", node,
+                       reason=f"M_tau {bound!r} < best leaf score {node.score_ub!r}")
+        return bound - math.log(t)
 
     def fallback_key(self, node: PrefixNode) -> float:
         """Fallback key: a leaf's perturbed value ``g/tau + s - log E``; an

@@ -230,7 +230,8 @@ def _write_json(tmp_path, name, obj):
 
 @pytest.mark.parametrize("case", [
     "graph-not-an-object", "catalog-entry-incomplete", "catalog-empty",
-    "ledger-missing", "depth-negative", "graph-negative-cost"])
+    "ledger-missing", "depth-negative", "graph-negative-cost",
+    "nub-factor-below-1", "tau-zero"])
 def test_input_error_is_one_line_and_exit_2(tmp_path, capsys, case):
     out = str(tmp_path / "out")
     argv = {
@@ -248,6 +249,12 @@ def test_input_error_is_one_line_and_exit_2(tmp_path, capsys, case):
             "validate", str(tmp_path / "missing.ndjson")],
         "depth-negative": lambda: [
             "suite", "--depth", "-1", "--seeds", "1", "--out", out],
+        "nub-factor-below-1": lambda: [
+            "suite", "--modes", "Surrogate", "--nub-factor", "0.5",
+            "--seeds", "1", "--out", out],
+        "tau-zero": lambda: [
+            "suite", "--modes", "Fallback", "--tau", "0", "--seeds", "1",
+            "--out", out],
         "graph-negative-cost": lambda: [  # refused before the ledger is read
             "validate", shutil.copy(os.path.join(
                 os.path.dirname(__file__), "data", "toy-exact.ndjson"), tmp_path),
@@ -265,6 +272,14 @@ def test_input_error_is_one_line_and_exit_2(tmp_path, capsys, case):
     assert err.count("\n") == 1
     assert err.startswith(f"racecert {argv[0]}: ")
     assert not os.path.exists(out)  # refused before writing anything
+
+
+def test_nub_sweep_checks_every_factor(tmp_path, capsys):
+    # Each factor builds its own config, so 0.5 is refused before a run
+    # logs a bound below a count.
+    assert main(["nub-sweep", "--factors", "1,0.5", "--seeds", "1",
+                 "--depth", "2", "--out", str(tmp_path / "out")]) == 2
+    assert "n_ub_factor must be finite and >= 1" in capsys.readouterr().err
 
 
 def test_suite_modes_do_not_share_budget_spend(tmp_path):

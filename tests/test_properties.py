@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from racecert import validator
-from racecert.bounds import MtauConfig, PhiConfig
+from racecert.bounds import MtauConfig, MtauRecipe, PhiConfig, mtau
 from racecert.budget import BudgetRuntime, BudgetState, default_catalog
 from racecert.generators import (full_binary_tree, random_tree, suite_a,
                                  suite_b)
@@ -122,7 +122,7 @@ def test_exact_route_builds_the_contexts_it_pushes(shared, seed):
 
 def test_exact_route_builds_a_small_share_of_a_shared_graph():
     # suite_b(10,3): 31 shared nodes unfold to 3,070 contexts.  The share is
-    # a median: a rare route expands more (seed 41 builds 404 contexts).
+    # a median: a rare route expands more (seed 20 builds 98 contexts).
     shares = []
     for seed in range(20):
         graph, _ = compile_dag(suite_b(10, 3, seed))
@@ -314,9 +314,9 @@ def test_changed_header_constant_or_added_key_fails(tmp_path, base, mode,
 
 @st.composite
 def _shared_dags(draw):
-    """Small shared graphs, defective ones included: edges point down the
-    node order, or anywhere (cycles, self-loops); parallel edges, leaves
-    with children and a too-low depth cap may all occur."""
+    """Small shared graphs with costs, defective ones included: edges point
+    down the node order, or anywhere (cycles, self-loops); parallel edges,
+    leaves with children and a too-low depth cap may all occur."""
     size = draw(st.integers(1, 7))
     ids = [f"n{i}" for i in range(size)]
     leaves = draw(st.lists(st.booleans(), min_size=size, max_size=size))
@@ -327,7 +327,9 @@ def _shared_dags(draw):
     if draw(st.booleans()):  # acyclic
         pairs = [(min(a, b), max(a, b), o) for a, b, o in pairs if a != b]
     edges = list({(a, o): (ids[a], ids[b], o) for a, b, o in pairs}.values())
-    nodes = {n: DagNode(n, n, leaf) for n, leaf in zip(ids, leaves)}
+    costs = draw(st.lists(st.floats(0.0, 4.0), min_size=size, max_size=size))
+    nodes = {n: DagNode(n, n, leaf, cost)
+             for n, leaf, cost in zip(ids, leaves, costs)}
     caps = PublicCaps(max_depth=draw(st.integers(1, size)), c_s_max=1.0,
                       c_s_min=1.0)
     return SharedDag(nodes, edges, "n0", caps)
@@ -335,9 +337,10 @@ def _shared_dags(draw):
 
 def _counts_by_recursion(dag):
     """The count walk written recursively: the same visit order, checks
-    and errors, and a leaf counts 1, any other node the sum over its
-    children."""
-    counts, height, on_path = {}, {}, set()
+    and errors.  A leaf counts 1 and its score-to-go is 0; any other node
+    counts the sum over its children, and its score-to-go is the best
+    ``togo(c) - cost(c)`` over the children with a leaf below."""
+    counts, togo, height, on_path = {}, {}, {}, set()
 
     def visit(node_id, depth):
         if node_id in on_path:
@@ -352,13 +355,16 @@ def _counts_by_recursion(dag):
             visit(child, depth + 1)
         on_path.discard(node_id)
         height[node_id] = 1 + max((height[c] for c in kids), default=0)
-        counts[node_id] = (1 if dag.nodes[node_id].is_leaf
-                           else sum(counts[c] for c in kids))
+        leaf = dag.nodes[node_id].is_leaf
+        counts[node_id] = 1 if leaf else sum(counts[c] for c in kids)
+        togo[node_id] = 0.0 if leaf else max(
+            (togo[c] - dag.nodes[c].det_score_delta for c in kids if counts[c]),
+            default=float("-inf"))
 
     visit(dag.root_id, 1)
     if counts[dag.root_id] == 0:
         raise NoLeafError(dag.root_id)
-    return counts
+    return counts, togo, height
 
 
 @settings(PROPERTY, max_examples=1000)  # a pure walk over tiny graphs
@@ -372,6 +378,56 @@ def test_shared_counts_match_a_recursive_reference(shared):
         assert type(got.value) is type(exc)
     else:
         assert _shared_counts(shared) == want
+
+
+# Costs from 1e-17 to 1e9: summed in two orders, their float sums differ
+# in the last bits, which an unrounded score + togo does not cover.
+COSTS = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0),
+                  st.integers(-17, 9))
+
+
+@st.composite
+def _costly_trees(draw):
+    """Trees with mixed-magnitude costs; each node hangs below one of the
+    two nodes before it, so paths run deep, and a childless node is a
+    leaf."""
+    size = draw(st.integers(2, 24))
+    parents = [draw(st.integers(max(0, i - 2), i - 1)) for i in range(1, size)]
+    ids = [f"n{i}" for i in range(size)]
+    costs = draw(st.lists(COSTS, min_size=size, max_size=size))
+    nodes = {n: DagNode(n, n, i not in parents, cost)
+             for i, (n, cost) in enumerate(zip(ids, costs))}
+    edges = [(ids[p], ids[i], i) for i, p in enumerate(parents, 1)]
+    return SharedDag(nodes, edges, "n0", PublicCaps(size, 1.0, 1.0))
+
+
+@settings(PROPERTY, max_examples=500)
+@given(shared=_costly_trees())
+def test_r3_bound_covers_the_float_score_of_every_leaf_below(shared):
+    graph, _ = compile_dag(shared)
+    best: dict[bytes, float] = {}
+    for node in reversed(list(graph.walk())):  # children before parents
+        best[node.ctx_digest] = (node.prefix_score if node.is_leaf else
+                                 max(best[c] for c in node.children))
+        assert mtau(node, MtauConfig()) >= best[node.ctx_digest]
+
+
+@pytest.mark.parametrize("family", [
+    lambda seed: suite_a(4, 5, seed),
+    lambda seed: suite_b(10, 3, seed),
+    lambda seed: random_tree(seed, max_depth=6, max_branch=4),
+], ids=["suite_a(4,5)", "suite_b(10,3)", "random_tree(6,4)"])
+def test_r3_keeps_every_exact_incumbent_and_expands_no_more(family):
+    # Under one realized race, any admissible bound certifies the same
+    # leaf; the tighter one pops fewer nodes on the way.
+    for seed in range(100):
+        graph, _ = compile_dag(family(seed))
+        r2 = run(graph, Mode.EXACT,
+                 RunConfig(mtau=MtauConfig(recipe=MtauRecipe.R2), seed=seed))
+        r3 = run(graph, Mode.EXACT, RunConfig(mtau=MtauConfig(), seed=seed))
+        assert (r3.incumbent_leaf, r3.incumbent) == (r2.incumbent_leaf,
+                                                     r2.incumbent)
+        assert r3.expansions <= r2.expansions
 
 
 @PROPERTY

@@ -9,7 +9,7 @@ from racecert.bounds import MtauConfig, MtauRecipe, PhiConfig, mtau
 from racecert.generators import suite_a, toy_graph
 from racecert.prefix_dag import DagNode, PublicCaps, SharedDag, compile_dag
 from racecert.race import RateZeroError, RngStream, prf_raw, stream_lookup
-from racecert.reconstruct import exact_race
+from racecert.reconstruct import exact_race, oracle_optimum
 from racecert.search import ClaimType, Mode, RunConfig
 from racecert.validator import validate
 
@@ -213,6 +213,59 @@ def test_numclamp_guard(toy):
     result = search.run(graph, Mode.EXACT, cfg)
     assert "NumClamp" in result.guards_seen
     assert result.claim_type is ClaimType.NO_CERT
+
+
+def _fixed(table):
+    return MtauConfig(recipe=MtauRecipe.FIXED, fixed_table=table)
+
+
+def test_inadmissible_fixed_table_never_certifies_a_wrong_leaf(tmp_path):
+    # Every entry at -100.0 sits below every leaf score, so the keys bound
+    # nothing; without the guard, 10 of these 50 runs certify a wrong leaf.
+    for seed in range(50):
+        graph, _ = compile_dag(suite_a(3, 3, seed))
+        table = {n.state_label: -100.0 for n in graph.walk()}
+        path = str(tmp_path / f"{seed}.ndjson")
+        result = search.run(graph, Mode.EXACT,
+                            RunConfig(mtau=_fixed(table), seed=seed),
+                            ledger_path=path)
+        optimum, _ = oracle_optimum(graph, stream_lookup(RngStream(seed), {}, graph))
+        assert (result.claim_type is ClaimType.NO_CERT
+                or result.incumbent_leaf == optimum.hex())
+        assert result.guards_seen == ["MtauInadmissible"]  # once per run
+        assert validate(path, graph).ok
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.SURROGATE],
+                         ids=lambda m: m.value)
+def test_fixed_entry_at_the_best_leaf_score_fires_nothing(mode):
+    graph, _ = compile_dag(suite_a(3, 3, 0))
+    table: dict[str, float] = {}
+    for node in graph.walk():
+        table[node.state_label] = max(table.get(node.state_label, -math.inf),
+                                      node.score_ub)
+    cfg = RunConfig(mtau=_fixed(table), n_ub_factor=1.5)
+    result = search.run(graph, mode, cfg)
+    assert result.guards_seen == []
+    assert result.claim_type is ClaimType.RUN_WISE_EXACT
+    # One ulp lower at the root fires the guard once, at the root's push.
+    root = graph.node(graph.root)
+    table[root.state_label] = math.nextafter(root.score_ub, -math.inf)
+    cfg.mtau = _fixed(table)
+    result = search.run(graph, mode, cfg)
+    assert result.guards_seen == ["MtauInadmissible"]
+    assert result.claim_type is ClaimType.NO_CERT
+    first = result.ledger.records[0]
+    assert (first["event"], first["ctx_digest"]) == ("guard", graph.root.hex())
+
+
+@pytest.mark.parametrize("setting", [
+    {"tau": 0.0}, {"tau": -1.0}, {"tau": math.nan}, {"tau": math.inf},
+    {"n_ub_factor": 0.5}, {"n_ub_factor": math.nan},
+    {"n_ub_factor": math.inf}, {"expansion_cap": -3}], ids=str)
+def test_run_config_refuses_what_it_cannot_certify(setting):
+    with pytest.raises(ValueError):
+        RunConfig(mtau=MtauConfig(), **setting)
 
 
 def test_acyclicity_guard_and_downgrade():

@@ -206,6 +206,36 @@ def test_tampered_golden_header_detected(tmp_path, key, value):
     assert not verdict.replay_ok
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_ub_factor", -1.0), ("n_ub_factor", 0.5), ("tau", 0.0),
+    ("expansion_cap", -3)])
+def test_header_setting_no_run_certifies_under_aborts_replay(tmp_path, key,
+                                                             value):
+    # Replay reads Nub from the log and never uses these values, so only
+    # the config the header builds can refuse them.
+    graph, _ = compile_dag(toy_graph())
+    lines = _golden_lines("toy-surrogate.ndjson")
+    header = json.loads(lines[0])
+    header[key] = value
+    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    verdict = validator.validate(
+        _write_lines(tmp_path, "header.ndjson", lines), graph)
+    assert len(verdict.failures) == 1
+    assert verdict.failures[0][1].startswith(f"replay aborted: {key} must be")
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_an_r2_ledger_still_validates(tmp_path, mode):
+    # The header names the recipe, so a ledger written before R3 became
+    # the default replays under the R2 it was written with.
+    graph, _ = compile_dag(suite_b(6, 3, 0))
+    path = str(tmp_path / "r2.ndjson")
+    cfg = RunConfig(mtau=MtauConfig(recipe=MtauRecipe.R2), n_ub_factor=1.5)
+    search.run(graph, mode, cfg, ledger_path=path)
+    assert Ledger.parse(path).header["mtau"]["recipe"] == "R2"
+    assert validator.validate(path, graph).ok
+
+
 @pytest.mark.parametrize("field, rewrite", [
     ("key_raw", lambda d: "+" + d),
     ("key_raw", lambda d: "0" + d),
