@@ -19,7 +19,6 @@ LOG2 = math.log(2.0)
 
 
 class MtauRecipe(Enum):
-    R1 = "R1"  # per-step envelope: prefix score + d(v) * c_s_max
     R2 = "R2"  # prefix score: scores only fall when edge costs are >= 0
     R3 = "R3"  # exact score-to-go: the best leaf score below, rounded up
     FIXED = "FIXED"  # per-state table (fixture replays)
@@ -28,23 +27,24 @@ class MtauRecipe(Enum):
 @dataclass(frozen=True)
 class MtauConfig:
     recipe: MtauRecipe = MtauRecipe.R3
-    c_s_max: float = 0.0
-    max_depth: int = 0
     fixed_table: dict[str, float] = field(default_factory=dict, hash=False)
 
-    def remaining_steps(self, node: PrefixNode) -> int:
-        # The only certified cap available from public caps.
-        return max(0, self.max_depth - node.depth)
+    def __post_init__(self):  # FIXED reads a table, as floats; no other recipe does
+        if (self.recipe is MtauRecipe.FIXED) != bool(self.fixed_table):
+            raise ValueError(f"M_tau {self.recipe.value}: FIXED needs a "
+                             "fixed_table and no other recipe takes one")
+        table = {state: float(v) for state, v in self.fixed_table.items()}
+        object.__setattr__(self, "fixed_table", table)
 
 
 def mtau(node: PrefixNode, cfg: MtauConfig) -> float:
     """Upper bound on the deterministic score of any leaf below ``node``."""
     if cfg.recipe is MtauRecipe.R3:
         return node.score_ub
-    if cfg.recipe is MtauRecipe.R1:
-        return node.prefix_score + cfg.remaining_steps(node) * cfg.c_s_max
     if cfg.recipe is MtauRecipe.R2:
         return node.prefix_score
+    if node.state_label not in cfg.fixed_table:
+        raise ValueError(f"FIXED M_tau table has no state {node.state_label!r}")
     return cfg.fixed_table[node.state_label]
 
 
@@ -86,6 +86,9 @@ class PhiConfig:
     c_s_min: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "step_cap", int(self.step_cap))
+        for name in ("alpha", "eta", "eps_fp", "c_s_min"):  # so "eta":1 fails replay
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
         if self.alpha < 0:

@@ -88,8 +88,12 @@ class RunConfig:
     deterministic_ids: bool = True  # unread: ids are seeded; perfbench sets it
 
     def __post_init__(self):
-        """Refuse the settings no run can certify under; ``from_header``
-        builds through here, so a ledger's header is checked too."""
+        """Cast to the declared types, so a header retyped to ``"tau":1`` writes
+        back differently, and refuse what no run certifies (``from_header`` too)."""
+        self.seed, self.tau, self.n_ub_factor = (
+            int(self.seed), float(self.tau), float(self.n_ub_factor))
+        if self.expansion_cap is not None:
+            self.expansion_cap = int(self.expansion_cap)
         if not 0.0 < self.tau < math.inf:
             raise ValueError(f"tau must be finite and > 0: {self.tau}")
         if not 1.0 <= self.n_ub_factor < math.inf:
@@ -114,7 +118,8 @@ class RunConfig:
             "privacy_scope": "post_processing_only",
             "root": graph.root.hex(),
             "expansion_cap": self.expansion_cap,
-            "mtau": {**asdict(self.mtau), "recipe": self.mtau.recipe.value},
+            "mtau": {"recipe": self.mtau.recipe.value, "c_s_max": 0.0, "max_depth": 0,
+                     "fixed_table": self.mtau.fixed_table},  # constants: ledgers hold them
             "phi": None if self.phi is None else asdict(self.phi),
         }
         if self.budget is not None:
@@ -125,16 +130,14 @@ class RunConfig:
     def from_header(header: dict) -> tuple[Mode, RunConfig]:
         """The mode and config that ``header_obj`` wrote into ``header``."""
         mt, phi_obj, budget = header["mtau"], header["phi"], header.get("budget")
-        cap = header["expansion_cap"]
         cfg = RunConfig(
-            mtau=MtauConfig(**{**mt, "recipe": MtauRecipe(mt["recipe"])}),
+            mtau=MtauConfig(MtauRecipe(mt["recipe"]), mt["fixed_table"]),
             phi=None if phi_obj is None else PhiConfig(**phi_obj),
-            # Cast, so a retyped value (``"tau":1``) writes back differently.
-            seed=int(header["seed"]),
-            n_ub_factor=float(header["n_ub_factor"]),
+            seed=header["seed"],
+            n_ub_factor=header["n_ub_factor"],
             salt=bytes.fromhex(header["salt"]),
-            tau=float(header["tau"]),
-            expansion_cap=None if cap is None else int(cap),
+            tau=header["tau"],
+            expansion_cap=header["expansion_cap"],
             budget=None if budget is None else BudgetRuntime.from_json_obj(budget),
         )
         return Mode(header["mode"]), cfg

@@ -7,18 +7,12 @@ from racecert.generators import random_tree
 from racecert.prefix_dag import compile_dag
 
 
-def test_mtau_r1_admissible_on_random_trees():
-    for seed in range(20):
-        shared = random_tree(seed)
-        graph, cert = compile_dag(shared)
-        assert cert.ok
-        cfg = bounds.MtauConfig(recipe=bounds.MtauRecipe.R1,
-                                c_s_max=shared.caps.c_s_max,
-                                max_depth=shared.caps.max_depth)
-        for digest, node in graph.unfold().items():
-            bound = bounds.mtau(node, cfg)
-            for leaf in graph.walk(digest):
-                assert not leaf.is_leaf or bound >= leaf.prefix_score - 1e-12
+@pytest.mark.parametrize("recipe, table", [
+    (bounds.MtauRecipe.R2, {"n": 1.0}), (bounds.MtauRecipe.R3, {"n": 1.0}),
+    (bounds.MtauRecipe.FIXED, {})], ids=str)
+def test_mtau_config_takes_a_table_exactly_under_fixed(recipe, table):
+    with pytest.raises(ValueError, match="FIXED needs a fixed_table"):
+        bounds.MtauConfig(recipe, table)
 
 
 def test_mtau_r2_admissible_with_nonnegative_costs():

@@ -12,7 +12,7 @@ import pytest
 from racecert import cli
 from racecert.bounds import MtauConfig
 from racecert.cli import main
-from racecert.generators import suite_b
+from racecert.generators import suite_a, suite_b
 from racecert.ledger import Ledger
 from racecert.prefix_dag import compile_dag
 from racecert.search import Mode, RunConfig, run
@@ -272,6 +272,17 @@ def test_input_error_is_one_line_and_exit_2(tmp_path, capsys, case):
     assert err.count("\n") == 1
     assert err.startswith(f"racecert {argv[0]}: ")
     assert not os.path.exists(out)  # refused before writing anything
+
+
+def test_fixed_table_without_a_graph_state_is_one_line_and_exit_2(tmp_path,
+                                                                   capsys):
+    # The toy suite's FIXED M_tau table names only the toy graph's states.
+    graph = str(tmp_path / "a.json")
+    suite_a(2, 3, 0).save(graph)
+    assert main(["suite", "--suite", "toy", "--graph", graph, "--seeds", "1",
+                 "--modes", "Exact", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "racecert suite: FIXED M_tau table has no state 'n'\n")
 
 
 def test_nub_sweep_checks_every_factor(tmp_path, capsys):

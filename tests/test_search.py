@@ -278,7 +278,7 @@ def test_acyclicity_guard_and_downgrade():
     graph, cert = compile_dag(dag)
     assert cert.ok
     cfg = RunConfig(
-        mtau=MtauConfig(recipe=MtauRecipe.R1, c_s_max=3.0, max_depth=1),
+        mtau=MtauConfig(),
         phi=PhiConfig(step_cap=4, alpha=0.5, eta=0.5, c_s_min=1.0),
         seed=3,
     )

@@ -206,6 +206,110 @@ def test_tampered_golden_header_detected(tmp_path, key, value):
     assert not verdict.replay_ok
 
 
+@pytest.mark.parametrize("old, new", [
+    ('"p1":0.0', '"p1":0'), ('"c_s_max":0.0', '"c_s_max":0'),
+    ('"max_depth":0,', '"max_depth":0.0,'), ('"c_s_max":0.0', '"c_s_max":-5.0')])
+def test_tampered_golden_mtau_detected(tmp_path, old, new):
+    # Replay builds ``mtau`` from its recipe and float table alone and
+    # writes ``c_s_max`` and ``max_depth`` as constants, so a retyped or
+    # changed value inside it differs as JSON text.
+    graph, _ = compile_dag(toy_graph())
+    lines = _golden_lines("toy-exact.ndjson")
+    assert old in lines[0]
+    lines[0] = lines[0].replace(old, new)
+    verdict = validator.validate(
+        _write_lines(tmp_path, "mtau.ndjson", lines), graph)
+    assert verdict.failures == [(0, "header mismatch in fields ['mtau']")]
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("fixed_table", {"n": -100.0},
+     "replay aborted: M_tau R3: FIXED needs a fixed_table"),
+    ("c_s_max", -5.0, "header mismatch in fields ['mtau']")],
+    ids=["fixed_table", "c_s_max"])
+def test_r3_header_with_a_setting_r3_never_reads_fails(tmp_path, key, value,
+                                                       reason):
+    graph, path = _family_run(tmp_path, "suite_a", Mode.EXACT, 0)
+    lines = open(path, encoding="utf-8").read().splitlines()
+    header = json.loads(lines[0])
+    assert header["mtau"]["recipe"] == "R3"
+    header["mtau"][key] = value
+    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    verdict = validator.validate(
+        _write_lines(tmp_path, "r3.ndjson", lines), graph)
+    assert len(verdict.failures) == 1
+    assert verdict.failures[0][0] == 0
+    assert verdict.failures[0][1].startswith(reason)
+
+
+@pytest.mark.parametrize("old, new", [('"eta":1.0', '"eta":1'),
+                                      ('"step_cap":4', '"step_cap":4.0')])
+def test_retyped_phi_header_detected(tmp_path, old, new):
+    graph, _, path = _run(tmp_path, Mode.EXACT, phi=PhiConfig(step_cap=4))
+    lines = open(path, encoding="utf-8").read().splitlines()
+    assert validator.validate(path, graph).ok
+    assert old in lines[0]
+    lines[0] = lines[0].replace(old, new)
+    verdict = validator.validate(
+        _write_lines(tmp_path, "phi.ndjson", lines), graph)
+    assert verdict.failures == [(0, "header mismatch in fields ['phi']")]
+
+
+# A value of another JSON type for each number setting, built from the
+# compiled graph as in NON_DEFAULT_SETTINGS.
+INT_TYPED_SETTINGS = {
+    "tau": lambda g: 1,
+    "n_ub_factor": lambda g: 2,
+    "seed": lambda g: 3.0,
+    "expansion_cap": lambda g: 4.0,
+    "phi": lambda g: PhiConfig(step_cap=6.0, alpha=0, eta=1, eps_fp=0,
+                               c_s_min=1),
+    "mtau": lambda g: MtauConfig(MtauRecipe.FIXED,
+                                 {n.state_label: 10 for n in g.walk()}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INT_TYPED_SETTINGS))
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.SURROGATE],
+                         ids=lambda m: m.value)
+def test_int_typed_setting_writes_a_ledger_that_validates(tmp_path, mode,
+                                                         name):
+    # The config stores each setting as its declared type, so the header a
+    # run writes is the one its replay rebuilds.
+    graph, _ = compile_dag(suite_a(2, 3, 0))
+    cfg = RunConfig(**{"mtau": MtauConfig(),
+                       name: INT_TYPED_SETTINGS[name](graph)})
+    path = str(tmp_path / f"{name}-{mode.value}.ndjson")
+    search.run(graph, mode, cfg, ledger_path=path)
+    header = Ledger.parse(path).header
+    assert [type(header[k]) for k in ("seed", "tau", "n_ub_factor")] == [
+        int, float, float]
+    assert all(type(v) is float
+               for v in header["mtau"]["fixed_table"].values())
+    assert validator.validate(path, graph).ok
+
+
+def test_fixed_table_without_a_state_names_it(tmp_path):
+    # A run raises a ValueError naming the state, and so does its replay.
+    graph, _ = compile_dag(suite_a(2, 3, 0))
+    table = {node.state_label: 10.0 for node in graph.walk()}
+    path = str(tmp_path / "fixed.ndjson")
+    search.run(graph, Mode.EXACT, RunConfig(mtau=MtauConfig(
+        MtauRecipe.FIXED, table)), ledger_path=path)
+    del table["n.0"]
+    with pytest.raises(ValueError, match="FIXED M_tau table has no state 'n.0'"):
+        search.run(graph, Mode.EXACT,
+                   RunConfig(mtau=MtauConfig(MtauRecipe.FIXED, table)))
+    lines = open(path, encoding="utf-8").read().splitlines()
+    header = json.loads(lines[0])
+    del header["mtau"]["fixed_table"]["n.0"]
+    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    verdict = validator.validate(
+        _write_lines(tmp_path, "missing.ndjson", lines), graph)
+    assert verdict.failures == [
+        (0, "replay aborted: FIXED M_tau table has no state 'n.0'")]
+
+
 @pytest.mark.parametrize("key, value", [
     ("n_ub_factor", -1.0), ("n_ub_factor", 0.5), ("tau", 0.0),
     ("expansion_cap", -3)])
@@ -343,14 +447,15 @@ def _costly(shared):
     return SharedDag(nodes, shared.edges, shared.root_id, shared.caps)
 
 
-@pytest.mark.parametrize("overflow", ["r1-c-s-max", "node-cost"])
+@pytest.mark.parametrize("overflow", ["fixed-table", "node-cost"])
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
 def test_clamped_run_validates(tmp_path, mode, overflow):
     # Keys or leaf values overflow Q64.64: the engine clamps them to the
     # layout's ends and logs NumClamp, and its ledger still validates.
     shared, mt = suite_a(2, 3, 0), MtauConfig()
-    if overflow == "r1-c-s-max":
-        mt = MtauConfig(recipe=MtauRecipe.R1, c_s_max=1e19, max_depth=3)
+    if overflow == "fixed-table":
+        mt = MtauConfig(MtauRecipe.FIXED, {
+            node.state_label: 1e19 for node in shared.nodes.values()})
     else:
         shared = _costly(shared)
     graph, _ = compile_dag(shared)
@@ -359,7 +464,7 @@ def test_clamped_run_validates(tmp_path, mode, overflow):
                         ledger_path=path)
     # Fallback keys ignore M_tau, so only the costly graph clamps there.
     assert "NumClamp" in result.guards_seen or (mode, overflow) == (
-        Mode.FALLBACK, "r1-c-s-max")
+        Mode.FALLBACK, "fixed-table")
     verdict = validator.validate(path, graph)
     assert verdict.ok, verdict.failures
 
@@ -410,8 +515,7 @@ def test_wrong_graph_fails_with_one_reason(tmp_path):
 # from the compiled graph, because n_ub_map and scripted draws name its
 # nodes.
 NON_DEFAULT_SETTINGS = {
-    "mtau": lambda g: MtauConfig(recipe=MtauRecipe.R1, c_s_max=1.0,
-                                 max_depth=4),
+    "mtau": lambda g: MtauConfig(recipe=MtauRecipe.R2),
     "phi": lambda g: PhiConfig(step_cap=6),
     "seed": lambda g: 5,
     "n_ub_factor": lambda g: 3.0,
@@ -467,8 +571,9 @@ def test_header_round_trips_through_from_header():
     assert cfg.mtau.recipe is MtauRecipe.FIXED and cfg.mtau.fixed_table
     for mode in Mode:
         header = json.loads(json.dumps(cfg.header_obj(graph, mode)))
-        assert set(header["mtau"]) == {
-            f.name for f in dataclasses.fields(MtauConfig)}
+        assert set(header["mtau"]) == {  # R1's two keys, now constants
+            *(f.name for f in dataclasses.fields(MtauConfig)), "c_s_max",
+            "max_depth"}
         assert set(header["budget"]["state"]) == {
             f.name for f in dataclasses.fields(BudgetState)}
         replay_mode, replay_cfg = RunConfig.from_header(header)
