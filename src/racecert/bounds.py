@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
+from . import fixedpoint as fp
 from .prefix_dag import PrefixNode
 
 LOG2 = math.log(2.0)
@@ -86,9 +87,8 @@ class PhiConfig:
     c_s_min: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "step_cap", int(self.step_cap))
-        for name in ("alpha", "eta", "eps_fp", "c_s_min"):  # so "eta":1 fails replay
-            object.__setattr__(self, name, float(getattr(self, name)))
+        fp.store_as(self, int, "step_cap")  # declared types: "eta":1 fails replay
+        fp.store_as(self, float, "alpha", "eta", "eps_fp", "c_s_min")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("eta must lie in (0, 1]")
         if self.alpha < 0:

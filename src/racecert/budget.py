@@ -42,6 +42,8 @@ class ModelCatalogEntry:
     dkey_estimator: str = "zero"
 
     def __post_init__(self):
+        fp.store_as(self, int, "price_m", "latency_m")
+        fp.store_as(self, float, "eps_train", "delta_train", "eps_m")
         if self.price_m < 0 or self.latency_m < 0:
             raise ValueError("price/latency must be non-negative")
         if self.eps_m < 0:
@@ -58,7 +60,7 @@ def load_catalog(path: str) -> list[ModelCatalogEntry]:
         entries = json.load(fh)
     try:
         catalog = [ModelCatalogEntry(**entry) for entry in entries]
-    except TypeError as exc:  # not a list of objects with the entry fields
+    except (TypeError, ValueError) as exc:  # not a list of typed entries
         raise ValueError(f"bad catalog {path}: {exc}") from exc
     if not catalog:
         raise ValueError(f"bad catalog {path}: no entries")
@@ -116,7 +118,12 @@ class BudgetState:
     price_spent: int = 0
     latency_acc: float = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self):  # a run's ledger header holds these types
+        fp.store_as(self, int, "price_max", "slo_ms", "price_spent")
+        fp.store_as(self, float, "eps_max", "delta", "weight_alpha",
+                    "weight_beta", "weight_gamma", "latency_acc")
+        self.alpha_grid = tuple(float(alpha) for alpha in self.alpha_grid)
+        self.atoms = [RdpAtom(float(a), float(e)) for a, e in self.atoms]
         if self.weight_alpha <= 0 or self.weight_beta <= 0 or self.weight_gamma < 0:
             raise ValueError("weights must satisfy alpha, beta > 0 and gamma >= 0")
 
@@ -194,12 +201,9 @@ class BudgetRuntime:
     @staticmethod
     def from_json_obj(obj: dict) -> BudgetRuntime:
         """The runtime ``to_json_obj`` wrote into ``obj``."""
-        state = dict(obj["state"])
-        state["alpha_grid"] = tuple(state["alpha_grid"])
-        state["atoms"] = [RdpAtom(*atom) for atom in state["atoms"]]
         return BudgetRuntime(
             [ModelCatalogEntry(**entry) for entry in obj["catalog"]],
-            BudgetState(**state))
+            BudgetState(**obj["state"]))
 
     def on_expansion(self, node: PrefixNode, slack: float) -> dict:
         """The budget record's fields for one expansion: the selected entry,

@@ -84,14 +84,26 @@ def encode_q0_64(u: float) -> int:
 
 
 def parse_raw(text: str, lo: int, hi: int) -> int:
-    """Parse a raw integer in canonical decimal, as ``str`` writes it (no
-    ``+``, leading zero, ``-0``, space, ``_`` or non-ASCII digit)."""
+    """Parse a raw integer in ``[lo, hi]`` from decimal text."""
     raw = int(text, 10)
-    if str(raw) != text:
-        raise ValueError(f"not canonical decimal: {text!r}")
     if raw < lo or raw > hi:
         raise NumClampError(f"raw {text} outside [{lo}, {hi}]")
     return raw
+
+
+def store_as(obj, kind: type, *names: str) -> None:
+    """Store each named field of the dataclass ``obj`` as ``kind`` (int or
+    float); a value the cast cannot take or would change, such as a price
+    of 1.5, raises a ``ValueError`` naming the field."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            cast = kind(value)
+            if kind is int and cast != value:
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{name} must be {kind.__name__}: {value!r}") from None
+        object.__setattr__(obj, name, cast)
 
 
 def parse_scaled_q32_32(text: str) -> int:

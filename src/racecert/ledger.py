@@ -10,8 +10,8 @@ Potential fields mirror the downgrade-log convention and serialize as
 In memory a record is a plain dict of decoded values, and
 ``Ledger.records`` is the one per-node record of a run: the engine appends
 to it, the parser rebuilds it, and the validator replays it.  The parser
-rejects unknown fields, ill-typed values and event records that lack a
-field ``REQUIRED_FIELDS`` names.
+rejects unknown fields, ill-typed values, numbers not spelled as the writer
+spells them and event records that lack a field ``REQUIRED_FIELDS`` names.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ STRING_FIELDS = {
 _FIELD_KIND: dict[str, object] = {
     **dict.fromkeys(STRING_FIELDS, str), **dict.fromkeys(SCALED_FIELDS, float),
     "guards": list, **RAW_INT_FIELDS}
+_NUMBER = {False: "integer", True: "decimal"}  # a raw or a scaled field, in errors
 
 # Fields an event record must carry: the stop-rule audit indexes them.  A
 # stop record's key_raw is optional (an empty frontier has none), and a
@@ -132,29 +133,25 @@ def _decode(obj: dict, lineno: int) -> dict:
             rec[key] = val
         elif kind is None:
             raise SchemaViolationError(lineno, f"unknown field {key!r}")
-        elif kind is float:
-            if not isinstance(val, str):  # Fraction would take 1, 1.5, true
-                raise MalformedLineError(
-                    lineno, f"bad decimal in {key}: {type(val).__name__}")
-            try:
-                rec[key] = fp.parse_scaled_q32_32(val)
-            except fp.NumClampError as exc:
-                raise OverflowOnParseError(lineno, str(exc)) from exc
-            except (ValueError, ZeroDivisionError) as exc:
-                raise MalformedLineError(lineno, f"bad decimal in {key}: {exc}")
         elif kind is list:
             if not isinstance(val, list) or not set(val) <= GUARD_NAMES:
                 raise SchemaViolationError(lineno, f"bad guards {val!r}")
             rec[key] = list(val)
-        else:
-            if not isinstance(val, str):
-                raise SchemaViolationError(lineno, f"{key} must be a decimal string")
-            try:
-                rec[key] = fp.parse_raw(val, *kind)
+        else:  # a number, taken only in the text ``_encode`` writes for it
+            if not isinstance(val, str):  # Fraction would take 1, 1.5, true
+                raise SchemaViolationError(
+                    lineno, f"bad {_NUMBER[kind is float]} in {key}: not a decimal string")
+            try:  # a scaled decimal (float), else a raw integer in (lo, hi)
+                num = (fp.parse_scaled_q32_32(val) if kind is float
+                       else fp.parse_raw(val, *kind))
+                if (fp.format_scaled_q32_32(num) if kind is float else str(num)) != val:
+                    raise ValueError(f"not canonical decimal: {val!r}")
             except fp.NumClampError as exc:
                 raise OverflowOnParseError(lineno, str(exc)) from exc
-            except ValueError as exc:
-                raise MalformedLineError(lineno, f"bad integer in {key}: {exc}")
+            except (ValueError, ZeroDivisionError) as exc:
+                raise MalformedLineError(
+                    lineno, f"bad {_NUMBER[kind is float]} in {key}: {exc}")
+            rec[key] = num
     event = rec.get("event")
     if event is not None and event not in EVENT_KINDS:
         raise SchemaViolationError(lineno, f"unknown event kind {event!r}")

@@ -95,13 +95,9 @@ def quantile_cat(w: float, weights: Sequence[int]) -> int:
     """Categorical quantile: smallest i with w < cumsum(weights)[i]/total.
 
     Cells are half-open [c_{i-1}, c_i), so a boundary value falls into the
-    next cell.
+    next cell.  ``exact_step`` passes two or more counts, each >= 1.
     """
-    if not weights:
-        raise ValueError("empty weights")
     total = sum(weights)
-    if total <= 0 or any(x <= 0 for x in weights):
-        raise ValueError("weights must be positive")
     acc = 0
     for i, x in enumerate(weights):
         acc += x
@@ -122,8 +118,6 @@ def offset_propagate(
     Exp(N(child)) residual from its uniform.  ``residual_uniforms`` holds one
     entry per non-winner child, in edge order.
     """
-    if len(residual_uniforms) != len(child_counts) - 1:
-        raise ValueError("need one residual uniform per non-winner child")
     arrivals: list[float] = []
     res = iter(residual_uniforms)
     for i, count in enumerate(child_counts):

@@ -73,7 +73,7 @@ class ClaimType(str, Enum):
     NO_CERT = "NoCert"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     mtau: MtauConfig
     phi: PhiConfig | None = None
@@ -88,12 +88,12 @@ class RunConfig:
     deterministic_ids: bool = True  # unread: ids are seeded; perfbench sets it
 
     def __post_init__(self):
-        """Cast to the declared types, so a header retyped to ``"tau":1`` writes
-        back differently, and refuse what no run certifies (``from_header`` too)."""
-        self.seed, self.tau, self.n_ub_factor = (
-            int(self.seed), float(self.tau), float(self.n_ub_factor))
+        """Store the declared types, so a header retyped to ``"tau":1`` writes back
+        differently; refuse what no run certifies (``from_header``, ``replace`` too)."""
+        fp.store_as(self, int, "seed")
+        fp.store_as(self, float, "tau", "n_ub_factor")
         if self.expansion_cap is not None:
-            self.expansion_cap = int(self.expansion_cap)
+            fp.store_as(self, int, "expansion_cap")
         if not 0.0 < self.tau < math.inf:
             raise ValueError(f"tau must be finite and > 0: {self.tau}")
         if not 1.0 <= self.n_ub_factor < math.inf:
@@ -184,6 +184,7 @@ class _Engine:
         self.budget = (None if cfg.budget is None else
                        BudgetRuntime.from_json_obj(self.ledger.header["budget"]))
         self.fallback_keys: dict[bytes, float] = {}
+        self.nub_p, self.nub_q = cfg.n_ub_factor.as_integer_ratio()
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -289,10 +290,12 @@ class _Engine:
         return node.prefix_score - math.log(arrival(u_p_raw, 1)), u_p_raw
 
     def n_ub(self, digest: bytes) -> int:
-        """Surrogate upper-bound count: the given map (replay), else the
-        inflated exact count."""
+        """Surrogate upper-bound count: the given map (replay), else the exact
+        ``ceil(n_ub_factor * N)`` capped at the ledger's largest ``Nub``,
+        2**64 - 1 (still >= N, since a certified N is below 2**63)."""
         if self.cfg.n_ub_map is None:
-            return math.ceil(self.cfg.n_ub_factor * self.graph.suffix_count(digest))
+            nub = -(-self.nub_p * self.graph.suffix_count(digest) // self.nub_q)
+            return nub if nub < 1 << 64 else (1 << 64) - 1
         try:
             return self.cfg.n_ub_map[digest]
         except KeyError:

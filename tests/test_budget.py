@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -135,7 +136,7 @@ def test_runtime_logs_adapter_metadata():
 
 def test_reused_runtime_starts_every_run_afresh():
     graph, mode, cfg = _toy_pair()
-    cfg.budget = bd.BudgetRuntime(bd.default_catalog(), _state())
+    cfg = replace(cfg, budget=bd.BudgetRuntime(bd.default_catalog(), _state()))
     first, second = ([r for r in search.run(graph, mode, cfg).ledger.records
                       if r.get("event") == "budget"] for _ in range(2))
     assert first and first == second

@@ -228,8 +228,13 @@ def _write_json(tmp_path, name, obj):
     return path
 
 
+_ENTRY = {"model_id": "m", "adapter_id": "a", "dp_cert_id": "d",
+          "eps_train": 2.0, "delta_train": 1e-6, "price_m": 1, "latency_m": 10}
+
+
 @pytest.mark.parametrize("case", [
     "graph-not-an-object", "catalog-entry-incomplete", "catalog-empty",
+    "catalog-price-fractional", "catalog-eps-not-a-number",
     "ledger-missing", "depth-negative", "graph-negative-cost",
     "nub-factor-below-1", "tau-zero"])
 def test_input_error_is_one_line_and_exit_2(tmp_path, capsys, case):
@@ -245,6 +250,12 @@ def test_input_error_is_one_line_and_exit_2(tmp_path, capsys, case):
         "catalog-empty": lambda: [
             "suite", "--catalog", _write_json(tmp_path, "k.json", []),
             "--out", out],
+        "catalog-price-fractional": lambda: [
+            "suite", "--catalog", _write_json(tmp_path, "k.json", [
+                {**_ENTRY, "price_m": 1.5}]), "--out", out],
+        "catalog-eps-not-a-number": lambda: [
+            "suite", "--catalog", _write_json(tmp_path, "k.json", [
+                {**_ENTRY, "eps_train": "x"}]), "--out", out],
         "ledger-missing": lambda: [
             "validate", str(tmp_path / "missing.ndjson")],
         "depth-negative": lambda: [
@@ -313,6 +324,23 @@ def test_suite_modes_do_not_share_budget_spend(tmp_path):
         assert (first["model_id"], first["price_spent"]) == ("m-a", 5)
     assert main(["validate", *ledgers, "--graph",
                  os.path.join(ledger_dir, "A-0.graph.json")]) == 0
+
+
+def test_float_priced_catalog_and_huge_nub_factor_validate(tmp_path):
+    # A price of 1.0 is stored as the int 1, and a factor of 1e18 logs Nub
+    # at most 2**64 - 1, so every ledger the suite writes validates.
+    catalog = _write_json(tmp_path, "k.json", [
+        {**_ENTRY, "price_m": 1.0, "latency_m": 10.0}])
+    out = str(tmp_path / "suite")
+    assert main(["suite", "--suite", "A", "--seeds", "2",
+                 "--modes", "Exact,Surrogate,Fallback", "--catalog", catalog,
+                 "--nub-factor", "1e18", "--out", out]) == 0
+    ledger_dir = os.path.join(out, "ledgers")
+    for seed in range(2):
+        ledgers = [os.path.join(ledger_dir, f"A-{seed}-{mode}.ndjson")
+                   for mode in ("Exact", "Surrogate", "Fallback")]
+        assert main(["validate", *ledgers, "--graph",
+                     os.path.join(ledger_dir, f"A-{seed}.graph.json")]) == 0
 
 
 @pytest.mark.parametrize("argv", [

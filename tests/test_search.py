@@ -1,11 +1,13 @@
 """Search engine behavior: traces, tie handling, guards, downgrades."""
 
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 from racecert import fixedpoint as fp, search
 from racecert.bounds import MtauConfig, MtauRecipe, PhiConfig, mtau
+from racecert.budget import BudgetState, ModelCatalogEntry
 from racecert.generators import suite_a, toy_graph
 from racecert.prefix_dag import DagNode, PublicCaps, SharedDag, compile_dag
 from racecert.race import RateZeroError, RngStream, prf_raw, stream_lookup
@@ -102,7 +104,7 @@ def test_tie_with_lower_internal_digest_logs_token_one(tmp_path):
 
 def test_expansion_cap_timeout_guard(toy):
     graph, cfg = toy
-    cfg.expansion_cap = 1
+    cfg = replace(cfg, expansion_cap=1)
     result = search.run(graph, Mode.EXACT, cfg)
     assert "Timeout" in result.guards_seen
     assert result.claim_type is ClaimType.NO_CERT
@@ -112,7 +114,7 @@ def test_expansion_cap_timeout_guard(toy):
 
 def test_expansion_cap_binds_fallback(toy):
     graph, cfg = toy
-    cfg.expansion_cap = 1
+    cfg = replace(cfg, expansion_cap=1)
     result = search.run(graph, Mode.FALLBACK, cfg)
     assert result.guards_seen == ["Timeout"]
     assert result.claim_type is ClaimType.NO_CERT
@@ -124,7 +126,7 @@ def test_expansion_cap_binds_fallback(toy):
 def test_countfail_downgrades_to_surrogate(toy, tmp_path, monkeypatch):
     graph, cfg = toy
     monkeypatch.setattr(search, "COUNT_LIMIT", 2)
-    cfg.n_ub_map = {d: 8 for d in graph.unfold()}
+    cfg = replace(cfg, n_ub_map={d: 8 for d in graph.unfold()})
     path = str(tmp_path / "countfail-surrogate.ndjson")
     result = search.run(graph, Mode.EXACT, cfg, ledger_path=path)
     assert "CountFail" in result.guards_seen
@@ -157,7 +159,7 @@ def test_surrogate_countfail_without_bounds_falls_back(toy, tmp_path, monkeypatc
 def test_surrogate_with_bounds_needs_no_counts(toy, tmp_path, monkeypatch):
     graph, cfg = toy
     monkeypatch.setattr(search, "COUNT_LIMIT", 2)
-    cfg.n_ub_map = {d: 8 for d in graph.unfold()}
+    cfg = replace(cfg, n_ub_map={d: 8 for d in graph.unfold()})
     path = str(tmp_path / "bounded-surrogate.ndjson")
     result = search.run(graph, Mode.SURROGATE, cfg, ledger_path=path)
     assert result.guards_seen == []
@@ -209,7 +211,7 @@ def test_numclamp_guard(toy):
     graph, cfg = toy
     table = dict(cfg.mtau.fixed_table)
     table["r"] = 1e30
-    cfg.mtau = MtauConfig(recipe=MtauRecipe.FIXED, fixed_table=table)
+    cfg = replace(cfg, mtau=MtauConfig(recipe=MtauRecipe.FIXED, fixed_table=table))
     result = search.run(graph, Mode.EXACT, cfg)
     assert "NumClamp" in result.guards_seen
     assert result.claim_type is ClaimType.NO_CERT
@@ -251,7 +253,7 @@ def test_fixed_entry_at_the_best_leaf_score_fires_nothing(mode):
     # One ulp lower at the root fires the guard once, at the root's push.
     root = graph.node(graph.root)
     table[root.state_label] = math.nextafter(root.score_ub, -math.inf)
-    cfg.mtau = _fixed(table)
+    cfg = replace(cfg, mtau=_fixed(table))
     result = search.run(graph, mode, cfg)
     assert result.guards_seen == ["MtauInadmissible"]
     assert result.claim_type is ClaimType.NO_CERT
@@ -266,6 +268,29 @@ def test_fixed_entry_at_the_best_leaf_score_fires_nothing(mode):
 def test_run_config_refuses_what_it_cannot_certify(setting):
     with pytest.raises(ValueError):
         RunConfig(mtau=MtauConfig(), **setting)
+
+
+def test_run_config_is_frozen_and_replace_checks_again():
+    cfg = RunConfig(mtau=MtauConfig())
+    with pytest.raises(FrozenInstanceError):
+        cfg.tau = 1
+    with pytest.raises(ValueError, match="tau must be finite and > 0"):
+        replace(cfg, tau=0.0)
+    assert type(replace(cfg, tau=1).tau) is float
+
+
+@pytest.mark.parametrize("name, build", [
+    ("seed", lambda: RunConfig(mtau=MtauConfig(), seed=1.5)),
+    ("expansion_cap", lambda: RunConfig(mtau=MtauConfig(), expansion_cap=2.5)),
+    ("step_cap", lambda: PhiConfig(step_cap=4.5)),
+    ("price_m", lambda: ModelCatalogEntry("m", "a", "d", 1.0, 1e-6, 1.5, 10)),
+    ("slo_ms", lambda: BudgetState(eps_max=1.0, delta=1e-6, price_max=10,
+                                   slo_ms=99.5))],
+    ids=["seed", "expansion_cap", "step_cap", "price_m", "slo_ms"])
+def test_int_setting_refuses_a_fraction(name, build):
+    # One rule for every setting: an int field never truncates silently.
+    with pytest.raises(ValueError, match=f"^{name} must be int: "):
+        build()
 
 
 def test_acyclicity_guard_and_downgrade():
@@ -294,7 +319,7 @@ def test_acyclicity_guard_and_downgrade():
 
 def test_phi_ok_keeps_claim(toy):
     graph, cfg = toy
-    cfg.phi = PhiConfig(step_cap=4, alpha=0.0, eta=1.0, c_s_min=1.0)
+    cfg = replace(cfg, phi=PhiConfig(step_cap=4, alpha=0.0, eta=1.0, c_s_min=1.0))
     result = search.run(graph, Mode.EXACT, cfg)
     assert "AcyclicityFail" not in result.guards_seen
     assert result.claim_type is ClaimType.RUN_WISE_EXACT
@@ -304,7 +329,7 @@ def test_phi_ok_keeps_claim(toy):
 
 def test_surrogate_keys_dominate_exact(toy):
     graph, cfg = toy
-    cfg.n_ub_factor = 1.5
+    cfg = replace(cfg, n_ub_factor=1.5)
     exact = search.run(graph, Mode.EXACT, cfg)
     surrogate = search.run(graph, Mode.SURROGATE, cfg)
     assert surrogate.claim_type is ClaimType.RUN_WISE_EXACT

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -30,7 +31,7 @@ from racecert.generators import (
     toy_mtau,
 )
 from racecert.ledger import Ledger, MalformedLineError, SchemaViolationError
-from racecert.prefix_dag import SharedDag, compile_dag
+from racecert.prefix_dag import DagNode, PublicCaps, SharedDag, compile_dag
 from racecert.search import Mode, RunConfig
 
 FAMILIES = {
@@ -255,6 +256,27 @@ def test_retyped_phi_header_detected(tmp_path, old, new):
     assert verdict.failures == [(0, "header mismatch in fields ['phi']")]
 
 
+@pytest.mark.parametrize("old, new", [
+    ('"price_max":100,', '"price_max":100.0,'),
+    ('"slo_ms":1000,', '"slo_ms":1000.0,'),
+    ('"eps_max":10.0,', '"eps_max":10,'),
+    ('"eps_train":2.0,', '"eps_train":2,'),
+    ('"weight_alpha":0.1,', '"weight_alpha":true,')],
+    ids=["price_max", "slo_ms", "eps_max", "eps_train", "weight_alpha"])
+def test_retyped_budget_header_detected(tmp_path, old, new):
+    # Catalog entries and the budget state store their declared types, so
+    # a value retyped inside the nested budget writes back differently.
+    runtime = BudgetRuntime(default_catalog(), BudgetState(
+        eps_max=10.0, delta=1e-6, price_max=100, slo_ms=1000))
+    graph, _, path = _run(tmp_path, Mode.EXACT, budget=runtime)
+    lines = open(path, encoding="utf-8").read().splitlines()
+    assert lines[0].count(old) == 1
+    lines[0] = lines[0].replace(old, new)
+    verdict = validator.validate(
+        _write_lines(tmp_path, "budget.ndjson", lines), graph)
+    assert verdict.failures == [(0, "header mismatch in fields ['budget']")]
+
+
 # A value of another JSON type for each number setting, built from the
 # compiled graph as in NON_DEFAULT_SETTINGS.
 INT_TYPED_SETTINGS = {
@@ -365,6 +387,63 @@ def test_non_canonical_raw_field_detected(tmp_path, field, rewrite):
     assert index == 0  # the record index; the reason names the file line
     assert reason.startswith(f"line 2: bad integer in {field}: not canonical")
     assert not verdict.replay_ok and not verdict.stop_rule_ok
+
+
+@pytest.mark.parametrize("spelling", ["1", "1.00000", "+1.0000", " 1.0000",
+                                      "4/4"])
+def test_non_canonical_scaled_field_detected(tmp_path, spelling):
+    # Scaled fields take only the 4-decimal text the writer emits:
+    # ``Fraction`` reads each of these as 1.0000.
+    graph, _ = compile_dag(suite_a(2, 3, 0))
+    path = str(tmp_path / "phi.ndjson")
+    search.run(graph, Mode.EXACT, RunConfig(mtau=MtauConfig(),
+                                            phi=PhiConfig(step_cap=6)),
+               ledger_path=path)
+    lines = open(path, encoding="utf-8").read().splitlines()
+    idx = next(i for i, ln in enumerate(lines) if '"eta":"1.0000"' in ln)
+    assert Fraction(spelling) == 1
+    lines[idx] = lines[idx].replace('"eta":"1.0000"', f'"eta":"{spelling}"')
+    verdict = validator.validate(
+        _write_lines(tmp_path, "scaled.ndjson", lines), graph)
+    [(index, reason)] = verdict.failures
+    assert index == idx - 1
+    assert reason == (f"line {idx + 1}: bad decimal in eta: "
+                      f"not canonical decimal: {spelling!r}")
+
+
+def _ladder_dag(layers: int) -> SharedDag:
+    """A root over one leaf and a two-wide ladder of ``layers`` layers,
+    each node joined to both of the next: 2**layers + 1 leaves."""
+    nodes = {"r": DagNode("r", "r", False), "z": DagNode("z", "z", True),
+             "t": DagNode("t", "t", False)}
+    edges = [("r", "z", 0), ("r", "t", 1)]
+    above = ["t"]
+    for k in range(1, layers + 1):
+        layer = [f"{k}.{j}" for j in range(2)]
+        nodes.update({n: DagNode(n, n, k == layers) for n in layer})
+        edges += [(a, b, j) for a in above for j, b in enumerate(layer)]
+        above = layer
+    return SharedDag(nodes=nodes, edges=edges, root_id="r",
+                     caps=PublicCaps(max_depth=layers + 2, c_s_max=1.0,
+                                     c_s_min=1.0))
+
+
+@pytest.mark.parametrize("shared, factor, root_nub", [
+    (_ladder_dag(53), 1.0, 2**53 + 1),  # a float product rounds to 2**53
+    (suite_a(3, 3, 0), 1e18, 2**64 - 1),  # 2.7e19 would not fit the field
+    (suite_a(3, 3, 0), 1e308, 2**64 - 1)],  # its float ceil overflowed
+    ids=["2**53+1-leaves", "factor-1e18", "factor-1e308"])
+def test_surrogate_nub_is_exact_and_fits_the_ledger(tmp_path, shared, factor,
+                                                    root_nub):
+    # Nub is ceil(factor * N) in integers, capped at the field's 2**64 - 1.
+    graph, _ = compile_dag(shared)
+    path = str(tmp_path / "nub.ndjson")
+    search.run(graph, Mode.SURROGATE,
+               RunConfig(mtau=MtauConfig(), n_ub_factor=factor,
+                         expansion_cap=3), ledger_path=path)
+    assert Ledger.parse(path).records[0]["Nub"] == root_nub
+    verdict = validator.validate(path, graph)
+    assert verdict.ok, verdict.failures
 
 
 def test_surrogate_key_at_the_q64_64_top_is_a_verdict(tmp_path):
@@ -545,8 +624,8 @@ def test_settings_table_covers_every_run_setting():
 def test_every_run_setting_replays(tmp_path, name, mode):
     graph, cert = compile_dag(suite_a(3, 3, 0))
     assert cert.ok
-    cfg = RunConfig(mtau=MtauConfig())
-    setattr(cfg, name, NON_DEFAULT_SETTINGS[name](graph))
+    cfg = dataclasses.replace(RunConfig(mtau=MtauConfig()),
+                              **{name: NON_DEFAULT_SETTINGS[name](graph)})
     path = str(tmp_path / f"{name}-{mode.value}.ndjson")
     search.run(graph, mode, cfg, ledger_path=path)
     verdict = validator.validate(path, graph,
