@@ -46,7 +46,7 @@ class ModelCatalogEntry:
         check_loggable(self, eps_train="eps_train")
         if self.price_m < 0 or self.latency_m < 0:
             raise ValueError("price/latency must be non-negative")
-        if self.eps_m < 0:
+        if not self.eps_m >= 0:  # NaN too
             raise ValueError("eps_m must be >= 0")
         if self.dkey_estimator not in _ESTIMATORS:
             raise ValueError(f"unknown dkey estimator {self.dkey_estimator!r}")
@@ -81,6 +81,15 @@ class RdpAtom(NamedTuple):
     eps_alpha: float
 
 
+def composed(atoms: Sequence[tuple[float, float]]) -> list[RdpAtom]:
+    """One atom per alpha, its eps the sum of that alpha's atoms from left
+    to right, so composing again after more atoms gives the same floats."""
+    total: dict[float, float] = {}
+    for alpha, eps in atoms:
+        total[alpha] = total.get(alpha, 0) + eps
+    return [RdpAtom(alpha, eps) for alpha, eps in total.items()]
+
+
 def rdp_eps_alpha(atoms: Sequence[tuple[float, float]],
                   delta: float) -> tuple[float, float] | None:
     """Classic RDP->(eps, delta), the one conversion: over the ascending
@@ -92,9 +101,8 @@ def rdp_eps_alpha(atoms: Sequence[tuple[float, float]],
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     # Equal eps order by alpha, so a tie goes to the first alpha.
-    return min((sum(e for a, e in atoms if a == alpha)
-                + math.log(1.0 / delta) / (alpha - 1.0), alpha)
-               for alpha in sorted({a for a, _ in atoms}))
+    return min((eps + math.log(1.0 / delta) / (alpha - 1.0), alpha)
+               for alpha, eps in sorted(composed(atoms)))
 
 
 def rdp_to_eps_delta(atoms: Sequence[tuple[float, float]],
@@ -128,6 +136,15 @@ class BudgetState:
                        slo_ms="sla_ms")
         if self.weight_alpha <= 0 or self.weight_beta <= 0 or self.weight_gamma < 0:
             raise ValueError("weights must satisfy alpha, beta > 0 and gamma >= 0")
+        # What the accountant needs, each refusing NaN too.
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1): {self.delta!r}")
+        if not self.eps_max >= 0:
+            raise ValueError(f"eps_max must be >= 0: {self.eps_max!r}")
+        alphas = [*self.alpha_grid, *(alpha for alpha, _ in self.atoms)]
+        if not self.alpha_grid or not all(1.0 < a < math.inf for a in alphas):
+            raise ValueError("alpha_grid must be non-empty and every alpha, its "
+                             f"atoms' too, in (1, inf): {alphas!r}")
 
     def rdp_eps_alpha(self) -> tuple[float, float | None]:
         """Current (eps, alpha) at delta; (0.0, None) without atoms."""
@@ -149,7 +166,8 @@ class BudgetState:
     def charge(self, entry: ModelCatalogEntry) -> None:
         self.price_spent += entry.price_m
         self.latency_acc += SAFETY_FACTOR * entry.latency_m
-        self.atoms.extend(self.new_atoms(entry))
+        # Folded to one atom per alpha, so a feasibility test sums no history.
+        self.atoms = composed(self.atoms + self.new_atoms(entry))
 
     def new_atoms(self, entry: ModelCatalogEntry) -> list[RdpAtom]:
         """One atom per grid alpha for a private entry; none if eps_m == 0."""

@@ -251,25 +251,24 @@ def cmd_validate(args) -> int:
 
 
 def cmd_toy_replay(args) -> int:
+    """Write the golden toy ledgers and validate each; exit 1 if one fails."""
     os.makedirs(args.out, exist_ok=True)
     graph, _ = compile_dag(toy_graph())
-    cfg = RunConfig(mtau=toy_mtau(), scripted_uniforms=dict(TOY_SCRIPTED),
-                    seed=args.seed)
-    path = os.path.join(args.out, "toy-exact.ndjson")
-    result = run(graph, Mode.EXACT, cfg, ledger_path=path)
-    print(f"Exact: incumbent={result.incumbent:.6f} "
-          f"expansions={result.expansions} claim={result.claim_type.value}")
-    cfg_s = RunConfig(mtau=toy_mtau(), scripted_uniforms=dict(TOY_SCRIPTED),
-                      seed=args.seed, n_ub_factor=1.5)
-    path_s = os.path.join(args.out, "toy-surrogate.ndjson")
-    result_s = run(graph, Mode.SURROGATE, cfg_s, ledger_path=path_s)
-    root_key = fp.decode_q64_64(result_s.ledger.records[0]["key_raw"])
-    print(f"Surrogate: root key={root_key:.6f} "
-          f"expansions={result_s.expansions}")
-    verdict = validate(path, graph)
-    print(f"validator: replay_ok={verdict.replay_ok} "
-          f"stop_rule_ok={verdict.stop_rule_ok}")
-    return 0 if verdict.ok else 1
+    all_ok = True
+    for mode, factor in ((Mode.EXACT, 1.0), (Mode.SURROGATE, 1.5)):
+        cfg = RunConfig(mtau=toy_mtau(), scripted_uniforms=dict(TOY_SCRIPTED),
+                        seed=args.seed, n_ub_factor=factor)
+        path = os.path.join(args.out, f"toy-{mode.value.lower()}.ndjson")
+        result = run(graph, mode, cfg, ledger_path=path)
+        root_key = fp.decode_q64_64(result.ledger.records[0]["key_raw"])
+        verdict = validate(path, graph)
+        print(f"{mode.value}: incumbent={result.incumbent:.6f} "
+              f"root key={root_key:.6f} expansions={result.expansions} "
+              f"claim={result.claim_type.value}")
+        print(f"  validator: replay_ok={verdict.replay_ok} "
+              f"stop_rule_ok={verdict.stop_rule_ok} ok={verdict.ok}")
+        all_ok = all_ok and verdict.ok
+    return 0 if all_ok else 1
 
 
 def cmd_find_adversarial(args) -> int:

@@ -17,8 +17,10 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, NamedTuple
+
+from . import fixedpoint as fp
 
 CTX_DOMAIN_TAG = b"racecert/ctx/v1"
 
@@ -52,11 +54,13 @@ class PublicCaps:
     c_s_min: float
 
     def __post_init__(self):
+        fp.store_as(self, int, "max_depth")
+        fp.store_as(self, float, "c_s_max", "c_s_min")
         if not 0 <= self.max_depth < 1 << 32:  # hashed as a u32
             raise ValueError("max_depth must lie in [0, 2**32)")
-        if self.c_s_max < 0:
+        if not self.c_s_max >= 0:  # NaN too
             raise ValueError("c_s_max must be >= 0")
-        if self.c_s_min <= 0:
+        if not self.c_s_min > 0:
             raise ValueError("c_s_min must be > 0")
 
 
@@ -89,17 +93,25 @@ class SharedDag:
         nodes = self.nodes
         if self.root_id not in nodes:
             raise ValueError(f"root {self.root_id!r} not a node")
-        for n in nodes.values():  # scores only fall, so M_tau is admissible
-            if not n.det_score_delta >= 0.0:
+        for n in nodes.values():
+            if not (type(n.node_id) is type(n.state_label) is str
+                    and type(n.is_leaf) is bool
+                    and type(n.det_score_delta) in (int, float)):
+                raise ValueError(f"node {n.node_id!r}: id and state must be strings, "
+                                 "leaf a bool and cost a number")
+            # Scores only fall, so M_tau is admissible; an int cost that no
+            # float holds raises OverflowError here, not at compile.
+            if not float(n.det_score_delta) >= 0.0:
                 raise ValueError(f"node {n.node_id!r} cost {n.det_score_delta} not >= 0")
         seen: set[tuple[str, int]] = set()
         for parent, child, order in self.edges:
             if parent not in nodes or child not in nodes:
                 raise ValueError(f"edge ({parent},{child}) endpoint missing")
+            if type(order) is not int or not 0 <= order < 1 << 32:  # hashed as a u32
+                raise ValueError(f"edge_order {order!r} at {parent} not an int "
+                                 "in [0, 2**32)")
             if (parent, order) in seen:
                 raise ValueError(f"duplicate edge_order {order} at {parent}")
-            if not 0 <= order < 1 << 32:
-                raise ValueError(f"edge_order {order} at {parent} outside [0, 2**32)")
             seen.add((parent, order))
 
     def children_of(self, node_id: str) -> list[tuple[int, str]]:
@@ -110,23 +122,13 @@ class SharedDag:
         """The graph a JSON object describes; any defect in it, a missing
         key, a wrong type or a bad value, is a ``GraphSpecError``."""
         try:
-            caps = PublicCaps(
-                max_depth=int(obj["caps"]["max_depth"]),
-                c_s_max=float(obj["caps"]["c_s_max"]),
-                c_s_min=float(obj["caps"]["c_s_min"]),
-            )
-            nodes = {
-                n["id"]: DagNode(n["id"], n["state"], bool(n.get("leaf", False)),
-                                 float(n.get("delta_cost", 0.0)))
-                for n in obj["nodes"]
-            }
-            if not all([isinstance(n.node_id, str) and isinstance(n.state_label, str)
-                        for n in nodes.values()]):
-                raise TypeError("node id and state must be strings")
-            edges = [(e["from"], e["to"], int(e["order"])) for e in obj["edges"]]
+            raw = obj["caps"]
+            caps = PublicCaps(raw["max_depth"], raw["c_s_max"], raw["c_s_min"])
+            nodes = {n["id"]: DagNode(n["id"], n["state"], n.get("leaf", False),
+                                      n.get("delta_cost", 0.0)) for n in obj["nodes"]}
+            edges = [(e["from"], e["to"], e["order"]) for e in obj["edges"]]
             return cls(nodes=nodes, edges=edges, root_id=obj["root"], caps=caps)
-        except (KeyError, TypeError, ValueError, AttributeError,
-                OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise GraphSpecError(
                 f"bad graph spec: {type(exc).__name__}: {exc}") from exc
 
@@ -142,23 +144,10 @@ class SharedDag:
     def to_json_obj(self) -> dict:
         return {
             "root": self.root_id,
-            "caps": {
-                "max_depth": self.caps.max_depth,
-                "c_s_max": self.caps.c_s_max,
-                "c_s_min": self.caps.c_s_min,
-            },
-            "nodes": [
-                {
-                    "id": n.node_id,
-                    "state": n.state_label,
-                    "leaf": n.is_leaf,
-                    "delta_cost": n.det_score_delta,
-                }
-                for n in self.nodes.values()
-            ],
-            "edges": [
-                {"from": p, "to": c, "order": o} for p, c, o in self.edges
-            ],
+            "caps": asdict(self.caps),
+            "nodes": [{"id": n.node_id, "state": n.state_label, "leaf": n.is_leaf,
+                       "delta_cost": n.det_score_delta} for n in self.nodes.values()],
+            "edges": [{"from": p, "to": c, "order": o} for p, c, o in self.edges],
         }
 
     def save(self, path: str) -> None:

@@ -2,14 +2,14 @@
 
 Consumes only public artifacts — the ledger file and the graph spec — and
 re-derives everything else.  Replay reruns the search from the header and
-the logged draws, compares the header it rebuilds with the logged one as
-JSON text, and compares every record whole, node ids included: keys, ids
-minted from the seeded stream, and budget records recomputed from the
-header's catalog and initial state.  The stop inequality, budget
-inequalities and downgrade licensing are checked over the records, and
-Surrogate keys are tightened by kappa with the exact counts of the
-contexts the replay built (or an explicit public-counts map).  Semantic
-problems become verdict failures with record indices, and a verdict is
+the logged draws and compares the header it rebuilds with the logged one
+as JSON text.  Then one pass over the records compares each whole with its
+replay, node ids included (keys, ids minted from the seeded stream, budget
+records recomputed from the header's catalog and initial state), checks
+the stop inequality, budget inequalities and downgrade licensing, and
+tightens Surrogate keys by kappa with the exact counts of the contexts the
+replay built (or an explicit public-counts map).  Semantic problems become
+verdict failures with record indices, in record order, and a verdict is
 its failures; only I/O errors raise.
 """
 
@@ -106,36 +106,36 @@ def _differing_fields(orig: dict, new: dict) -> list[str]:
             or [k for k in orig if _dump(orig[k]) != _dump(new[k])])
 
 
-def _check_replay(graph: PrefixDag, ledger: Ledger, verdict: Verdict) -> None:
-    records = ledger.records
+def _replay(graph: PrefixDag, ledger: Ledger, verdict: Verdict) -> list[dict]:
+    """The records of the run the header describes, or none if it describes none."""
     try:
         mode, cfg = RunConfig.from_header(ledger.header)
-        lookup, n_ub_map = _replay_inputs(records)
+        lookup, n_ub_map = _replay_inputs(ledger.records)
         result = run(graph, mode, replace(cfg, n_ub_map=n_ub_map),
                      uniform_provider=lookup)
     except Exception as exc:  # semantic: the ledger does not describe a run
         verdict.fail("replay", 0, f"replay aborted: {exc}")
-        return
+        return []
     # The replay's header is ``header_obj`` of the settings read back,
     # compared as JSON text: ``1 == 1.0 == True`` but their bytes differ.
     if _dump(result.ledger.header) != _dump(ledger.header):
         verdict.fail("replay", 0, "header mismatch in fields "
                      f"{_differing_fields(ledger.header, result.ledger.header)}")
-    replayed = result.ledger.records
-    if len(replayed) != len(records):
-        verdict.fail("replay", min(len(replayed), len(records)),
-                     f"record count {len(records)} != replayed {len(replayed)}")
-    for i, (orig, new) in enumerate(zip(records, replayed)):
-        if orig != new:
-            verdict.fail("replay", i, "replay mismatch in fields "
-                         f"{_differing_fields(orig, new)}")
+    return result.ledger.records
 
 
-def _check_stop_rule(ledger: Ledger, verdict: Verdict) -> None:
-    frontier: dict[str, int] = {}
+def _audit(graph: PrefixDag, records: list[dict], replayed: list[dict],
+           counts: dict[str, int] | None, verdict: Verdict) -> None:
+    """One pass: each record is compared with its replay and advances the
+    stop-rule, tightening and budget checks, so failures come in record order."""
+    frontier: dict[str, int] = {}  # the stop rule's, from pushes and pops
     incumbent = fp.NEG_INF_Q64_64
     saw_stop = False
-    for i, rec in enumerate(ledger.records):
+    price_prev = 0
+    for i, rec in enumerate(records):
+        if i < len(replayed) and rec != replayed[i]:
+            verdict.fail("replay", i, "replay mismatch in fields "
+                         f"{_differing_fields(rec, replayed[i])}")
         event = rec.get("event")
         if event == "push":
             frontier[rec["ctx_digest"]] = rec["key_raw"]
@@ -143,8 +143,6 @@ def _check_stop_rule(ledger: Ledger, verdict: Verdict) -> None:
             frontier.pop(rec["ctx_digest"], None)
         elif event == "leaf_eval":
             incumbent = rec["incumbent"]
-        elif event == "guard" and "BudgetFail" in rec.get("guards", ()):
-            frontier.clear()  # the engine restarts from the root under Fallback
         elif event == "stop":
             saw_stop = True
             if rec.get("incumbent") != incumbent:
@@ -156,13 +154,26 @@ def _check_stop_rule(ledger: Ledger, verdict: Verdict) -> None:
                              "stop frontier max does not match pushes/pops")
             if rec.get("claim_type") != "NoCert" and top is not None and top > incumbent:
                 verdict.fail("stop_rule", i, "certified stop with frontier key above B*")
-    if not saw_stop:
-        verdict.fail("stop_rule", len(ledger.records), "no stop record")
-
-
-def _check_tightening(ledger: Ledger, graph: PrefixDag,
-                      counts: dict[str, int] | None, verdict: Verdict) -> None:
-    for i, rec in enumerate(ledger.records):
+        elif event == "guard":
+            if "BudgetFail" in rec.get("guards", ()):
+                frontier.clear()  # the engine restarts from the root under Fallback
+            before, after = rec.get("claim_type_before"), rec.get("claim_type_after")
+            if before != after and None not in (before, after) and not rec.get("guards"):
+                verdict.fail("budget", i, "claim downgrade without licensing guard")
+        elif (event == "budget" and rec.get("budget_event") == "Selected"
+              and "model_id" in rec):
+            for need in ("adapter_id", "dp_cert_id", "eps_train", "delta_train"):
+                if need not in rec:
+                    verdict.fail("budget", i, f"missing adapter metadata {need}")
+            spent, cap = rec.get("price_spent"), rec.get("price_cap")
+            if spent is not None and cap is not None and spent > cap:
+                verdict.fail("budget", i, "price_spent exceeds price_cap")
+            if spent is not None:
+                if spent < price_prev:
+                    verdict.fail("budget", i, "price_spent decreased")
+                price_prev = spent
+            if "router_rdp_eps" in rec:
+                verdict.rdp_logged = fp.decode_q32_32(rec["router_rdp_eps"])
         if rec.get("mode") != "Surrogate" or "Nub" not in rec:
             continue
         if counts is None:  # every context the replay built, by digest hex
@@ -185,30 +196,11 @@ def _check_tightening(ledger: Ledger, graph: PrefixDag,
         except fp.NumClampError:  # a key clamped to the Q64.64 top
             continue
         verdict.tightened.append((i, fp.encode_q32_32(k), key_tight))
-
-
-def _check_budget(ledger: Ledger, verdict: Verdict) -> None:
-    price_prev = 0
-    for i, rec in enumerate(ledger.records):
-        event = rec.get("event")
-        if event == "budget":
-            if rec.get("budget_event") == "Selected" and "model_id" in rec:
-                for need in ("adapter_id", "dp_cert_id", "eps_train", "delta_train"):
-                    if need not in rec:
-                        verdict.fail("budget", i, f"missing adapter metadata {need}")
-                spent, cap = rec.get("price_spent"), rec.get("price_cap")
-                if spent is not None and cap is not None and spent > cap:
-                    verdict.fail("budget", i, "price_spent exceeds price_cap")
-                if spent is not None:
-                    if spent < price_prev:
-                        verdict.fail("budget", i, "price_spent decreased")
-                    price_prev = spent
-                if "router_rdp_eps" in rec:
-                    verdict.rdp_logged = fp.decode_q32_32(rec["router_rdp_eps"])
-        elif event == "guard":
-            before, after = rec.get("claim_type_before"), rec.get("claim_type_after")
-            if before != after and None not in (before, after) and not rec.get("guards"):
-                verdict.fail("budget", i, "claim downgrade without licensing guard")
+    if replayed and len(replayed) != len(records):  # an aborted replay has none
+        verdict.fail("replay", min(len(replayed), len(records)),
+                     f"record count {len(records)} != replayed {len(replayed)}")
+    if not saw_stop:
+        verdict.fail("stop_rule", len(records), "no stop record")
 
 
 def validate(ledger_path: str, graph_spec: str | PrefixDag,
@@ -229,8 +221,6 @@ def validate(ledger_path: str, graph_spec: str | PrefixDag,
             verdict.fail("replay", 0, f"ledger root {ledger.header.get('root')} "
                                       f"does not match graph root {graph.root.hex()}")
         else:
-            _check_replay(graph, ledger, verdict)
-            _check_stop_rule(ledger, verdict)
-            _check_tightening(ledger, graph, public_counts, verdict)
-            _check_budget(ledger, verdict)
+            _audit(graph, ledger.records, _replay(graph, ledger, verdict),
+                   public_counts, verdict)
     return verdict

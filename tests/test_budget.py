@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -99,6 +100,53 @@ def test_catalog_entry_validation():
     with pytest.raises(ValueError):
         bd.ModelCatalogEntry("m", "a", "d", 1.0, 1e-6, 1, 10,
                              dkey_estimator="no-such-estimator")
+
+
+_ALPHA = "alpha_grid must be non-empty and every alpha, its atoms' too, in (1, inf)"
+
+
+@pytest.mark.parametrize("build, reason", [
+    (lambda: _state(delta=2.0), "delta must lie in (0, 1)"),
+    (lambda: _state(delta=0.0), "delta must lie in (0, 1)"),
+    (lambda: _state(delta=math.nan), "delta must lie in (0, 1)"),
+    (lambda: _state(alpha_grid=(1.0, 2.0)), f"{_ALPHA}: [1.0, 2.0]"),
+    (lambda: _state(alpha_grid=(0.5,)), f"{_ALPHA}: [0.5]"),
+    (lambda: _state(alpha_grid=()), f"{_ALPHA}: []"),
+    (lambda: _state(atoms=[bd.RdpAtom(1.0, 0.5)]),
+     f"{_ALPHA}: [2.0, 4.0, 8.0, 16.0, 32.0, 1.0]"),
+    (lambda: _state(eps_max=math.nan), "eps_max must be >= 0"),
+    (lambda: bd.ModelCatalogEntry("m", "a", "d", 1.0, 1e-6, 1, 10, eps_m=math.nan),
+     "eps_m must be >= 0")],
+    ids=["delta-2", "delta-0", "delta-nan", "alpha-1", "alpha-half",
+         "empty-grid", "atom-alpha-1", "eps-max-nan", "eps-m-nan"])
+def test_budget_setting_it_cannot_account_for_is_refused(build, reason):
+    # Each failed mid-run once a private entry was priced, certified with
+    # an understated epsilon (alpha 0.5), charged no epsilon at all (an
+    # empty grid) or fired BudgetFail on the first expansion (NaN eps_max).
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        build()
+
+
+def test_folded_charges_keep_every_float():
+    # A charge folds into one atom per alpha, summed in the order the sum
+    # over every atom charged so far would take, so epsilon keeps its bits.
+    entry = bd.ModelCatalogEntry("dp", "a", "d", 2.0, 1e-6, 1, 1, eps_m=0.013)
+    state = _state(alpha_grid=(2.0, 3.5, 2.0), atoms=[
+        bd.RdpAtom(2.0, 0.3), bd.RdpAtom(64.0, 1.1), bd.RdpAtom(2.0, 0.7)])
+    charged = list(state.atoms)
+
+    def unfolded_eps(atoms):
+        return min(sum(e for a, e in atoms if a == alpha)
+                   + math.log(1.0 / state.delta) / (alpha - 1.0)
+                   for alpha in {a for a, _ in atoms})
+
+    for _ in range(50):
+        assert state.eps_after(entry) == unfolded_eps(
+            charged + state.new_atoms(entry))
+        state.charge(entry)
+        charged += state.new_atoms(entry)
+        assert state.rdp_eps_alpha()[0] == unfolded_eps(charged)
+    assert sorted(alpha for alpha, _ in state.atoms) == [2.0, 3.5, 64.0]
 
 
 def test_load_catalog_round_trip(tmp_path):

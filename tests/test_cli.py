@@ -25,9 +25,13 @@ def test_toy_replay_exit_zero(tmp_path, capsys):
     assert main(["toy-replay", "--out", out]) == 0
     text = capsys.readouterr().out
     assert "incumbent=2.886234" in text
-    assert "replay_ok=True" in text
-    assert os.path.exists(os.path.join(out, "toy-exact.ndjson"))
-    assert os.path.exists(os.path.join(out, "toy-surrogate.ndjson"))
+    assert text.count("replay_ok=True") == 2  # each ledger is validated
+    # The command that re-records the goldens reproduces them.
+    for name in ("toy-exact.ndjson", "toy-surrogate.ndjson"):
+        with open(os.path.join(out, name), "rb") as fh:
+            written = fh.read()
+        with open(os.path.join(os.path.dirname(__file__), "data", name), "rb") as fh:
+            assert written == fh.read()
 
 
 def test_validate_roundtrip_and_reports(tmp_path, capsys):
@@ -63,6 +67,24 @@ def test_validate_rejects_hostile_graph_in_one_line(tmp_path, capsys, spec):
     assert main(["validate", ledger, "--graph", graph]) != 0
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "bad graph spec" in err
+
+
+def test_suite_with_baseline_modes_round_trips(tmp_path):
+    # Baselines add CSV rows but write no ledger; each Exact ledger
+    # validates against the graph saved beside it.
+    out = str(tmp_path / "suite")
+    modes = ["Exact", "greedy", "beam3", "dist-level"]
+    assert main(["suite", "--suite", "A", "--depth", "2", "--seeds", "2",
+                 "--modes", ",".join(modes), "--out", out]) == 0
+    with open(os.path.join(out, "suite.csv"), encoding="utf-8") as fh:
+        rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+    assert sorted(r["mode"] for r in rows) == sorted(modes * 2)
+    ledgers = os.path.join(out, "ledgers")
+    assert sorted(os.listdir(ledgers)) == [
+        "A-0-Exact.ndjson", "A-0.graph.json", "A-1-Exact.ndjson", "A-1.graph.json"]
+    for seed in (0, 1):
+        assert main(["validate", os.path.join(ledgers, f"A-{seed}-Exact.ndjson"),
+                     "--graph", os.path.join(ledgers, f"A-{seed}.graph.json")]) == 0
 
 
 def test_suite_emits_csv_and_ledgers(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import weakref
 
 import pytest
@@ -377,11 +378,53 @@ _NODES = [{"id": "r", "state": "r"}, {"id": "a", "state": "a", "leaf": True}]
      "edges": [{"from": "r", "to": "a", "order": 0}]},
     {"root": "r", "caps": _CAPS, "nodes": [_NODES[0], dict(_NODES[1], state=7)],
      "edges": [{"from": "r", "to": "a", "order": 0}]},
+    # Each of these was cast: "false" to a leaf, 1.7 to 1, 3.9 to 3 and
+    # "0.5" to a number.
+    {"root": "r", "caps": _CAPS, "nodes": [_NODES[0], dict(_NODES[1], leaf="false")],
+     "edges": [{"from": "r", "to": "a", "order": 0}]},
+    {"root": "r", "caps": _CAPS, "nodes": _NODES,
+     "edges": [{"from": "r", "to": "a", "order": 1.7}]},
+    {"root": "r", "caps": dict(_CAPS, max_depth=3.9), "nodes": _NODES,
+     "edges": [{"from": "r", "to": "a", "order": 0}]},
+    {"root": "r", "caps": _CAPS, "nodes": [_NODES[0], dict(_NODES[1], delta_cost="0.5")],
+     "edges": [{"from": "r", "to": "a", "order": 0}]},
+    # An int cost no float can hold would overflow at compile.
+    {"root": "r", "caps": _CAPS, "nodes": [_NODES[0], dict(_NODES[1], delta_cost=10**400)],
+     "edges": [{"from": "r", "to": "a", "order": 0}]},
+    {"root": "r", "caps": dict(_CAPS, c_s_min=float("nan")), "nodes": _NODES,
+     "edges": [{"from": "r", "to": "a", "order": 0}]},
 ], ids=["node-without-caps", "not-an-object", "negative-order",
-        "depth-past-u32", "non-string-state"])
+        "depth-past-u32", "non-string-state", "string-leaf", "fractional-order",
+        "fractional-depth", "string-cost", "int-cost-past-float", "nan-caps"])
 def test_hostile_spec_is_a_graph_spec_error(spec):
     with pytest.raises(GraphSpecError, match="bad graph spec"):
         SharedDag.from_json_obj(spec)
+
+
+_PY_CAPS = PublicCaps(max_depth=2, c_s_max=1.0, c_s_min=1.0)
+_PY_NODES = {"r": DagNode("r", "r", False), "a": DagNode("a", "a", True)}
+
+
+@pytest.mark.parametrize("build, reason", [
+    (lambda: SharedDag({"a": DagNode("a", 7, True)}, [], "a", _PY_CAPS),
+     "node 'a': id and state must be strings, leaf a bool and cost a number"),
+    (lambda: SharedDag({"a": DagNode("a", "a", "no")}, [], "a", _PY_CAPS),
+     "node 'a': id and state must be strings, leaf a bool and cost a number"),
+    (lambda: SharedDag({**_PY_NODES, "a": DagNode("a", "a", True, "0.5")},
+                       [("r", "a", 0)], "r", _PY_CAPS),
+     "node 'a': id and state must be strings, leaf a bool and cost a number"),
+    (lambda: SharedDag(_PY_NODES, [("r", "a", 0.5)], "r", _PY_CAPS),
+     "edge_order 0.5 at r not an int in [0, 2**32)"),
+    (lambda: PublicCaps(max_depth=3.9, c_s_max=1.0, c_s_min=1.0),
+     "max_depth must be int: 3.9")],
+    ids=["non-string-state", "string-leaf", "string-cost", "fractional-order",
+         "fractional-depth"])
+def test_graph_built_in_python_is_type_checked(build, reason):
+    # One check for every graph, however it was built: the state 7 and the
+    # order 0.5 ended in an AttributeError or struct.error at compile, and
+    # "no" compiled as a leaf.
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        build()
 
 
 def test_deeply_nested_graph_file_is_a_graph_spec_error(tmp_path):

@@ -498,6 +498,82 @@ def test_budget_run_validates(tmp_path):
     assert verdict.budget_ok
 
 
+def _budget_lines(tmp_path):
+    """The graph and ledger lines of an Exact suite_a(3, 3, 0) run with the
+    default catalog: four Selected budget records, at records 1, 6, 11 and 16."""
+    graph, _ = compile_dag(suite_a(3, 3, 0))
+    path = str(tmp_path / "budget.ndjson")
+    search.run(graph, Mode.EXACT, RunConfig(mtau=MtauConfig(), budget=BudgetRuntime(
+        default_catalog(), BudgetState(eps_max=10.0, delta=1e-6, price_max=100,
+                                       slo_ms=1000))), ledger_path=path)
+    return graph, open(path, encoding="utf-8").read().splitlines()
+
+
+# A guard record that downgrades the claim without naming a guard.
+_UNLICENSED = json.dumps({"event": "guard", "guards": [],
+                          "claim_type_before": "RunWiseExact",
+                          "claim_type_after": "NoCert"}, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("line, fields, reason", [
+    (2, {"adapter_id": None}, "missing adapter metadata adapter_id"),
+    (2, {"price_spent": "101"}, "price_spent exceeds price_cap"),
+    (7, {"price_spent": "19"}, "price_spent decreased"),
+    (3, None, "claim downgrade without licensing guard")],
+    ids=["adapter-id-dropped", "spent-above-cap", "spent-lowered",
+         "unlicensed-downgrade"])
+def test_tampered_budget_record_fails_its_check(tmp_path, line, fields, reason):
+    # ``fields`` set (None drops one) on the record at ``line``, or with
+    # none, the unlicensed guard inserted there.  Each budget check fires
+    # beside a replay mismatch, and the one pass lists failures in record
+    # order, the tampered record's first.
+    graph, lines = _budget_lines(tmp_path)
+    assert validator.validate(_write_lines(tmp_path, "ok.ndjson", lines), graph).ok
+    if fields is None:
+        lines.insert(line, _UNLICENSED)
+    else:
+        rec = {**json.loads(lines[line]), **fields}
+        lines[line] = json.dumps({k: v for k, v in rec.items() if v is not None},
+                                 sort_keys=True, separators=(",", ":"))
+    verdict = validator.validate(
+        _write_lines(tmp_path, "tampered.ndjson", lines), graph)
+    assert ("budget", line - 1, reason) in verdict.found
+    assert not verdict.budget_ok and not verdict.replay_ok
+    indices = [i for _, i, _ in verdict.found]
+    assert indices[0] == line - 1 and indices == sorted(indices)
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("delta", 2.0, "delta must lie in (0, 1): 2.0"),
+    ("alpha_grid", [1.0, 2.0], "alpha_grid must be non-empty and every alpha, "
+                               "its atoms' too, in (1, inf): [1.0, 2.0]"),
+    ("eps_max", -1.0, "eps_max must be >= 0: -1.0")])
+def test_header_budget_setting_it_cannot_account_for_aborts_replay(
+        tmp_path, key, value, reason):
+    graph, lines = _budget_lines(tmp_path)
+    header = json.loads(lines[0])
+    header["budget"]["state"][key] = value
+    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    verdict = validator.validate(
+        _write_lines(tmp_path, "header.ndjson", lines), graph)
+    assert verdict.failures == [(0, f"replay aborted: {reason}")]
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+def test_validate_loads_and_compiles_a_spec_path(tmp_path, mode):
+    # Given a spec path, validate loads and compiles the graph itself.
+    spec = str(tmp_path / "g.json")
+    suite_a(3, 3, 0).save(spec)
+    graph, _ = compile_dag(SharedDag.load(spec))
+    path = str(tmp_path / f"{mode.value}.ndjson")
+    search.run(graph, mode, RunConfig(mtau=MtauConfig(), n_ub_factor=2.0),
+               ledger_path=path)
+    verdict = validator.validate(path, spec)
+    assert verdict.ok, verdict.failures
+    assert verdict.tightened == validator.validate(path, graph).tightened
+    assert bool(verdict.tightened) == (mode is Mode.SURROGATE)
+
+
 def _family_run(tmp_path, family, mode, seed):
     graph, cert = compile_dag(FAMILIES[family](seed))
     assert cert.ok
