@@ -48,7 +48,7 @@ def _best_first(graph: PrefixDag, score, leaf_values: dict[bytes, float],
             if v > best:
                 best, best_leaf = v, digest
         else:
-            for child in node.children:
+            for child in graph.children(digest):
                 heapq.heappush(heap, (-score(child), child))
     return BaselineResult(
         expansions=expansions,
@@ -104,7 +104,7 @@ def beam_k(graph: PrefixDag, k: float, mtau_cfg: MtauConfig,
                 if v > best:
                     best, best_leaf = v, digest
             else:
-                nxt.extend(node.children)
+                nxt.extend(graph.children(digest))
         nxt.sort(key=lambda d: (-mtau(graph.node(d), mtau_cfg), d))
         beam = nxt if math.isinf(k) else nxt[: int(k)]
     return BaselineResult(

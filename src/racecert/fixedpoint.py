@@ -94,10 +94,14 @@ def parse_raw(text: str, lo: int, hi: int) -> int:
 def store_as(obj, kind: type, *names: str) -> None:
     """Store each named field of the dataclass ``obj`` as ``kind`` (int,
     float or str); a value the cast cannot take or would change, such as a
-    price of 1.5 or a model id of 7, raises a ``ValueError`` naming the field."""
+    price of 1.5 or a model id of 7, raises a ``ValueError`` naming the field.
+    A number takes an ``int`` or a ``float`` only (1 as 1.0, 3.0 as 3): the
+    text ``"0.5"`` and the bool ``True`` are refused, not cast."""
     for name in names:
         value = getattr(obj, name)
         try:
+            if kind is not str and isinstance(value, (str, bytes, bool)):
+                raise TypeError
             cast = kind(value)
             if kind is not float and cast != value:
                 raise ValueError

@@ -7,6 +7,10 @@ field's layout once: a number serializes as the decimal string of its *raw*
 integer (unambiguous and locale independent), or as a 4-decimal scaled
 string for the potentials, which mirror the downgrade-log convention.
 
+The record writer reads ``FIELDS`` too: it spells each line itself, byte for
+byte what ``json`` would write with sorted keys and no spaces, and refuses a
+value the parser would refuse.  The header and the parser keep ``json``.
+
 In memory a record is a plain dict of decoded values, and
 ``Ledger.records`` is the one per-node record of a run: the engine appends
 to it, the parser rebuilds it, and the validator replays it.  The parser
@@ -116,19 +120,6 @@ class OverflowOnParseError(MalformedLineError):
     pass
 
 
-def _encode(rec: dict) -> dict:
-    """A record's JSON object: each number field as its layout's decimal
-    text, a raw integer or a 4-decimal scaled value."""
-    out: dict = {}
-    for key, val in rec.items():
-        kind = FIELDS[key]
-        if kind is str or kind is list:
-            out[key] = val
-        else:
-            out[key] = fp.format_scaled_q32_32(val) if kind.scaled else str(val)
-    return out
-
-
 def _decode(obj: dict, lineno: int) -> dict:
     """The record a JSON object encodes: each number field's raw int (a
     scaled one's Q32.32 raw), strings and lists as they are."""
@@ -145,7 +136,7 @@ def _decode(obj: dict, lineno: int) -> dict:
             if not isinstance(val, list) or not set(val) <= GUARD_NAMES:
                 raise SchemaViolationError(lineno, f"bad guards {val!r}")
             rec[key] = list(val)
-        else:  # a number, taken only in the text ``_encode`` writes for it
+        else:  # a number, taken only in the text ``_record_line`` writes for it
             scaled = kind.scaled
             if not isinstance(val, str):  # Fraction would take 1, 1.5, true
                 raise SchemaViolationError(lineno, f"bad {('integer', 'decimal')[scaled]}"
@@ -179,6 +170,15 @@ def _load(line: str | bytes, lineno: int):
     try:
         if isinstance(line, bytes):
             line = line.decode("utf-8")
+        # A line the writer wrote is one value and nothing else: scan it in
+        # one step, and leave whitespace, extra data and every error to
+        # ``decode``, so what it accepts and each message stay its own.
+        try:
+            obj, end = _DECODER.scan_once(line, 0)
+            if end == len(line):
+                return obj
+        except (StopIteration, json.JSONDecodeError, RecursionError):
+            pass
         return _DECODER.decode(line)
     except UnicodeDecodeError as exc:
         raise MalformedLineError(lineno, f"not UTF-8: {exc}")
@@ -188,6 +188,48 @@ def _load(line: str | bytes, lineno: int):
 
 def _dump(obj: dict) -> str:
     return _ENCODER.encode(obj)
+
+
+# ``json``'s own string quoting under ensure_ascii=False; a non-str raises.
+_quote = json.encoder.encode_basestring
+
+
+def _quote_guards(names: list) -> str:
+    if not GUARD_NAMES.issuperset(names):
+        raise ValueError(f"bad guards {names!r}")
+    return "[" + ",".join(map(_quote, names)) + "]"
+
+
+def _field_writer(kind):
+    """The writer of a ``kind`` value: the text ``_decode`` reads back as it,
+    or an error for a value ``_decode`` would refuse."""
+    if kind is str:
+        return _quote
+    if kind is list:
+        return _quote_guards
+    spell = fp.format_scaled_q32_32 if kind.scaled else str
+    lo, hi = kind.lo, kind.hi
+
+    def write(raw: int) -> str:
+        if type(raw) is not int or not lo <= raw <= hi:
+            raise ValueError(f"cannot log {raw!r} as {kind.name}")
+        return '"' + spell(raw) + '"'
+    return write
+
+
+# Each field's ``"name":`` prefix and value writer, read off ``FIELDS``.
+_WRITERS = {name: (_quote(name) + ":", _field_writer(kind))
+            for name, kind in FIELDS.items()}
+
+
+def _record_line(rec: dict) -> str:
+    """A record's line, byte for byte what ``json`` writes for it with sorted
+    keys and no spaces; each number field as its layout's decimal text."""
+    parts = []
+    for key in sorted(rec):  # the order of json's sort_keys
+        prefix, write = _WRITERS[key]
+        parts.append(prefix + write(rec[key]))
+    return "{" + ",".join(parts) + "}"
 
 
 class Ledger:
@@ -202,7 +244,7 @@ class Ledger:
 
     def serialize(self) -> str:
         lines = [_dump(self.header)]
-        lines.extend(_dump(_encode(r)) for r in self.records)
+        lines.extend(map(_record_line, self.records))
         return "\n".join(lines) + "\n"
 
     def save(self, path: str) -> None:

@@ -4,11 +4,13 @@ Unfolding duplicates shared subgraphs per prefix context, so every context
 has a unique root path and a unique parent.  ``compile_dag`` does shared-DAG
 work only: one walk counts the leaves below each shared node and rejects a
 cycle, an over-deep path or a root without leaves.  A context is built the
-first time it is asked for.  A context with no leaf below it is never built
-and a leaf context lists no children, so the children of any internal
-context partition its leaves into non-empty blocks by construction.  Suffix
-counts are exact Python ints; ``COUNT_LIMIT`` is the 63-bit ceiling the
-search certifies under.
+first time it is asked for, and its children are digested the first time
+they are listed, so an Exact or Surrogate route hashes only the contexts it
+pushes.  A context with no leaf below it is never built and a leaf context
+lists no children, so the children of any internal context partition its
+leaves into non-empty blocks by construction.  Suffix counts are exact
+Python ints; ``COUNT_LIMIT`` is the 63-bit ceiling the search certifies
+under.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterator, NamedTuple
 
 from . import fixedpoint as fp
@@ -201,7 +203,6 @@ class PrefixNode:
     prefix_score: float
     parent: bytes | None
     is_leaf: bool
-    children: list[bytes] = field(default_factory=list)
     n_exact: int = 0
     # No leaf below scores more: prefix score plus score-to-go, rounded up.
     score_ub: float = 0.0
@@ -222,14 +223,16 @@ class CompileCertificate:
 class PrefixDag:
     """Digest-addressed contexts of a shared DAG, built on demand.
 
-    A context is built the first time ``node()`` asks for it.  Building a
-    non-leaf context digests its children, the contexts of its shared
-    node's children that have a leaf below them, from the path body it
-    carried, and then drops that body.  ``nodes`` holds the contexts built
-    so far; ``walk()`` builds those it reaches, and ``unfold()`` drains it
-    to build the rest.  Once every context is built, the shared graph and
-    its tables are dropped.  A repeated digest is detected among the
-    contexts built so far and the children they list.
+    A context is built the first time ``node()`` asks for it, and its
+    children are digested the first time ``children()`` lists them: the
+    contexts of its shared node's children that have a leaf below them,
+    each from the path body the context carried, which it then drops.  An
+    Exact or Surrogate route thus digests only the contexts it pushes.
+    ``nodes`` holds the contexts built so far; ``walk()`` builds and lists
+    those it reaches, and ``unfold()`` drains it to build the rest.  Once
+    every context is built and listed, the shared graph and its tables are
+    dropped.  A repeated digest is detected when a listing digests it,
+    among every context digested so far.
     """
 
     def __init__(self, dag: SharedDag, counts: dict[str, int],
@@ -240,8 +243,10 @@ class PrefixDag:
         self._counts, self._togo, self._height = counts, togo, height
         self._head = _caps_head(dag.caps)
         # Digest -> (shared node id, path body, parent digest, prefix score,
-        # depth) of every listed child not built yet.
+        # depth) of every digested context whose children are not listed
+        # yet: not built, or built as a non-leaf and not yet listed.
         self._pending: dict[bytes, tuple[str, bytes, bytes | None, float, int]] = {}
+        self._children: dict[bytes, list[bytes]] = {}
         root = dag.nodes[dag.root_id]
         body = _path_entry(root.state_label, 0)
         self.root = _digest(self._head, 1, body)
@@ -254,9 +259,8 @@ class PrefixDag:
         return node if node is not None else self._build(digest)
 
     def _build(self, digest: bytes) -> PrefixNode:
-        node_id, body, parent, score, depth = self._pending.pop(digest)
-        dag, counts, pending = self._dag, self._counts, self._pending
-        shared = dag.nodes[node_id]
+        node_id, _, parent, score, depth = self._pending[digest]
+        shared = self._dag.nodes[node_id]
         # The best leaf's float score subtracts the h <= height - 1 costs
         # below one by one, and score + togo sums them in another order: at
         # most 2h roundings, each within half an ulp of |score_ub|, so 2h
@@ -267,9 +271,27 @@ class PrefixDag:
             score_ub += ulps * math.ulp(score_ub)
         node = self.nodes[digest] = PrefixNode(
             digest, shared.state_label, depth, score, parent, shared.is_leaf,
-            [], counts[node_id], score_ub)
-        # A leaf ends every path through it, so it lists no children.
-        for order, child_id in () if shared.is_leaf else dag.children_of(node_id):
+            self._counts[node_id], score_ub)
+        # A leaf ends every path through it, so it lists no children and
+        # needs no body; a non-leaf keeps its entry until it is listed.
+        if shared.is_leaf:
+            del self._pending[digest]
+            if not self._pending:  # all built and listed: drop the shared tables
+                self._dag = self._counts = self._togo = self._height = None
+        return node
+
+    def children(self, digest: bytes) -> list[bytes]:
+        """The digests of a context's children, in edge order; the first call
+        builds the context if need be and digests them."""
+        kids = self._children.get(digest)
+        if kids is not None:
+            return kids
+        if self.node(digest).is_leaf:
+            return []
+        node_id, body, _, score, depth = self._pending[digest]
+        dag, counts, pending = self._dag, self._counts, self._pending
+        kids = []
+        for order, child_id in dag.children_of(node_id):
             if counts[child_id] == 0:
                 continue  # no leaf below: never built
             child = dag.nodes[child_id]
@@ -278,13 +300,13 @@ class PrefixDag:
             if child_digest in pending or child_digest in self.nodes:
                 raise DigestCollisionError(
                     f"digest collision at child #{order} of the "
-                    f"{shared.state_label!r} context at depth {depth}")
+                    f"{self.nodes[digest].state_label!r} context at depth {depth}")
             pending[child_digest] = (child_id, child_body, digest,
                                      score - child.det_score_delta, depth + 1)
-            node.children.append(child_digest)
-        if not pending:  # every context is built: drop the shared tables
-            self._dag = self._counts = self._togo = self._height = None
-        return node
+            kids.append(child_digest)
+        del pending[digest]
+        self._children[digest] = kids
+        return kids
 
     def walk(self, digest: bytes | None = None) -> Iterator[PrefixNode]:
         """The contexts below ``digest`` (the root by default), itself
@@ -295,7 +317,7 @@ class PrefixDag:
         while stack:
             node = self.node(stack.pop())
             yield node
-            stack.extend(reversed(node.children))
+            stack.extend(reversed(self.children(node.ctx_digest)))
 
     def unfold(self) -> dict[bytes, PrefixNode]:
         """Build every context; returns ``nodes``."""

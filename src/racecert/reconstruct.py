@@ -23,11 +23,11 @@ def exact_race(graph: PrefixDag, lookup: RawLookup) -> dict[bytes, float]:
                                     graph.suffix_count(graph.root))}
     for node in graph.walk():  # a parent's arrival is set before its children
         if not node.is_leaf:
-            counts = [graph.suffix_count(c) for c in node.children]
+            kids = graph.children(node.ctx_digest)
+            counts = [graph.suffix_count(c) for c in kids]
             _, _, child_arrivals = exact_step(
-                node.ctx_digest, arrivals[node.ctx_digest], node.children,
-                counts, lookup)
-            arrivals.update(zip(node.children, child_arrivals))
+                node.ctx_digest, arrivals[node.ctx_digest], kids, counts, lookup)
+            arrivals.update(zip(kids, child_arrivals))
     return arrivals
 
 
@@ -43,8 +43,9 @@ def realized_suffix_max(graph: PrefixDag,
     """RSM(v): the best realized leaf value anywhere below v."""
     rsm: dict[bytes, float] = {}
     for node in reversed(list(graph.walk())):  # children before their parent
-        rsm[node.ctx_digest] = (leaf_values[node.ctx_digest] if node.is_leaf
-                                else max(rsm[c] for c in node.children))
+        digest = node.ctx_digest
+        rsm[digest] = (leaf_values[digest] if node.is_leaf
+                       else max(rsm[c] for c in graph.children(digest)))
     return rsm
 
 

@@ -423,7 +423,8 @@ class _Engine:
             slack = key - fp.decode_q64_64(self.incumbent_q)
             if self.budget_step(node, slack):
                 continue  # budget exhausted: restarted under Fallback
-            children = [graph.node(c) for c in node.children]
+            kids = graph.children(digest)
+            children = [graph.node(c) for c in kids]
             if self.mode is Mode.FALLBACK:
                 self.pop_record(node, key_q)
                 for child in children:
@@ -434,7 +435,7 @@ class _Engine:
             if self.mode is Mode.EXACT:
                 counts = [child.n_exact for child in children]
                 w_raw, raws, arrivals = exact_step(
-                    digest, t, node.children, counts, self.draw)
+                    digest, t, kids, counts, self.draw)
                 if w_raw is not None:
                     phi_extra["W"] = w_raw
                 self.pop_record(node, key_q, **phi_extra)

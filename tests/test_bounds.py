@@ -73,7 +73,7 @@ def test_phi_decreases_by_eta_on_trees():
     cfg = bounds.PhiConfig(step_cap=10, alpha=0.0, eta=1.0, c_s_min=1.0)
     graph, _ = compile_dag(random_tree(3))
     for digest, node in graph.unfold().items():
-        for child in node.children:
+        for child in graph.children(digest):
             before = bounds.phi(node, cfg)
             after = bounds.phi(graph.node(child), cfg)
             assert bounds.check_expansion(before, after, cfg) \

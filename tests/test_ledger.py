@@ -1,5 +1,7 @@
-"""Ledger round trips, parser strictness, and the downgrade-log excerpt."""
+"""Ledger round trips, writer equivalence with ``json``, parser strictness,
+and the downgrade-log excerpt."""
 
+import json
 import math
 import random
 
@@ -7,6 +9,12 @@ import pytest
 
 from racecert import fixedpoint as fp
 from racecert import ledger as lg
+from racecert.bounds import MtauConfig, PhiConfig
+from racecert.budget import (BudgetRuntime, BudgetState, ModelCatalogEntry,
+                             default_catalog)
+from racecert.generators import suite_a
+from racecert.prefix_dag import compile_dag
+from racecert.search import Mode, RunConfig, run
 
 EXCERPT = (
     '{"node_id":"3f1a...e2","parent_id":"de2b...90","mode":"Exact",'
@@ -188,3 +196,134 @@ def test_save_and_parse(tmp_path):
     path = str(tmp_path / "run.ndjson")
     led.save(path)
     assert lg.Ledger.parse(path).serialize() == led.serialize()
+
+
+def _json_line(rec: dict) -> str:
+    """Reference record writer: each number field turned into its layout's
+    decimal text, then one compact, key-sorted ``json`` dump."""
+    obj = {}
+    for key, val in rec.items():
+        kind = lg.FIELDS[key]
+        if kind is str or kind is list:
+            obj[key] = val
+        else:
+            obj[key] = fp.format_scaled_q32_32(val) if kind.scaled else str(val)
+    return lg._dump(obj)
+
+
+# A private entry, picked first on the model_id tie, so the budget records
+# log alpha_selected, router_rdp_eps and eps_delta.*.
+_PRIVATE = BudgetRuntime(
+    [*default_catalog(), ModelCatalogEntry("m-dp", "adp-d", "dpc-d", 2.0, 1e-6,
+                                           1, 10, eps_m=0.1)],
+    BudgetState(eps_max=10.0, delta=1e-6, price_max=100, slo_ms=1000))
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("phi", [None, PhiConfig(step_cap=2, alpha=0.5, eta=0.5)],
+                         ids=["no-phi", "phi"])
+@pytest.mark.parametrize("budget", [None, _PRIVATE], ids=["no-budget", "private"])
+def test_writer_matches_json_on_run_records(mode, phi, budget):
+    seen = set()
+    for seed in range(3):
+        graph, _ = compile_dag(suite_a(3, 3, seed))
+        result = run(graph, mode, RunConfig(mtau=MtauConfig(), seed=seed,
+                                            n_ub_factor=2.0, phi=phi,
+                                            budget=budget))
+        led = result.ledger
+        lines = led.serialize().split("\n")[:-1]
+        assert lines == [lg._dump(led.header)] + [_json_line(r) for r in led.records]
+        seen.update(field for rec in led.records for field in rec)
+    if phi is not None and mode is not Mode.FALLBACK:  # Fallback logs no phi
+        assert {"phi_before", "delta_phi", "eta"} <= seen
+    if budget is not None:
+        assert {"alpha_selected", "router_rdp_eps", "eps_delta.eps"} <= seen
+
+
+_AWKWARD = ('"quote\\ back\\slash" ' + "".join(map(chr, range(32)))
+            + "\x7f \u2028\u2029 é 漢字 \U0001f600")
+
+
+def test_writer_matches_json_on_awkward_records():
+    ends = {name: kind for name, kind in lg.FIELDS.items()
+            if kind is not str and kind is not list}
+    records = [
+        # No event: the parser reads only the declared event kinds.
+        {name: _AWKWARD + name for name, kind in lg.FIELDS.items()
+         if kind is str and name != "event"},
+        {"event": "guard", "guards": ["NumClamp", "Timeout", "BudgetFail"],
+         "reason": ""},
+        {"guards": []},
+        {name: kind.lo for name, kind in ends.items()},
+        {name: kind.hi for name, kind in ends.items()},
+        {name: 0 for name in ends},
+    ]
+    led = lg.Ledger(_header())
+    led.records.extend(records)
+    text = led.serialize()
+    assert text.split("\n")[1:-1] == [_json_line(r) for r in records]
+    assert lg.Ledger.parse_text(text).records == records
+
+
+@pytest.mark.parametrize("rec, error", [
+    ({"event": 5}, TypeError),
+    ({"reason": None}, TypeError),
+    ({"node_id": b"ab"}, TypeError),
+    ({"guards": ["Gremlin"]}, ValueError),
+    ({"guards": [1]}, ValueError),
+    ({"key_raw": 1.0}, ValueError),
+    ({"tie_token": True}, ValueError),
+    ({"Nub": -1}, ValueError),
+    ({"U": fp.Q0_64_MAX + 1}, ValueError),
+    ({"eta": "1.0000"}, ValueError),
+    ({"bogus": "x"}, KeyError)],
+    ids=["int-event", "none-reason", "bytes-id", "bad-guard", "int-guard",
+         "float-raw", "bool-raw", "negative-u64", "q0_64-overflow", "text-scaled",
+         "unknown-field"])
+def test_writer_refuses_what_the_parser_would(rec, error):
+    # Writing it would leave a ledger that no parse reads back.
+    led = lg.Ledger(_header())
+    led.records.append(rec)
+    with pytest.raises(error):
+        led.serialize()
+
+
+_RECORD = '{"event":"stop","reason":"x"}'
+
+
+@pytest.mark.parametrize("line", [" " + _RECORD, _RECORD + " \t", "\t" + _RECORD],
+                         ids=["leading", "trailing", "leading-tab"])
+def test_record_line_with_outer_whitespace_is_accepted(line):
+    text = '{"schema":"racecert/ledger/v1"}\n' + line + "\n"
+    for form in (text, text.encode()):
+        assert lg.Ledger.parse_text(form).records == [{"event": "stop", "reason": "x"}]
+
+
+def _deep_message() -> str:
+    try:
+        json.loads("[" * 100_000 + "]" * 100_000)
+    except RecursionError as exc:
+        return str(exc)
+    raise AssertionError("nesting did not recurse too deep")
+
+
+@pytest.mark.parametrize("line, message", [
+    (_RECORD.encode() * 2, "bad JSON: Extra data: line 1 column 30 (char 29)"),
+    (b"\xef\xbb\xbf" + _RECORD.encode(),
+     "bad JSON: Expecting value: line 1 column 1 (char 0)"),
+    (b'{"event":"stop","reason":"\xff"}',
+     "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 26: "
+     "invalid start byte"),
+    (b"[" * 100_000 + b"]" * 100_000, None)],
+    ids=["two-objects", "bom", "invalid-utf8", "too-deep"])
+def test_malformed_record_line_keeps_its_message(line, message):
+    message = message or f"bad JSON: {_deep_message()}"
+    head = b'{"schema":"racecert/ledger/v1"}\n'
+    forms = [head + line + b"\n"]
+    if b"\xff" not in line:
+        forms.append(forms[0].decode("utf-8"))
+    for text in forms:
+        with pytest.raises(lg.MalformedLineError) as exc:
+            lg.Ledger.parse_text(text)
+        assert str(exc.value) == f"line 2: {message}"
+        assert exc.value.lineno == 2

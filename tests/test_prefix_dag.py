@@ -38,16 +38,17 @@ def _brute_force_paths(dag: SharedDag, node_id: str) -> int:
     return sum(_brute_force_paths(dag, child) for _, child in kids)
 
 
-def _unique_parents(nodes, root) -> bool:
+def _unique_parents(graph) -> bool:
     """Oracle for the partition certificate: each non-root context sits in
     exactly one children list, its parent's."""
     owner = {}
-    for digest, node in nodes.items():
-        for child in node.children:
+    nodes = graph.unfold()
+    for digest in nodes:
+        for child in graph.children(digest):
             if child in owner or nodes[child].parent != digest:
                 return False
             owner[child] = digest
-    return root not in owner and len(owner) == len(nodes) - 1
+    return graph.root not in owner and len(owner) == len(nodes) - 1
 
 
 def test_toy_compiles_with_certificates():
@@ -74,26 +75,61 @@ def test_partition_certificate_on_random_trees():
         graph, cert = compile_dag(random_tree(seed))
         assert cert.ok
         for digest, node in graph.unfold().items():
-            if node.is_leaf or not node.children:
+            if node.is_leaf:
                 continue
             assert graph.suffix_count(digest) == sum(
-                graph.suffix_count(c) for c in node.children)
+                graph.suffix_count(c) for c in graph.children(digest))
 
 
 def test_digest_collision_is_an_error(monkeypatch):
-    # Every digest repeats, so the toy root's children collide when
-    # compile builds the root.
+    # Every digest repeats, so the toy root's first child collides with the
+    # root when the root's children are first listed; compile lists none.
     monkeypatch.setattr(prefix_dag, "_digest", lambda head, n, body: b"\x00" * 32)
+    graph, _ = compile_dag(toy_graph())
     with pytest.raises(DigestCollisionError):
-        compile_dag(toy_graph())
+        graph.children(graph.root)
+
+
+def test_digest_collision_with_a_context_not_built_is_an_error(monkeypatch):
+    # Both grandchildren get one digest: the second listed collides with
+    # the first, which is digested but neither built nor listed.
+    digest = prefix_dag._digest
+    monkeypatch.setattr(prefix_dag, "_digest", lambda head, n, body: (
+        b"\x01" * 32 if n == 3 else digest(head, n, body)))
+    graph, _ = compile_dag(_graph(
+        [("r", "a", 0), ("r", "b", 1), ("a", "x", 0), ("b", "y", 0)], {"x", "y"}, 3))
+    first, second = graph.children(graph.root)
+    assert graph.children(first) == [b"\x01" * 32] and b"\x01" * 32 not in graph.nodes
+    with pytest.raises(DigestCollisionError, match="child #0 of the 'b' context"):
+        graph.children(second)
+
+
+@pytest.mark.parametrize("build, mode", [
+    (lambda seed: suite_b(10, 3, seed=seed), Mode.EXACT),
+    (lambda seed: suite_a(4, 5, seed=seed), Mode.SURROGATE)],
+    ids=["exact-suite-b", "surrogate-suite-a"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_route_digests_only_the_contexts_it_pushes(monkeypatch, build, mode, seed):
+    # Children are digested when first listed, and a route lists only the
+    # children of the contexts it expands and then pushes all of them: one
+    # digest per push, the root's at compile.
+    calls = []
+    digest = prefix_dag._digest
+    monkeypatch.setattr(prefix_dag, "_digest",
+                        lambda *args: calls.append(args) or digest(*args))
+    graph, _ = compile_dag(build(seed))
+    result = run(graph, mode, RunConfig(mtau=MtauConfig(), seed=seed,
+                                        n_ub_factor=2.0))
+    pushes = sum(rec["event"] == "push" for rec in result.ledger.records)
+    assert result.expansions > 1 and len(calls) == pushes
 
 
 def test_certificate_rejects_a_context_listed_twice():
     graph, _ = compile_dag(toy_graph())
-    root = graph.node(graph.root)
-    assert _unique_parents(graph.unfold(), graph.root)
-    root.children.append(root.children[0])
-    assert not _unique_parents(graph.unfold(), graph.root)
+    assert _unique_parents(graph)
+    kids = graph.children(graph.root)
+    kids.append(kids[0])
+    assert not _unique_parents(graph)
 
 
 def _graph(edges, leaves, max_depth):
@@ -234,7 +270,7 @@ def test_unfolded_graph_releases_the_shared_tables():
 def _preorder(graph, digest):
     """Reference preorder: a context, then each child's subtree in edge
     order."""
-    return [digest] + [d for child in graph.node(digest).children
+    return [digest] + [d for child in graph.children(digest)
                        for d in _preorder(graph, child)]
 
 
@@ -246,14 +282,13 @@ def test_walk_yields_every_context_once_in_preorder():
     at = {digest: i for i, digest in enumerate(order)}
     for node in graph.nodes.values():  # after its parent, siblings in order
         assert node.parent is None or at[node.parent] < at[node.ctx_digest]
-        assert [at[c] for c in node.children] == sorted(
-            at[c] for c in node.children)
+        kids = graph.children(node.ctx_digest)
+        assert [at[c] for c in kids] == sorted(at[c] for c in kids)
 
 
 def test_walk_of_a_context_yields_its_subtree():
     graph, _ = compile_dag(suite_b(4, 3, seed=1))
-    root = graph.node(graph.root)
-    mid = graph.node(root.children[-1]).children[0]
+    mid = graph.children(graph.children(graph.root)[-1])[0]
     assert mid not in graph.nodes  # listed, not built yet
     assert [n.ctx_digest for n in graph.walk(mid)] == _preorder(graph, mid)
     leaf = next(n for n in graph.walk() if n.is_leaf)
@@ -393,9 +428,15 @@ _NODES = [{"id": "r", "state": "r"}, {"id": "a", "state": "a", "leaf": True}]
      "edges": [{"from": "r", "to": "a", "order": 0}]},
     {"root": "r", "caps": dict(_CAPS, c_s_min=float("nan")), "nodes": _NODES,
      "edges": [{"from": "r", "to": "a", "order": 0}]},
+    # Each of these loaded as caps 0.5 and 1.0.
+    {"root": "r", "caps": dict(_CAPS, c_s_max="0.5"), "nodes": _NODES,
+     "edges": [{"from": "r", "to": "a", "order": 0}]},
+    {"root": "r", "caps": dict(_CAPS, c_s_min=True), "nodes": _NODES,
+     "edges": [{"from": "r", "to": "a", "order": 0}]},
 ], ids=["node-without-caps", "not-an-object", "negative-order",
         "depth-past-u32", "non-string-state", "string-leaf", "fractional-order",
-        "fractional-depth", "string-cost", "int-cost-past-float", "nan-caps"])
+        "fractional-depth", "string-cost", "int-cost-past-float", "nan-caps",
+        "string-caps", "bool-caps"])
 def test_hostile_spec_is_a_graph_spec_error(spec):
     with pytest.raises(GraphSpecError, match="bad graph spec"):
         SharedDag.from_json_obj(spec)

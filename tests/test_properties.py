@@ -90,7 +90,7 @@ def test_every_context_is_its_root_path(shared):
     # built context against it: digest, parent link, depth and children.
     graph, _ = compile_dag(shared)
     nodes = graph.unfold()
-    assert _unique_parents(nodes, graph.root)
+    assert _unique_parents(graph)
     memo: dict[str, bool] = {}
     root = shared.nodes[shared.root_id]
     stack = [(shared.root_id, [(root.state_label, 0)], None)]
@@ -106,7 +106,7 @@ def test_every_context_is_its_root_path(shared):
                 for order, child in shared.children_of(node_id)
                 if not shared.nodes[node_id].is_leaf
                 and _has_leaf(shared, child, memo)]
-        assert node.children == [ctx_digest(p, shared.caps) for _, p in kids]
+        assert graph.children(digest) == [ctx_digest(p, shared.caps) for _, p in kids]
         stack.extend((child, p, digest) for child, p in kids)
     assert seen == set(nodes)
 
@@ -409,7 +409,7 @@ def test_r3_bound_covers_the_float_score_of_every_leaf_below(shared):
     best: dict[bytes, float] = {}
     for node in reversed(list(graph.walk())):  # children before parents
         best[node.ctx_digest] = (node.prefix_score if node.is_leaf else
-                                 max(best[c] for c in node.children))
+                                 max(best[c] for c in graph.children(node.ctx_digest)))
         assert mtau(node, MtauConfig()) >= best[node.ctx_digest]
 
 

@@ -1,6 +1,7 @@
 """Search engine behavior: traces, tie handling, guards, downgrades."""
 
 import math
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -203,7 +204,7 @@ def test_leafless_context_is_dropped(tmp_path, mode):
     path = str(tmp_path / f"leafless-{mode.value}.ndjson")
     result = search.run(graph, mode, RunConfig(mtau=MtauConfig(), seed=1),
                         ledger_path=path)
-    assert result.incumbent_leaf == graph.node(graph.root).children[0].hex()
+    assert result.incumbent_leaf == graph.children(graph.root)[0].hex()
     assert validate(path, graph, public_counts=graph.public_counts()).ok
 
 
@@ -291,6 +292,43 @@ def test_int_setting_refuses_a_fraction(name, build):
     # One rule for every setting: an int field never truncates silently.
     with pytest.raises(ValueError, match=f"^{name} must be int: "):
         build()
+
+
+def _budget_state(**kw):
+    return BudgetState(**{"eps_max": 10.0, "delta": 1e-6, "price_max": 100,
+                          "slo_ms": 1000, **kw})
+
+
+@pytest.mark.parametrize("reason, build", [
+    ("tau must be float: '0.5'", lambda: RunConfig(mtau=MtauConfig(), tau="0.5")),
+    ("n_ub_factor must be float: True",
+     lambda: RunConfig(mtau=MtauConfig(), n_ub_factor=True)),
+    ("seed must be int: True", lambda: RunConfig(mtau=MtauConfig(), seed=True)),
+    ("seed must be int: '7'", lambda: RunConfig(mtau=MtauConfig(), seed="7")),
+    ("c_s_max must be float: '0.5'", lambda: PublicCaps(3, "0.5", True)),
+    ("c_s_min must be float: True", lambda: PublicCaps(3, 0.5, True)),
+    ("max_depth must be int: True", lambda: PublicCaps(True, 0.5, 1.0)),
+    ("eps_max must be float: '10'", lambda: _budget_state(eps_max="10")),
+    ("delta must be float: '1e-6'", lambda: _budget_state(delta="1e-6")),
+    ("price_max must be int: True", lambda: _budget_state(price_max=True))],
+    ids=["tau-text", "n_ub_factor-bool", "seed-bool", "seed-text", "caps-text",
+         "caps-bool", "depth-bool", "eps_max-text", "delta-text", "price-bool"])
+def test_number_setting_refuses_text_and_bool(reason, build):
+    # ``float("0.5")`` and ``int(True)`` are casts, not numbers: each such
+    # setting ran as 0.5 or 1 before.
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        build()
+
+
+def test_number_setting_takes_either_number_type():
+    # An int for a float and an integral float for an int stay legal: a
+    # catalog's "price_m":1.0 is an int price.
+    cfg = RunConfig(mtau=MtauConfig(), tau=1, seed=3.0)
+    assert (type(cfg.tau), type(cfg.seed)) == (float, int)
+    caps = PublicCaps(3.0, 1, 2)
+    assert (type(caps.max_depth), type(caps.c_s_max)) == (int, float)
+    state = _budget_state(eps_max=10, price_max=100.0)
+    assert (type(state.eps_max), type(state.price_max)) == (float, int)
 
 
 def test_acyclicity_guard_and_downgrade():
@@ -381,7 +419,7 @@ def test_surrogate_ledger_without_a_child_push_fails(tmp_path, monkeypatch):
     # cannot bound that child and aborts instead of skipping it.
     shared = suite_a(3, 3, 0)
     graph, _ = compile_dag(shared)
-    skipped = graph.node(graph.root).children[1]
+    skipped = graph.children(graph.root)[1]
     push = search._Engine.push
     monkeypatch.setattr(search._Engine, "push", lambda self, node, *a, **kw: (
         None if node.ctx_digest == skipped else push(self, node, *a, **kw)))

@@ -194,7 +194,8 @@ def test_node_id_renamed_everywhere_detected(tmp_path):
 def test_tampered_golden_header_detected(tmp_path, key, value):
     # Replay rebuilds the header from the settings it reads back; a
     # constant changed, a key no setting writes, or a value retyped
-    # (``1 == 1.0 == True``) differs from it as JSON text.
+    # (``1 == 1.0``) differs from it as JSON text.  A bool for a number
+    # setting is refused where it enters, so that replay aborts.
     graph, _ = compile_dag(toy_graph())
     lines = _golden_lines("toy-exact.ndjson")
     header = json.loads(lines[0])
@@ -203,7 +204,9 @@ def test_tampered_golden_header_detected(tmp_path, key, value):
     lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
     verdict = validator.validate(
         _write_lines(tmp_path, "header.ndjson", lines), graph)
-    assert verdict.failures == [(0, f"header mismatch in fields [{key!r}]")]
+    reason = (f"replay aborted: {key} must be float: True" if value is True
+              else f"header mismatch in fields [{key!r}]")
+    assert verdict.failures == [(0, reason)]
     assert not verdict.replay_ok
 
 
@@ -256,16 +259,21 @@ def test_retyped_phi_header_detected(tmp_path, old, new):
     assert verdict.failures == [(0, "header mismatch in fields ['phi']")]
 
 
-@pytest.mark.parametrize("old, new", [
-    ('"price_max":100,', '"price_max":100.0,'),
-    ('"slo_ms":1000,', '"slo_ms":1000.0,'),
-    ('"eps_max":10.0,', '"eps_max":10,'),
-    ('"eps_train":2.0,', '"eps_train":2,'),
-    ('"weight_alpha":0.1,', '"weight_alpha":true,')],
+_BUDGET_MISMATCH = "header mismatch in fields ['budget']"
+
+
+@pytest.mark.parametrize("old, new, reason", [
+    ('"price_max":100,', '"price_max":100.0,', _BUDGET_MISMATCH),
+    ('"slo_ms":1000,', '"slo_ms":1000.0,', _BUDGET_MISMATCH),
+    ('"eps_max":10.0,', '"eps_max":10,', _BUDGET_MISMATCH),
+    ('"eps_train":2.0,', '"eps_train":2,', _BUDGET_MISMATCH),
+    ('"weight_alpha":0.1,', '"weight_alpha":true,',
+     "replay aborted: weight_alpha must be float: True")],
     ids=["price_max", "slo_ms", "eps_max", "eps_train", "weight_alpha"])
-def test_retyped_budget_header_detected(tmp_path, old, new):
+def test_retyped_budget_header_detected(tmp_path, old, new, reason):
     # Catalog entries and the budget state store their declared types, so
-    # a value retyped inside the nested budget writes back differently.
+    # a value retyped inside the nested budget writes back differently; a
+    # bool for a number is refused where it enters, so that replay aborts.
     runtime = BudgetRuntime(default_catalog(), BudgetState(
         eps_max=10.0, delta=1e-6, price_max=100, slo_ms=1000))
     graph, _, path = _run(tmp_path, Mode.EXACT, budget=runtime)
@@ -274,7 +282,7 @@ def test_retyped_budget_header_detected(tmp_path, old, new):
     lines[0] = lines[0].replace(old, new)
     verdict = validator.validate(
         _write_lines(tmp_path, "budget.ndjson", lines), graph)
-    assert verdict.failures == [(0, "header mismatch in fields ['budget']")]
+    assert verdict.failures == [(0, reason)]
 
 
 # A value of another JSON type for each number setting, built from the
