@@ -3,7 +3,7 @@
 ``mtau`` never sees a race uniform: its inputs are the compiled node and a
 static config, which is what makes the search keys sound.  The module also
 carries the absolute LSE truncation certificate, the acyclicity potential
-with its runtime check, and the kappa correction used by the validator.
+with its runtime check, and kappa = log(N/N_ub), which nub-sweep reports.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ class KappaInvalidError(ValueError):
 
 
 def kappa(n_exact: int, n_ub: int) -> float:
-    """Validator correction log(N/N_ub) <= 0 under quantile coupling."""
+    """log(N/N_ub) <= 0, as nub-sweep reports it; the validator does not read it."""
     if n_exact < 1 or n_ub < 1:
         raise KappaInvalidError("counts must be >= 1")
     if n_ub < n_exact:

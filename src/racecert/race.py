@@ -1,7 +1,7 @@
 """Run randomness and the race arithmetic: draw addressing, exponential
-arrivals of Q0.64 draws, the Exact winner/residual step (shared by
-the engine and the race reconstruction) and the PRF-perturbed leaf value of
-Fallback (shared by the engine and oracle-A).
+arrivals of Q0.64 draws, the Exact winner/residual step and the Surrogate
+Nub, arrival and leaf value (each shared by the engine and the race
+reconstruction) and the PRF-perturbed Fallback value (engine and oracle-A).
 
 Every draw is addressable by (seed, node digest, purpose tag), so a replay
 or a race reconstruction obtains bit-identical values without carrying
@@ -91,6 +91,20 @@ def arrival(raw: int, rate: int) -> float:
     return exp_from_uniform(q0_64_value(raw), rate)
 
 
+def race_arrival(digest: bytes, rate: int, draw: RawLookup) -> tuple[int, float]:
+    """A context's ``"race"`` draw and Exp(rate) arrival (a Surrogate's at Nub)."""
+    raw = draw(digest, "race")
+    return raw, arrival(raw, rate)
+
+
+def surrogate_nub(count: int, factor: float) -> int:
+    """Nub: ``ceil(factor * count)`` in integers, capped at 2**64 - 1, the
+    ledger's largest (still >= count, since a certified count is below 2**63)."""
+    p, q = factor.as_integer_ratio()
+    nub = -(-p * count // q)
+    return nub if nub <= _MASK64 else _MASK64
+
+
 def quantile_cat(w: float, weights: Sequence[int]) -> int:
     """Categorical quantile: smallest i with w < cumsum(weights)[i]/total.
 
@@ -151,6 +165,12 @@ def prf_raw(salt: bytes, domain: str, leaf_id: bytes) -> int:
 
 def gumbel_from_uniform(u: float) -> float:
     return -math.log(-math.log(u))
+
+
+def surrogate_value(salt: bytes, digest: bytes, score: float) -> tuple[float, int]:
+    """A leaf's value ``s - log E`` and the PRF uniform of E ~ Exp(1)."""
+    raw = prf_raw(salt, PRF_DOMAIN, digest)
+    return score - math.log(arrival(raw, 1)), raw
 
 
 def fallback_value(salt: bytes, digest: bytes, score: float, tau: float) -> float:

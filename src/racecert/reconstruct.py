@@ -14,13 +14,14 @@ import math
 
 from .prefix_dag import PrefixDag
 # ``stream_lookup`` lives in ``race``; perfbench/bench.py imports it from here.
-from .race import RawLookup, arrival, exact_step, stream_lookup  # noqa: F401
+from .race import (RawLookup, arrival, exact_step, race_arrival,  # noqa: F401
+                   stream_lookup, surrogate_nub, surrogate_value)
 
 
 def exact_race(graph: PrefixDag, lookup: RawLookup) -> dict[bytes, float]:
     """Arrival time of every node under the lazily-propagated exact race."""
-    arrivals = {graph.root: arrival(lookup(graph.root, "race"),
-                                    graph.suffix_count(graph.root))}
+    arrivals = {graph.root: race_arrival(graph.root, graph.suffix_count(graph.root),
+                                         lookup)[1]}
     for node in graph.walk():  # a parent's arrival is set before its children
         if not node.is_leaf:
             kids = graph.children(node.ctx_digest)
@@ -36,6 +37,20 @@ def exact_leaf_values(graph: PrefixDag,
     """V(P) = s_det(P) - log E_P with the coupled E_P = t(P)."""
     return {n.ctx_digest: n.prefix_score - math.log(arrivals[n.ctx_digest])
             for n in graph.walk() if n.is_leaf}
+
+
+def surrogate_race(graph: PrefixDag, lookup: RawLookup, n_ub_factor: float,
+                   salt: bytes) -> tuple[dict[bytes, float], dict[bytes, float]]:
+    """Each internal context's arrival, which keys its children; each leaf's value."""
+    arrivals, values = {}, {}
+    for node in graph.walk():
+        digest = node.ctx_digest
+        if node.is_leaf:
+            values[digest] = surrogate_value(salt, digest, node.prefix_score)[0]
+        else:
+            arrivals[digest] = race_arrival(
+                digest, surrogate_nub(node.n_exact, n_ub_factor), lookup)[1]
+    return arrivals, values
 
 
 def realized_suffix_max(graph: PrefixDag,

@@ -54,11 +54,12 @@ from .race import (
     PRF_DOMAIN,
     RawLookup,
     RngStream,
-    arrival,
     exact_step,
     fallback_value,
-    prf_raw,
+    race_arrival,
     stream_lookup,
+    surrogate_nub,
+    surrogate_value,
 )
 
 
@@ -128,19 +129,25 @@ class RunConfig:
 
     @staticmethod
     def from_header(header: dict) -> tuple[Mode, RunConfig]:
-        """The mode and config that ``header_obj`` wrote into ``header``."""
-        mt, phi_obj, budget = header["mtau"], header["phi"], header.get("budget")
+        """The mode and config ``header_obj`` wrote; a misshapen field is named."""
+        def read(name, parse, errors=(KeyError, TypeError, AttributeError)):
+            try:
+                return parse(header.get(name))
+            except errors as exc:
+                raise ValueError(f"header field {name!r} is malformed: {exc!r}") from None
         cfg = RunConfig(
-            mtau=MtauConfig(MtauRecipe(mt["recipe"]), mt["fixed_table"]),
-            phi=None if phi_obj is None else PhiConfig(**phi_obj),
-            seed=header["seed"],
-            n_ub_factor=header["n_ub_factor"],
-            salt=bytes.fromhex(header["salt"]),
-            tau=header["tau"],
-            expansion_cap=header["expansion_cap"],
-            budget=None if budget is None else BudgetRuntime.from_json_obj(budget),
+            mtau=read("mtau", lambda mt: MtauConfig(MtauRecipe(mt["recipe"]),
+                                                    mt["fixed_table"])),
+            phi=read("phi", lambda obj: None if obj is None else PhiConfig(**obj)),
+            seed=header.get("seed"),
+            n_ub_factor=header.get("n_ub_factor"),
+            salt=read("salt", bytes.fromhex, (TypeError, ValueError)),
+            tau=header.get("tau"),
+            expansion_cap=header.get("expansion_cap"),
+            budget=read("budget", lambda obj: None if obj is None
+                        else BudgetRuntime.from_json_obj(obj)),
         )
-        return Mode(header["mode"]), cfg
+        return Mode(header.get("mode")), cfg
 
 
 @dataclass
@@ -184,7 +191,6 @@ class _Engine:
         self.budget = (None if cfg.budget is None else
                        BudgetRuntime.from_json_obj(self.ledger.header["budget"]))
         self.fallback_keys: dict[bytes, float] = {}
-        self.nub_p, self.nub_q = cfg.n_ub_factor.as_integer_ratio()
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -287,18 +293,13 @@ class _Engine:
         its arrival."""
         if self.mode is Mode.EXACT:  # E_P is the arrival; U_P its quantile
             return node.prefix_score - math.log(t), fp.encode_q0_64(-math.expm1(-t))
-        u_p_raw = prf_raw(self.cfg.salt, PRF_DOMAIN, node.ctx_digest)
-        if self.mode is Mode.FALLBACK:
-            return self.fallback_key(node), u_p_raw
-        return node.prefix_score - math.log(arrival(u_p_raw, 1)), u_p_raw
+        value, u_p_raw = surrogate_value(self.cfg.salt, node.ctx_digest, node.prefix_score)
+        return (self.fallback_key(node) if self.mode is Mode.FALLBACK else value), u_p_raw
 
     def n_ub(self, digest: bytes) -> int:
-        """Surrogate upper-bound count: the given map (replay), else the exact
-        ``ceil(n_ub_factor * N)`` capped at the ledger's largest ``Nub``,
-        2**64 - 1 (still >= N, since a certified N is below 2**63)."""
+        """Surrogate Nub: the given map's (on replay), else ``surrogate_nub`` of N."""
         if self.cfg.n_ub_map is None:
-            nub = -(-self.nub_p * self.graph.suffix_count(digest) // self.nub_q)
-            return nub if nub < 1 << 64 else (1 << 64) - 1
+            return surrogate_nub(self.graph.suffix_count(digest), self.cfg.n_ub_factor)
         try:
             return self.cfg.n_ub_map[digest]
         except KeyError:
@@ -396,8 +397,7 @@ class _Engine:
             return
         root = graph.node(graph.root)
         rate = root_count if self.mode is Mode.EXACT else self.n_ub(graph.root)
-        raw = self.draw(root.ctx_digest, "race")
-        t_root = arrival(raw, rate)
+        raw, t_root = race_arrival(root.ctx_digest, rate, self.draw)
         self.push(root, self.key_for(root, t_root), t_root, rate, raw)
 
     def run(self) -> RunResult:
@@ -442,9 +442,8 @@ class _Engine:
                 for child, t_c, count, raw_i in zip(children, arrivals, counts, raws):
                     self.push(child, self.key_for(child, t_c), t_c, count, raw_i)
             else:  # Surrogate: children anchored at the parent's arrival.
-                rate_v = self.n_ub(node.ctx_digest)
-                v_raw = self.draw(node.ctx_digest, "race")
-                t_hat = arrival(v_raw, rate_v)
+                rate_v = self.n_ub(digest)
+                v_raw, t_hat = race_arrival(digest, rate_v, self.draw)
                 self.pop_record(node, key_q, U=v_raw, Nub=rate_v, **phi_extra)
                 for child in children:
                     self.push(child, self.key_for(child, t_hat), t_hat,

@@ -57,3 +57,16 @@ def toy():
     cfg = RunConfig(mtau=toy_mtau(), scripted_uniforms=dict(TOY_SCRIPTED),
                     seed=7)
     return graph, cfg
+
+
+@pytest.fixture(scope="session")
+def toy_ledgers(tmp_path_factory):
+    """A directory holding ``toy-exact.ndjson`` and ``toy-surrogate.ndjson``
+    as ``racecert toy-replay`` writes them: tamper tests start from the
+    engine's own ledgers, so only the golden contract tests read
+    ``tests/data/``."""
+    from racecert.cli import main
+
+    out = tmp_path_factory.mktemp("toy-ledgers")
+    assert main(["toy-replay", "--out", str(out)]) == 0
+    return out

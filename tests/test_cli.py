@@ -271,7 +271,8 @@ def _suite_with_budget(monkeypatch, tmp_path, out, **state):
     "budget-price-max-negative", "budget-slo-past-u32",
     "ledger-missing", "depth-negative", "graph-negative-cost",
     "nub-factor-below-1", "tau-zero"])
-def test_input_error_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch, case):
+def test_input_error_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch,
+                                           toy_ledgers, case):
     out = str(tmp_path / "out")
     argv = {
         "graph-not-an-object": lambda: [
@@ -318,8 +319,7 @@ def test_input_error_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch, case)
             "suite", "--modes", "Fallback", "--tau", "0", "--seeds", "1",
             "--out", out],
         "graph-negative-cost": lambda: [  # refused before the ledger is read
-            "validate", shutil.copy(os.path.join(
-                os.path.dirname(__file__), "data", "toy-exact.ndjson"), tmp_path),
+            "validate", shutil.copy(toy_ledgers / "toy-exact.ndjson", tmp_path),
             "--graph",
             _write_json(tmp_path, "neg.json", {
                 "root": "r",

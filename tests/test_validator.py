@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import os
 from fractions import Fraction
 
 import pytest
@@ -151,30 +150,37 @@ def test_tampered_key_detected(tmp_path):
     assert not verdict.replay_ok
 
 
-def _golden_lines(name):
-    path = os.path.join(os.path.dirname(__file__), "data", name)
-    with open(path, encoding="utf-8") as fh:
+def _toy_lines(toy_ledgers, name):
+    """The lines of the toy ledger ``name`` that ``toy-replay`` wrote."""
+    with open(toy_ledgers / name, encoding="utf-8") as fh:
         return fh.read().splitlines()
 
 
-def test_tampered_parent_id_detected(tmp_path):
+def _first_child_push(lines):
+    """The line index of the first push of a context with a parent."""
+    return next(i for i, ln in enumerate(lines) if '"parent_id":' in ln)
+
+
+def test_tampered_parent_id_detected(tmp_path, toy_ledgers):
     # Replay mints every node id from the seeded stream and compares it.
     graph, _ = compile_dag(toy_graph())
-    lines = _golden_lines("toy-exact.ndjson")
-    rec = json.loads(lines[3])  # record 2: a push with a parent
+    lines = _toy_lines(toy_ledgers, "toy-exact.ndjson")
+    idx = _first_child_push(lines)
+    rec = json.loads(lines[idx])
     assert rec["event"] == "push" and "parent_id" in rec
     rec["parent_id"] = "00000000-0009-7000-8000-000000000000"  # no such node
-    lines[3] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    lines[idx] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
     verdict = validator.validate(
         _write_lines(tmp_path, "parent-id.ndjson", lines), graph)
     assert not verdict.ok
-    assert verdict.failures == [(2, "replay mismatch in fields ['parent_id']")]
+    assert verdict.failures == [
+        (idx - 1, "replay mismatch in fields ['parent_id']")]
 
 
-def test_node_id_renamed_everywhere_detected(tmp_path):
+def test_node_id_renamed_everywhere_detected(tmp_path, toy_ledgers):
     graph, _ = compile_dag(toy_graph())
-    lines = _golden_lines("toy-exact.ndjson")
-    old = json.loads(lines[3])["node_id"]
+    lines = _toy_lines(toy_ledgers, "toy-exact.ndjson")
+    old = json.loads(lines[_first_child_push(lines)])["node_id"]
     new = old[:-1] + ("0" if old[-1] != "0" else "1")
     renamed = [line.replace(old, new) for line in lines]
     changed = [i - 1 for i, line in enumerate(lines) if old in line]
@@ -191,13 +197,13 @@ def test_node_id_renamed_everywhere_detected(tmp_path):
     ("prf_domain", "route"), ("privacy_scope", "none"),
     ("surrogate_leaf_prf", False), ("deterministic_ids", False),
     ("tau", 1), ("surrogate_leaf_prf", 1), ("n_ub_factor", True)])
-def test_tampered_golden_header_detected(tmp_path, key, value):
+def test_tampered_golden_header_detected(tmp_path, toy_ledgers, key, value):
     # Replay rebuilds the header from the settings it reads back; a
     # constant changed, a key no setting writes, or a value retyped
     # (``1 == 1.0``) differs from it as JSON text.  A bool for a number
     # setting is refused where it enters, so that replay aborts.
     graph, _ = compile_dag(toy_graph())
-    lines = _golden_lines("toy-exact.ndjson")
+    lines = _toy_lines(toy_ledgers, "toy-exact.ndjson")
     header = json.loads(lines[0])
     assert json.dumps(header.get(key)) != json.dumps(value)
     header[key] = value
@@ -213,12 +219,12 @@ def test_tampered_golden_header_detected(tmp_path, key, value):
 @pytest.mark.parametrize("old, new", [
     ('"p1":0.0', '"p1":0'), ('"c_s_max":0.0', '"c_s_max":0'),
     ('"max_depth":0,', '"max_depth":0.0,'), ('"c_s_max":0.0', '"c_s_max":-5.0')])
-def test_tampered_golden_mtau_detected(tmp_path, old, new):
+def test_tampered_golden_mtau_detected(tmp_path, toy_ledgers, old, new):
     # Replay builds ``mtau`` from its recipe and float table alone and
     # writes ``c_s_max`` and ``max_depth`` as constants, so a retyped or
     # changed value inside it differs as JSON text.
     graph, _ = compile_dag(toy_graph())
-    lines = _golden_lines("toy-exact.ndjson")
+    lines = _toy_lines(toy_ledgers, "toy-exact.ndjson")
     assert old in lines[0]
     lines[0] = lines[0].replace(old, new)
     verdict = validator.validate(
@@ -343,12 +349,12 @@ def test_fixed_table_without_a_state_names_it(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("n_ub_factor", -1.0), ("n_ub_factor", 0.5), ("tau", 0.0),
     ("expansion_cap", -3)])
-def test_header_setting_no_run_certifies_under_aborts_replay(tmp_path, key,
-                                                             value):
+def test_header_setting_no_run_certifies_under_aborts_replay(tmp_path, toy_ledgers,
+                                                             key, value):
     # Replay reads Nub from the log and never uses these values, so only
     # the config the header builds can refuse them.
     graph, _ = compile_dag(toy_graph())
-    lines = _golden_lines("toy-surrogate.ndjson")
+    lines = _toy_lines(toy_ledgers, "toy-surrogate.ndjson")
     header = json.loads(lines[0])
     header[key] = value
     lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
@@ -356,6 +362,25 @@ def test_header_setting_no_run_certifies_under_aborts_replay(tmp_path, key,
         _write_lines(tmp_path, "header.ndjson", lines), graph)
     assert len(verdict.failures) == 1
     assert verdict.failures[0][1].startswith(f"replay aborted: {key} must be")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("mtau", "R3"), ("budget", {"catalog": [1], "state": {}}),
+    ("salt", "not hex"), ("phi", {"steps": 4})])
+def test_header_field_of_the_wrong_shape_is_named(tmp_path, toy_ledgers, key,
+                                                  value):
+    # The replay aborts with a reason that names the field, not with
+    # Python's own text alone.
+    graph, _ = compile_dag(toy_graph())
+    lines = _toy_lines(toy_ledgers, "toy-surrogate.ndjson")
+    header = json.loads(lines[0])
+    header[key] = value
+    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    verdict = validator.validate(
+        _write_lines(tmp_path, "header.ndjson", lines), graph)
+    [(index, reason)] = verdict.failures
+    assert index == 0
+    assert reason.startswith(f"replay aborted: header field {key!r} is malformed: ")
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
@@ -379,11 +404,11 @@ def test_an_r2_ledger_still_validates(tmp_path, mode):
     ("Nub", lambda d: "\u0664"),  # ARABIC-INDIC DIGIT FOUR
 ], ids=["plus", "leading-zero", "spaces", "underscore", "minus-zero",
         "arabic-indic-digit"])
-def test_non_canonical_raw_field_detected(tmp_path, field, rewrite):
+def test_non_canonical_raw_field_detected(tmp_path, toy_ledgers, field, rewrite):
     # Raw fields take canonical decimals only: ``int`` reads each of these,
     # but the writer never emits them.
     graph, _ = compile_dag(toy_graph())
-    lines = _golden_lines("toy-exact.ndjson")
+    lines = _toy_lines(toy_ledgers, "toy-exact.ndjson")
     rec = json.loads(lines[1])  # record 0: the root push, Nub "4"
     rec[field] = rewrite(rec[field])
     int(rec[field])
@@ -454,11 +479,11 @@ def test_surrogate_nub_is_exact_and_fits_the_ledger(tmp_path, shared, factor,
     assert verdict.ok, verdict.failures
 
 
-def test_surrogate_key_at_the_q64_64_top_is_a_verdict(tmp_path):
+def test_surrogate_key_at_the_q64_64_top_is_a_verdict(tmp_path, toy_ledgers):
     # Tightening re-encodes key_raw + kappa; a key that decodes to 2**63
     # (the NumClamp sentinel or one just below it) overflows Q64.64 there.
     graph, _ = compile_dag(toy_graph())
-    lines = _golden_lines("toy-surrogate.ndjson")
+    lines = _toy_lines(toy_ledgers, "toy-surrogate.ndjson")
     line = next(i for i, ln in enumerate(lines) if '"event":"pop"' in ln)
     rec = json.loads(lines[line])
     assert "U" in rec and "Nub" in rec
@@ -903,12 +928,10 @@ def test_nub_of_a_push_never_expanded_is_checked(tmp_path, nub, via_cli):
 
 
 @pytest.mark.parametrize("event", ["push", "pop"])
-def test_every_copy_of_a_logged_draw_must_replay(tmp_path, event):
+def test_every_copy_of_a_logged_draw_must_replay(tmp_path, toy_ledgers, event):
     # A Surrogate root logs its race draw twice, at its push and at its pop.
     graph, _ = compile_dag(toy_graph())
-    golden = os.path.join(os.path.dirname(__file__), "data",
-                          "toy-surrogate.ndjson")
-    lines = open(golden, encoding="utf-8").read().splitlines()
+    lines = _toy_lines(toy_ledgers, "toy-surrogate.ndjson")
     idx = next(i for i, ln in enumerate(lines) if f'"event":"{event}"' in ln)
     rec = json.loads(lines[idx])
     assert rec["ctx_digest"] == graph.root.hex()
@@ -920,29 +943,31 @@ def test_every_copy_of_a_logged_draw_must_replay(tmp_path, event):
     assert not verdict.ok
 
 
-def test_public_count_below_one_is_a_verdict():
-    # Rate 0 has no arrival: a count of 0 fails the record's tightening
-    # check instead of raising.
+def test_public_count_below_one_is_a_verdict(toy_ledgers):
+    # Rate 0 has no arrival: a count of 0 fails the tightening check of
+    # each record that logs a Nub instead of raising.
     graph, _ = compile_dag(toy_graph())
-    golden = os.path.join(os.path.dirname(__file__), "data",
-                          "toy-surrogate.ndjson")
+    path = str(toy_ledgers / "toy-surrogate.ndjson")
+    bounded = sum("Nub" in rec for rec in Ledger.parse(path).records)
     zeros = {digest: 0 for digest in graph.public_counts()}
-    verdict = validator.validate(golden, graph, public_counts=zeros)
+    verdict = validator.validate(path, graph, public_counts=zeros)
     assert not verdict.ok
-    assert [check for check, _, _ in verdict.found] == ["tightening"] * 10
+    assert [check for check, _, _ in verdict.found] == ["tightening"] * bounded
     assert all(reason == "public count 0 below 1"
                for _, reason in verdict.failures)
 
 
-def test_first_logged_nub_is_the_one_replayed(tmp_path):
+def test_first_logged_nub_is_the_one_replayed(tmp_path, toy_ledgers):
     # Replay reads every logged input by the first copy per context, so a
     # later Nub that differs is the one record flagged.
     graph, _ = compile_dag(toy_graph())
-    lines = _golden_lines("toy-surrogate.ndjson")
+    lines = _toy_lines(toy_ledgers, "toy-surrogate.ndjson")
     idx = max(i for i, ln in enumerate(lines)
               if '"Nub":' in ln and '"event":"pop"' in ln)
-    assert idx - 1 == 8  # record 3 pushed the same context, same Nub
     rec = json.loads(lines[idx])
+    first = next(i for i, ln in enumerate(lines) if rec["ctx_digest"] in ln)
+    # An earlier push logged the same context with the same Nub.
+    assert first < idx and json.loads(lines[first])["Nub"] == rec["Nub"]
     rec["Nub"] = str(int(rec["Nub"]) + 1)
     lines[idx] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
     verdict = validator.validate(
