@@ -34,6 +34,10 @@ class MtauConfig:
         if (self.recipe is MtauRecipe.FIXED) != bool(self.fixed_table):
             raise ValueError(f"M_tau {self.recipe.value}: FIXED needs a "
                              "fixed_table and no other recipe takes one")
+        for state, v in self.fixed_table.items():
+            if type(v) not in (int, float):  # a bool or a numeric string too
+                raise ValueError(f"fixed_table entry of state {state!r} is not "
+                                 f"a number: {v!r}")
         table = {state: float(v) for state, v in self.fixed_table.items()}
         object.__setattr__(self, "fixed_table", table)
 

@@ -1,7 +1,7 @@
 """Append-only NDJSON audit ledger with bit-exact fixed-point encodings.
 
 One JSON object per line, UTF-8, ``\\n`` terminators.  The first line is a
-header tagged ``racecert/ledger/v1`` carrying the public run config; every
+header tagged ``racecert/ledger/v2`` carrying the public run config; every
 following line is an event record.  ``FIELDS`` declares each record
 field's layout once: a number serializes as the decimal string of its *raw*
 integer (unambiguous and locale independent), or as a 4-decimal scaled
@@ -27,7 +27,7 @@ from collections import namedtuple
 
 from . import fixedpoint as fp
 
-SCHEMA_TAG = "racecert/ledger/v1"
+SCHEMA_TAG = "racecert/ledger/v2"
 
 EVENT_KINDS = {"push", "pop", "leaf_eval", "guard", "budget", "stop"}
 
@@ -54,8 +54,8 @@ _Q32_32 = Layout("Q32.32", 32, fp.Q32_32_MIN, fp.Q32_32_MAX)
 # are draws, encoded by the race's own Q0.64 rule, not by ``encode``.
 FIELDS: dict[str, object] = {
     **dict.fromkeys((
-        "event", "ctx_digest", "node_id", "parent_id", "mode", "claim_type",
-        "claim_type_before", "claim_type_after", "privacy_scope",
+        "event", "ctx_digest", "mode", "claim_type",
+        "claim_type_before", "claim_type_after",
         "budget_event", "model_id", "adapter_id", "dp_cert_id", "delta_train",
         "eps_delta.eps", "eps_delta.delta", "reason"), str),
     "guards": list,
@@ -276,31 +276,3 @@ class Ledger:
     def parse(cls, path: str) -> "Ledger":
         with open(path, "rb") as fh:
             return cls.parse_text(fh.read())
-
-
-def make_uuid7(unix_ms: int, rand_a: int, rand_b: int) -> str:
-    """Assemble a UUIDv7 from an explicit timestamp and random bits.
-
-    ``Uuid7Source`` feeds it a counter clock and seeded stream bits, so a
-    node id is a pure function of the run and its replay mints the same.
-    """
-    unix_ms &= (1 << 48) - 1
-    rand_a &= (1 << 12) - 1
-    rand_b &= (1 << 62) - 1
-    # The five groups of unix_ms | 0x7 | rand_a | 0b10 | rand_b (128 bits).
-    return "%08x-%04x-%04x-%04x-%012x" % (
-        unix_ms >> 16, unix_ms & 0xFFFF, 0x7000 | rand_a,
-        0x8000 | rand_b >> 48, rand_b & 0xFFFFFFFFFFFF)
-
-
-class Uuid7Source:
-    """Seeded UUIDv7 generator: a counter clock and the run's stream."""
-
-    def __init__(self, stream):
-        self.stream = stream
-        self.counter = 0
-
-    def next(self, digest: bytes = b"") -> str:
-        self.counter += 1
-        bits = self.stream.raw(digest, "uuid", counter=self.counter)
-        return make_uuid7(self.counter, bits >> 52, bits & ((1 << 52) - 1))

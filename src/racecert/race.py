@@ -22,7 +22,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 PRF_DOMAIN_TAG = b"racecert/prf/v1"
-PRF_DOMAIN = "leaf"  # of every leaf uniform; the header still names it
+PRF_DOMAIN = "leaf"  # of every leaf uniform
 
 RawLookup = Callable[[bytes, str], int | None]  # (ctx digest, purpose) -> draw
 
@@ -91,10 +91,12 @@ def arrival(raw: int, rate: int) -> float:
     return exp_from_uniform(q0_64_value(raw), rate)
 
 
-def race_arrival(digest: bytes, rate: int, draw: RawLookup) -> tuple[int, float]:
-    """A context's ``"race"`` draw and Exp(rate) arrival (a Surrogate's at Nub)."""
+def race_arrival(digest: bytes, rate: int, draw: RawLookup,
+                 t: float) -> tuple[int, float]:
+    """A context's ``"race"`` draw and its arrival ``max(t, Exp(rate))`` (a
+    Surrogate's at Nub), never before ``t``, its parent's; a root passes 0.0."""
     raw = draw(digest, "race")
-    return raw, arrival(raw, rate)
+    return raw, max(t, arrival(raw, rate))
 
 
 def surrogate_nub(count: int, factor: float) -> int:
@@ -167,10 +169,12 @@ def gumbel_from_uniform(u: float) -> float:
     return -math.log(-math.log(u))
 
 
-def surrogate_value(salt: bytes, digest: bytes, score: float) -> tuple[float, int]:
-    """A leaf's value ``s - log E`` and the PRF uniform of E ~ Exp(1)."""
+def surrogate_value(salt: bytes, digest: bytes, score: float,
+                    t: float) -> tuple[float, int]:
+    """A leaf's value ``s - log max(t, E)``, never above the key its parent's
+    arrival ``t`` gave it, and the PRF uniform of E ~ Exp(1)."""
     raw = prf_raw(salt, PRF_DOMAIN, digest)
-    return score - math.log(arrival(raw, 1)), raw
+    return score - math.log(max(t, arrival(raw, 1))), raw
 
 
 def fallback_value(salt: bytes, digest: bytes, score: float, tau: float) -> float:

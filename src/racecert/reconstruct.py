@@ -21,7 +21,7 @@ from .race import (RawLookup, arrival, exact_step, race_arrival,  # noqa: F401
 def exact_race(graph: PrefixDag, lookup: RawLookup) -> dict[bytes, float]:
     """Arrival time of every node under the lazily-propagated exact race."""
     arrivals = {graph.root: race_arrival(graph.root, graph.suffix_count(graph.root),
-                                         lookup)[1]}
+                                         lookup, 0.0)[1]}
     for node in graph.walk():  # a parent's arrival is set before its children
         if not node.is_leaf:
             kids = graph.children(node.ctx_digest)
@@ -41,15 +41,17 @@ def exact_leaf_values(graph: PrefixDag,
 
 def surrogate_race(graph: PrefixDag, lookup: RawLookup, n_ub_factor: float,
                    salt: bytes) -> tuple[dict[bytes, float], dict[bytes, float]]:
-    """Each internal context's arrival, which keys its children; each leaf's value."""
+    """Each internal context's arrival, which keys its children; each leaf's
+    value.  Both are anchored at the parent's arrival (a root's at 0.0)."""
     arrivals, values = {}, {}
-    for node in graph.walk():
+    for node in graph.walk():  # a parent's arrival is set before its children
         digest = node.ctx_digest
+        t = 0.0 if node.parent is None else arrivals[node.parent]
         if node.is_leaf:
-            values[digest] = surrogate_value(salt, digest, node.prefix_score)[0]
+            values[digest] = surrogate_value(salt, digest, node.prefix_score, t)[0]
         else:
             arrivals[digest] = race_arrival(
-                digest, surrogate_nub(node.n_exact, n_ub_factor), lookup)[1]
+                digest, surrogate_nub(node.n_exact, n_ub_factor), lookup, t)[1]
     return arrivals, values
 
 

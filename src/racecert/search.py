@@ -8,7 +8,8 @@ only how a pushed node is keyed and how a popped leaf is valued:
   exponential race, ``key(v) = mtau(v) - log t(v)``, and propagates the race
   lazily (winner reuse plus independent residuals);
 * Surrogate knows only upper-bound counts, disables winner reuse and anchors
-  child keys at the parent's surrogate arrival;
+  child keys and leaf values at the parent's surrogate arrival, never
+  before its own anchor, so no leaf is valued above a key on its path;
 * Fallback (NoCert) keys a leaf by its PRF-perturbed value and an internal
   node by the exact leaf-wise LSE bound over those values; it makes no
   run-wise claim but stays deterministic and replayable.
@@ -17,8 +18,9 @@ A CountFail or BudgetFail that leaves no certified mode restarts the search
 from the root under Fallback; ``expansion_cap`` is the only Timeout source.
 Every uniform, count, key, guard and budget event is appended to the ledger
 in execution order; those records are the one per-node account of a run,
-and ``RunResult`` keeps per-run values only.  Node ids are minted from the
-seeded stream, so replay re-derives them like every other field.
+and ``RunResult`` keeps per-run values only.  A record names its context
+by ``ctx_digest`` and carries no mode or claim: those change only at a
+guard record, which logs the claim before and after.
 
 The ledger is the whole record of a run's configuration: each ``RunConfig``
 setting is either in the header (``RunConfig.header_obj``, read back by
@@ -48,10 +50,9 @@ from .bounds import (
     phi,
 )
 from .budget import BudgetRuntime
-from .ledger import FIELDS, Ledger, Uuid7Source, encode
+from .ledger import FIELDS, Ledger, encode
 from .prefix_dag import COUNT_LIMIT, PrefixDag, PrefixNode
 from .race import (
-    PRF_DOMAIN,
     RawLookup,
     RngStream,
     exact_step,
@@ -86,7 +87,7 @@ class RunConfig:
     scripted_uniforms: dict[tuple[str, str], int] = field(default_factory=dict)
     budget: BudgetRuntime | None = None
     expansion_cap: int | None = None
-    deterministic_ids: bool = True  # unread: ids are seeded; perfbench sets it
+    deterministic_ids: bool = True  # unread (no ids); perfbench/bench.py passes it
 
     def __post_init__(self):
         """Store the declared types, so a header retyped to ``"tau":1`` writes back
@@ -110,17 +111,13 @@ class RunConfig:
             "mode": mode.value,
             "seed": self.seed,
             "salt": self.salt.hex(),
-            "prf_domain": PRF_DOMAIN,
             "tau": self.tau,
             "n_ub_factor": self.n_ub_factor,
-            # Surrogate leaves are always PRF-valued; the key keeps the
-            # ledger format unchanged.
-            "surrogate_leaf_prf": True,
             "privacy_scope": "post_processing_only",
             "root": graph.root.hex(),
             "expansion_cap": self.expansion_cap,
-            "mtau": {"recipe": self.mtau.recipe.value, "c_s_max": 0.0, "max_depth": 0,
-                     "fixed_table": self.mtau.fixed_table},  # constants: ledgers hold them
+            "mtau": {"recipe": self.mtau.recipe.value,
+                     "fixed_table": self.mtau.fixed_table},
             "phi": None if self.phi is None else asdict(self.phi),
         }
         if self.budget is not None:
@@ -137,7 +134,8 @@ class RunConfig:
                 raise ValueError(f"header field {name!r} is malformed: {exc!r}") from None
         cfg = RunConfig(
             mtau=read("mtau", lambda mt: MtauConfig(MtauRecipe(mt["recipe"]),
-                                                    mt["fixed_table"])),
+                                                    mt["fixed_table"]),
+                      (KeyError, TypeError, AttributeError, ValueError)),
             phi=read("phi", lambda obj: None if obj is None else PhiConfig(**obj)),
             seed=header.get("seed"),
             n_ub_factor=header.get("n_ub_factor"),
@@ -169,14 +167,11 @@ class _Engine:
         self.graph = graph
         self.mode = mode
         self.cfg = cfg
-        self.stream = RngStream(cfg.seed)
         # Every draw, by (ctx digest, purpose): the validator's logged
         # uniforms on replay, else scripted by (state, purpose) or streamed.
         self.draw = uniform_provider or stream_lookup(
-            self.stream, cfg.scripted_uniforms, graph)
+            RngStream(cfg.seed), cfg.scripted_uniforms, graph)
         self.ledger = Ledger(cfg.header_obj(graph, mode))
-        self.uuid = Uuid7Source(self.stream)
-        self.node_ids: dict[bytes, str] = {}
         self.claim = ClaimType.RUN_WISE_EXACT
         # Entries (-key_q, not is_leaf, digest, key, arrival t or None): the
         # largest key pops first, then leaves, then lower digests.
@@ -194,13 +189,6 @@ class _Engine:
 
     # -- bookkeeping ------------------------------------------------------
 
-    def node_id(self, digest: bytes) -> str:
-        nid = self.node_ids.get(digest)
-        if nid is None:
-            nid = self.uuid.next(digest)
-            self.node_ids[digest] = nid
-        return nid
-
     def guard(self, name: str, node: PrefixNode | None = None, reason: str | None = None,
               downgrade_to: ClaimType | None = ClaimType.NO_CERT, **extra) -> None:
         before = self.claim
@@ -212,19 +200,14 @@ class _Engine:
                "claim_type_after": self.claim.value}
         if node is not None:
             rec["ctx_digest"] = node.ctx_digest.hex()
-            rec["node_id"] = self.node_id(node.ctx_digest)
         if reason:
             rec["reason"] = reason
         rec.update(extra)
         self.ledger.records.append(rec)
 
     def record(self, event: str, node: PrefixNode, **fields) -> dict:
-        """Append a push, pop or leaf_eval record of ``node``."""
-        # ``_value_`` skips the ``Enum.value`` descriptor on this hot path.
-        rec = {"event": event, "ctx_digest": node.ctx_digest.hex(),
-               "node_id": self.node_id(node.ctx_digest),
-               "mode": self.mode._value_, "claim_type": self.claim._value_,
-               **fields}
+        """Append a push, pop, leaf_eval or budget record of ``node``."""
+        rec = {"event": event, "ctx_digest": node.ctx_digest.hex(), **fields}
         self.ledger.records.append(rec)
         return rec
 
@@ -244,8 +227,6 @@ class _Engine:
         key_q = self.fixed(node, "key_raw", key)
         heapq.heappush(self.heap, (-key_q, not node.is_leaf, node.ctx_digest, key, t))
         rec = self.record("push", node, key_raw=key_q)
-        if node.parent is not None:  # pushed earlier, so its id exists
-            rec["parent_id"] = self.node_id(node.parent)
         if rate is not None:
             rec["Nub"] = rate
         if uniform_raw is not None:
@@ -290,10 +271,11 @@ class _Engine:
 
     def leaf_value(self, node: PrefixNode, t: float | None) -> tuple[float, int]:
         """A popped leaf's value and the Q0.64 uniform behind it; ``t`` is
-        its arrival."""
+        the arrival it was pushed with (Fallback's None)."""
         if self.mode is Mode.EXACT:  # E_P is the arrival; U_P its quantile
             return node.prefix_score - math.log(t), fp.encode_q0_64(-math.expm1(-t))
-        value, u_p_raw = surrogate_value(self.cfg.salt, node.ctx_digest, node.prefix_score)
+        value, u_p_raw = surrogate_value(self.cfg.salt, node.ctx_digest,
+                                         node.prefix_score, t or 0.0)
         return (self.fallback_key(node) if self.mode is Mode.FALLBACK else value), u_p_raw
 
     def n_ub(self, digest: bytes) -> int:
@@ -343,9 +325,7 @@ class _Engine:
         # Each number by its declared layout, so an int estimate is scaled too.
         fields = {name: value if FIELDS[name] is str else self.fixed(node, name, value)
                   for name, value in self.budget.on_expansion(node, slack).items()}
-        self.ledger.records.append({
-            "event": "budget", "ctx_digest": node.ctx_digest.hex(),
-            "mode": self.mode.value, "claim_type": self.claim.value, **fields})
+        self.record("budget", node, **fields)
         exhausted = fields["budget_event"] == "Exhausted"
         if exhausted:
             self.guard("BudgetFail", node, reason="all catalog entries infeasible")
@@ -360,7 +340,6 @@ class _Engine:
             slack = max(0.0, fp.decode_q64_64(top) - fp.decode_q64_64(self.incumbent_q))
         rec = {"event": "stop", "mode": self.mode.value,
                "claim_type": self.claim.value,
-               "privacy_scope": "post_processing_only",
                "incumbent": self.incumbent_q,
                "reason": ("StopHeuristic" if self.claim is ClaimType.NO_CERT
                           else "StopCertified")}
@@ -397,8 +376,10 @@ class _Engine:
             return
         root = graph.node(graph.root)
         rate = root_count if self.mode is Mode.EXACT else self.n_ub(graph.root)
-        raw, t_root = race_arrival(root.ctx_digest, rate, self.draw)
-        self.push(root, self.key_for(root, t_root), t_root, rate, raw)
+        raw, t_root = race_arrival(root.ctx_digest, rate, self.draw, 0.0)
+        # Exact carries a node's own arrival, Surrogate its parent's (a root's 0.0).
+        self.push(root, self.key_for(root, t_root),
+                  t_root if self.mode is Mode.EXACT else 0.0, rate, raw)
 
     def run(self) -> RunResult:
         graph, cfg = self.graph, self.cfg
@@ -443,7 +424,7 @@ class _Engine:
                     self.push(child, self.key_for(child, t_c), t_c, count, raw_i)
             else:  # Surrogate: children anchored at the parent's arrival.
                 rate_v = self.n_ub(digest)
-                v_raw, t_hat = race_arrival(digest, rate_v, self.draw)
+                v_raw, t_hat = race_arrival(digest, rate_v, self.draw, t)
                 self.pop_record(node, key_q, U=v_raw, Nub=rate_v, **phi_extra)
                 for child in children:
                     self.push(child, self.key_for(child, t_hat), t_hat,

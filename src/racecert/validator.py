@@ -4,11 +4,12 @@ Consumes only public artifacts — the ledger file and the graph spec — and
 re-derives everything else.  Replay reruns the search from the header and
 the logged draws and compares the header it rebuilds with the logged one
 as JSON text.  Then one pass over the records compares each whole with its
-replay, node ids included (keys, ids minted from the seeded stream, budget
-records recomputed from the header's catalog and initial state), checks
-the stop inequality, budget inequalities and downgrade licensing, and
-tightens Surrogate keys by kappa with the exact counts of the contexts the
-replay built (or an explicit public-counts map).  Semantic problems become
+replay (keys, draws, and budget records recomputed from the header's
+catalog and initial state), checks the stop inequality, budget
+inequalities and downgrade licensing, and tightens Surrogate keys by kappa
+with the exact counts of the contexts the replay built (or an explicit
+public-counts map).  It tracks the mode from the header and the guards, as
+it tracks the frontier from pushes and pops.  Semantic problems become
 verdict failures with record indices, in record order, and a verdict is
 its failures; only I/O errors raise.
 """
@@ -124,10 +125,12 @@ def _replay(graph: PrefixDag, ledger: Ledger, verdict: Verdict) -> list[dict]:
     return result.ledger.records
 
 
-def _audit(graph: PrefixDag, records: list[dict], replayed: list[dict],
+def _audit(graph: PrefixDag, ledger: Ledger, replayed: list[dict],
            counts: dict[str, int] | None, verdict: Verdict) -> None:
     """One pass: each record is compared with its replay and advances the
     stop-rule, tightening and budget checks, so failures come in record order."""
+    records = ledger.records
+    mode = ledger.header.get("mode")  # the engine's, switched by guards
     frontier: dict[str, int] = {}  # the stop rule's, from pushes and pops
     incumbent = fp.NEG_INF_Q64_64
     saw_stop = False
@@ -155,10 +158,15 @@ def _audit(graph: PrefixDag, records: list[dict], replayed: list[dict],
             if rec.get("claim_type") != "NoCert" and top is not None and top > incumbent:
                 verdict.fail("stop_rule", i, "certified stop with frontier key above B*")
         elif event == "guard":
-            if "BudgetFail" in rec.get("guards", ()):
+            guards = rec.get("guards", ())
+            if "CountFail" in guards:  # to Surrogate if it stays certified
+                mode = ("Surrogate" if rec.get("claim_type_after") == "RunWiseExact"
+                        else "Fallback")
+            if "BudgetFail" in guards:
+                mode = "Fallback"
                 frontier.clear()  # the engine restarts from the root under Fallback
             before, after = rec.get("claim_type_before"), rec.get("claim_type_after")
-            if before != after and None not in (before, after) and not rec.get("guards"):
+            if before != after and None not in (before, after) and not guards:
                 verdict.fail("budget", i, "claim downgrade without licensing guard")
         elif (event == "budget" and rec.get("budget_event") == "Selected"
               and "model_id" in rec):
@@ -174,7 +182,7 @@ def _audit(graph: PrefixDag, records: list[dict], replayed: list[dict],
                 price_prev = spent
             if "router_rdp_eps" in rec:
                 verdict.rdp_logged = fp.decode_q32_32(rec["router_rdp_eps"])
-        if rec.get("mode") != "Surrogate" or "Nub" not in rec:
+        if mode != "Surrogate" or "Nub" not in rec:
             continue
         if counts is None:  # every context the replay built, by digest hex
             counts = {d.hex(): node.n_exact for d, node in graph.nodes.items()}
@@ -221,6 +229,6 @@ def validate(ledger_path: str, graph_spec: str | PrefixDag,
             verdict.fail("replay", 0, f"ledger root {ledger.header.get('root')} "
                                       f"does not match graph root {graph.root.hex()}")
         else:
-            _audit(graph, ledger.records, _replay(graph, ledger, verdict),
+            _audit(graph, ledger, _replay(graph, ledger, verdict),
                    public_counts, verdict)
     return verdict

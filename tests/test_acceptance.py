@@ -141,10 +141,12 @@ def test_criterion_2_published_literal():
 # -- criteria 3 and 4: frontier coverage + oracle equivalence -------------
 
 def _surrogate_uniforms(result, graph):
+    """The race uniform of each pushed or popped context; a run that stays
+    Surrogate (no guard) logs nothing else there."""
+    assert result.mode_final is Mode.SURROGATE and not result.guards_seen
     raws = {}
     for rec in result.ledger.records:
-        if rec.get("event") in ("push", "pop") and "U" in rec \
-                and rec.get("mode") == "Surrogate":
+        if rec.get("event") in ("push", "pop") and "U" in rec:
             raws[bytes.fromhex(rec["ctx_digest"])] = rec["U"]
     return raws
 

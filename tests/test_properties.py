@@ -137,8 +137,7 @@ def test_exact_route_builds_a_small_share_of_a_shared_graph():
 # them.
 TAMPER_EVENTS = ("push", "pop", "leaf_eval", "stop", "budget")
 TAMPER_FIELDS = ("key_raw", "value", "incumbent", "tie_token", "claim_type",
-                 "mode", "ctx_digest", "node_id", "parent_id", "model_id",
-                 "price_spent", "budget_event")
+                 "mode", "ctx_digest", "model_id", "price_spent", "budget_event")
 
 # Two m-large selections reach the price cap of 40, so a Surrogate run also
 # logs an Exhausted record and restarts under Fallback.  Every run charges
@@ -178,8 +177,6 @@ def _tampered(value, field, step):
         return next(m.value for m in Mode if m.value != value)
     if field == "ctx_digest":
         return f"{(int(value, 16) + step) % 2**256:064x}"
-    if field in ("node_id", "parent_id"):  # another last hex digit
-        return value[:-1] + f"{int(value[-1], 16) ^ 1:x}"
     if field == "tie_token":
         return str(1 - int(value))
     if field == "model_id":
@@ -292,14 +289,14 @@ def test_field_mutant_yields_a_verdict(tmp_path, base, mode, seed, in_header,
 
 
 # Header values that no run setting changes, and another value for each.
-HEADER_CONSTANTS = {"prf_domain": "route", "privacy_scope": "none",
-                    "surrogate_leaf_prf": False}
+HEADER_CONSTANTS = {"privacy_scope": "none"}
 
 
 @PROPERTY
 @given(base=st.sampled_from(list(BASES)), mode=st.sampled_from(list(Mode)),
        seed=st.integers(0, 3),
-       key=st.sampled_from([*HEADER_CONSTANTS, "n_ub_map", "x"]),
+       # Added keys: a setting rebuilt from records, a v1-only constant, junk.
+       key=st.sampled_from([*HEADER_CONSTANTS, "n_ub_map", "prf_domain", "x"]),
        value=st.sampled_from(ILL_TYPED))
 def test_changed_header_constant_or_added_key_fails(tmp_path, base, mode,
                                                     seed, key, value):

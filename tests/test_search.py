@@ -132,7 +132,16 @@ def test_countfail_downgrades_to_surrogate(toy, tmp_path, monkeypatch):
     result = search.run(graph, Mode.EXACT, cfg, ledger_path=path)
     assert "CountFail" in result.guards_seen
     assert result.mode_final is Mode.SURROGATE
-    assert validate(path, graph).ok
+    verdict = validate(path, graph)
+    assert verdict.ok
+    # The header says Exact; the validator follows the guard to Surrogate
+    # and tightens exactly the records after it that log a Nub and a draw.
+    records = result.ledger.records
+    guard = next(i for i, r in enumerate(records) if r["event"] == "guard")
+    drawn = [i for i, r in enumerate(records)
+             if i > guard and {"Nub", "U", "key_raw"} <= r.keys()]
+    assert [i for i, _, _ in verdict.tightened] == drawn == [1, 2, 5, 9]
+    assert all(kappa <= 0 for _, kappa, _ in verdict.tightened)
 
 
 def _assert_countfail_fallback(toy, tmp_path, monkeypatch, mode):
@@ -509,12 +518,6 @@ def test_surrogate_run_follows_the_reconstructed_race(family):
                 assert rec["value"] == fp.encode_q64_64(values[node.ctx_digest]), (seed, rec)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="Surrogate keys are not monotone along a path and a leaf's value "
-    "ignores the arrival that keyed it, so a certified stop can miss the "
-    "race's best leaf (57, 86 and 12 of these 100 seeds per family)",
-)
 def test_certified_surrogate_stop_returns_the_best_leaf_of_its_race():
     missed = []
     for family, generate in SURROGATE_FAMILIES.items():
@@ -527,11 +530,6 @@ def test_certified_surrogate_stop_returns_the_best_leaf_of_its_race():
     assert missed == []
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the certified Surrogate incumbent depends on the admissible "
-    "M_tau recipe (R2 and R3 differ on 1 and 7 of these 20 seeds)",
-)
 def test_r2_and_r3_certify_the_same_surrogate_incumbent():
     differ = []
     for family, generate in {"suite_a(4,5)": lambda s: suite_a(4, 5, s),

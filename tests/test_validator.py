@@ -156,41 +156,26 @@ def _toy_lines(toy_ledgers, name):
         return fh.read().splitlines()
 
 
-def _first_child_push(lines):
-    """The line index of the first push of a context with a parent."""
-    return next(i for i, ln in enumerate(lines) if '"parent_id":' in ln)
+# The header line of a v1 toy-exact ledger, with the ids, per-record mode and
+# claim and header constants that v2 dropped.
+V1_TOY_EXACT_HEADER = (
+    '{"expansion_cap":null,"mode":"Exact","mtau":{"c_s_max":0.0,"fixed_table":'
+    '{"p1":0.0,"p2":0.0,"p3":0.0,"p4":0.0,"r":5.0,"u1":4.5,"u2":4.2},'
+    '"max_depth":0,"recipe":"FIXED"},"n_ub_factor":1.0,"phi":null,'
+    '"prf_domain":"leaf","privacy_scope":"post_processing_only","root":'
+    '"7d83ffff2a9ce8ead41da14e767ce4d257024006b79a39f04e4c9cf58d60933b",'
+    '"salt":"0000000000000000","schema":"racecert/ledger/v1","seed":7,'
+    '"surrogate_leaf_prf":true,"tau":1.0}')
 
 
-def test_tampered_parent_id_detected(tmp_path, toy_ledgers):
-    # Replay mints every node id from the seeded stream and compares it.
+def test_v1_ledger_is_refused_with_one_reason(tmp_path, toy_ledgers):
+    # No v1 reader: the schema tag fails parse, before any record is read,
+    # not as one replay mismatch per record.
     graph, _ = compile_dag(toy_graph())
     lines = _toy_lines(toy_ledgers, "toy-exact.ndjson")
-    idx = _first_child_push(lines)
-    rec = json.loads(lines[idx])
-    assert rec["event"] == "push" and "parent_id" in rec
-    rec["parent_id"] = "00000000-0009-7000-8000-000000000000"  # no such node
-    lines[idx] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
-    verdict = validator.validate(
-        _write_lines(tmp_path, "parent-id.ndjson", lines), graph)
-    assert not verdict.ok
-    assert verdict.failures == [
-        (idx - 1, "replay mismatch in fields ['parent_id']")]
-
-
-def test_node_id_renamed_everywhere_detected(tmp_path, toy_ledgers):
-    graph, _ = compile_dag(toy_graph())
-    lines = _toy_lines(toy_ledgers, "toy-exact.ndjson")
-    old = json.loads(lines[_first_child_push(lines)])["node_id"]
-    new = old[:-1] + ("0" if old[-1] != "0" else "1")
-    renamed = [line.replace(old, new) for line in lines]
-    changed = [i - 1 for i, line in enumerate(lines) if old in line]
-    assert len(changed) > 2  # its push, its pop and its children's pushes
-    verdict = validator.validate(
-        _write_lines(tmp_path, "renamed.ndjson", renamed), graph)
-    assert not verdict.ok
-    assert [i for i, _ in verdict.failures] == changed
-    assert all(reason.startswith("replay mismatch in fields ")
-               for _, reason in verdict.failures)
+    verdict = validator.validate(_write_lines(
+        tmp_path, "v1.ndjson", [V1_TOY_EXACT_HEADER, *lines[1:]]), graph)
+    assert verdict.failures == [(0, "line 1: missing or wrong schema tag")]
 
 
 @pytest.mark.parametrize("key, value", [
@@ -199,9 +184,10 @@ def test_node_id_renamed_everywhere_detected(tmp_path, toy_ledgers):
     ("tau", 1), ("surrogate_leaf_prf", 1), ("n_ub_factor", True)])
 def test_tampered_golden_header_detected(tmp_path, toy_ledgers, key, value):
     # Replay rebuilds the header from the settings it reads back; a
-    # constant changed, a key no setting writes, or a value retyped
-    # (``1 == 1.0``) differs from it as JSON text.  A bool for a number
-    # setting is refused where it enters, so that replay aborts.
+    # constant changed, a key no setting writes (such as a constant only
+    # a v1 header held), or a value retyped (``1 == 1.0``) differs from it
+    # as JSON text.  A bool for a number setting is refused where it
+    # enters, so that replay aborts.
     graph, _ = compile_dag(toy_graph())
     lines = _toy_lines(toy_ledgers, "toy-exact.ndjson")
     header = json.loads(lines[0])
@@ -216,13 +202,10 @@ def test_tampered_golden_header_detected(tmp_path, toy_ledgers, key, value):
     assert not verdict.replay_ok
 
 
-@pytest.mark.parametrize("old, new", [
-    ('"p1":0.0', '"p1":0'), ('"c_s_max":0.0', '"c_s_max":0'),
-    ('"max_depth":0,', '"max_depth":0.0,'), ('"c_s_max":0.0', '"c_s_max":-5.0')])
+@pytest.mark.parametrize("old, new", [('"p1":0.0', '"p1":0')])
 def test_tampered_golden_mtau_detected(tmp_path, toy_ledgers, old, new):
-    # Replay builds ``mtau`` from its recipe and float table alone and
-    # writes ``c_s_max`` and ``max_depth`` as constants, so a retyped or
-    # changed value inside it differs as JSON text.
+    # Replay builds ``mtau`` from its recipe and float table alone, so a
+    # retyped value inside it differs as JSON text.
     graph, _ = compile_dag(toy_graph())
     lines = _toy_lines(toy_ledgers, "toy-exact.ndjson")
     assert old in lines[0]
@@ -233,8 +216,8 @@ def test_tampered_golden_mtau_detected(tmp_path, toy_ledgers, old, new):
 
 
 @pytest.mark.parametrize("key, value, reason", [
-    ("fixed_table", {"n": -100.0},
-     "replay aborted: M_tau R3: FIXED needs a fixed_table"),
+    ("fixed_table", {"n": -100.0}, "replay aborted: header field 'mtau' is "
+     "malformed: ValueError('M_tau R3: FIXED needs a fixed_table"),
     ("c_s_max", -5.0, "header mismatch in fields ['mtau']")],
     ids=["fixed_table", "c_s_max"])
 def test_r3_header_with_a_setting_r3_never_reads_fails(tmp_path, key, value,
@@ -381,6 +364,24 @@ def test_header_field_of_the_wrong_shape_is_named(tmp_path, toy_ledgers, key,
     [(index, reason)] = verdict.failures
     assert index == 0
     assert reason.startswith(f"replay aborted: header field {key!r} is malformed: ")
+
+
+@pytest.mark.parametrize("value", ["x", "1.5", True, None, [1.0]],
+                         ids=["text", "numeric-text", "bool", "null", "list"])
+def test_fixed_table_entry_that_is_not_a_number_is_named(tmp_path, toy_ledgers,
+                                                         value):
+    # Each entry must be a JSON number: one of another type is neither cast
+    # nor left to Python's own error, and the reason names field and state.
+    graph, _ = compile_dag(toy_graph())
+    lines = _toy_lines(toy_ledgers, "toy-exact.ndjson")
+    header = json.loads(lines[0])
+    header["mtau"]["fixed_table"]["p1"] = value
+    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    verdict = validator.validate(
+        _write_lines(tmp_path, "table.ndjson", lines), graph)
+    assert verdict.failures == [(0, (
+        "replay aborted: header field 'mtau' is malformed: ValueError(\""
+        f"fixed_table entry of state 'p1' is not a number: {value!r}\")"))]
 
 
 @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
@@ -769,9 +770,8 @@ def test_header_round_trips_through_from_header():
     assert cfg.mtau.recipe is MtauRecipe.FIXED and cfg.mtau.fixed_table
     for mode in Mode:
         header = json.loads(json.dumps(cfg.header_obj(graph, mode)))
-        assert set(header["mtau"]) == {  # R1's two keys, now constants
-            *(f.name for f in dataclasses.fields(MtauConfig)), "c_s_max",
-            "max_depth"}
+        assert set(header["mtau"]) == {
+            f.name for f in dataclasses.fields(MtauConfig)}
         assert set(header["budget"]["state"]) == {
             f.name for f in dataclasses.fields(BudgetState)}
         replay_mode, replay_cfg = RunConfig.from_header(header)
