@@ -78,8 +78,7 @@ def dist_level(graph: PrefixDag, mtau_cfg: MtauConfig,
 
     def score(digest: bytes) -> float:
         node = graph.node(digest)
-        return mtau(node, mtau_cfg) + EULER_GAMMA + math.log(
-            graph.suffix_count(digest))
+        return mtau(node, mtau_cfg) + EULER_GAMMA + math.log(node.n_exact)
 
     return _best_first(graph, score, values, winner)
 

@@ -215,7 +215,7 @@ def cmd_nub_sweep(args) -> int:
                 if rec.get("event") in ("push", "pop") and "Nub" in rec:
                     digest = bytes.fromhex(rec["ctx_digest"])
                     kappas.append(
-                        kappa(graph.suffix_count(digest), rec["Nub"]))
+                        kappa(graph.node(digest).n_exact, rec["Nub"]))
         mean_exp, ci_exp = _mean_ci([float(e) for e in expansions])
         frac_strict = (sum(1 for k in kappas if k < 0) / len(kappas)
                        if kappas else 0.0)

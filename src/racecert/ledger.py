@@ -133,7 +133,8 @@ def _decode(obj: dict, lineno: int) -> dict:
         elif kind is None:
             raise SchemaViolationError(lineno, f"unknown field {key!r}")
         elif kind is list:
-            if not isinstance(val, list) or not set(val) <= GUARD_NAMES:
+            if not isinstance(val, list) or not all(
+                    type(g) is str and g in GUARD_NAMES for g in val):
                 raise SchemaViolationError(lineno, f"bad guards {val!r}")
             rec[key] = list(val)
         else:  # a number, taken only in the text ``_record_line`` writes for it

@@ -3,14 +3,13 @@
 Unfolding duplicates shared subgraphs per prefix context, so every context
 has a unique root path and a unique parent.  ``compile_dag`` does shared-DAG
 work only: one walk counts the leaves below each shared node and rejects a
-cycle, an over-deep path or a root without leaves.  A context is built the
-first time it is asked for, and its children are digested the first time
-they are listed, so an Exact or Surrogate route hashes only the contexts it
-pushes.  A context with no leaf below it is never built and a leaf context
-lists no children, so the children of any internal context partition its
-leaves into non-empty blocks by construction.  Suffix counts are exact
-Python ints; ``COUNT_LIMIT`` is the 63-bit ceiling the search certifies
-under.
+cycle, an over-deep path or a root without leaves.  Listing a context's
+children is the one lazy step: it digests and builds them, so an Exact or
+Surrogate route hashes only the contexts it pushes.  A context with no leaf
+below it is never built and a leaf context lists no children, so the
+children of any internal context partition its leaves into non-empty blocks
+by construction.  Suffix counts are exact Python ints; ``COUNT_LIMIT`` is
+the 63-bit ceiling the search certifies under.
 """
 
 from __future__ import annotations
@@ -95,12 +94,14 @@ class SharedDag:
         nodes = self.nodes
         if self.root_id not in nodes:
             raise ValueError(f"root {self.root_id!r} not a node")
-        for n in nodes.values():
+        for key, n in nodes.items():
             if not (type(n.node_id) is type(n.state_label) is str
                     and type(n.is_leaf) is bool
                     and type(n.det_score_delta) in (int, float)):
                 raise ValueError(f"node {n.node_id!r}: id and state must be strings, "
                                  "leaf a bool and cost a number")
+            if n.node_id != key:  # a saved spec keys each node by its id
+                raise ValueError(f"node {n.node_id!r} filed under key {key!r}")
             # Scores only fall, so M_tau is admissible; an int cost that no
             # float holds raises OverflowError here, not at compile.
             if not float(n.det_score_delta) >= 0.0:
@@ -223,16 +224,15 @@ class CompileCertificate:
 class PrefixDag:
     """Digest-addressed contexts of a shared DAG, built on demand.
 
-    A context is built the first time ``node()`` asks for it, and its
-    children are digested the first time ``children()`` lists them: the
-    contexts of its shared node's children that have a leaf below them,
-    each from the path body the context carried, which it then drops.  An
-    Exact or Surrogate route thus digests only the contexts it pushes.
-    ``nodes`` holds the contexts built so far; ``walk()`` builds and lists
-    those it reaches, and ``unfold()`` drains it to build the rest.  Once
-    every context is built and listed, the shared graph and its tables are
-    dropped.  A repeated digest is detected when a listing digests it,
-    among every context digested so far.
+    A context is built when ``children()`` first lists its parent: the
+    listing digests and builds those contexts of its shared node's children
+    that have a leaf below them, each from the path body the parent
+    carried, which it then drops.  An Exact or Surrogate route thus builds
+    only the contexts it pushes.  ``nodes`` holds the contexts built so
+    far; ``walk()`` lists those it reaches, and ``unfold()`` drains it to
+    build the rest.  Once every context is listed, the shared graph and its
+    tables are dropped.  A repeated digest is detected when a listing
+    builds it, among every context built so far.
     """
 
     def __init__(self, dag: SharedDag, counts: dict[str, int],
@@ -242,76 +242,73 @@ class PrefixDag:
         self._dag = dag
         self._counts, self._togo, self._height = counts, togo, height
         self._head = _caps_head(dag.caps)
-        # Digest -> (shared node id, path body, parent digest, prefix score,
-        # depth) of every digested context whose children are not listed
-        # yet: not built, or built as a non-leaf and not yet listed.
-        self._pending: dict[bytes, tuple[str, bytes, bytes | None, float, int]] = {}
+        # Digest -> (shared node id, path body) of every built internal
+        # context whose children are not listed yet.
+        self._unlisted: dict[bytes, tuple[str, bytes]] = {}
         self._children: dict[bytes, list[bytes]] = {}
-        root = dag.nodes[dag.root_id]
-        body = _path_entry(root.state_label, 0)
-        self.root = _digest(self._head, 1, body)
-        self._pending[self.root] = (dag.root_id, body, None,
-                                    -root.det_score_delta, 0)
-        self.node(self.root)
+        # The root is the one child of the empty path.
+        [self.root] = self._list(None, [(0, dag.root_id)], b"", 0.0, -1)
 
     def node(self, digest: bytes) -> PrefixNode:
-        node = self.nodes.get(digest)
-        return node if node is not None else self._build(digest)
-
-    def _build(self, digest: bytes) -> PrefixNode:
-        node_id, _, parent, score, depth = self._pending[digest]
-        shared = self._dag.nodes[node_id]
-        # The best leaf's float score subtracts the h <= height - 1 costs
-        # below one by one, and score + togo sums them in another order: at
-        # most 2h roundings, each within half an ulp of |score_ub|, so 2h
-        # ulps round the sum up past it.  A childless leaf gets none.
-        score_ub = score + self._togo[node_id]
-        ulps = 2 * (self._height[node_id] - 1)
-        if ulps and score_ub > -math.inf:
-            score_ub += ulps * math.ulp(score_ub)
-        node = self.nodes[digest] = PrefixNode(
-            digest, shared.state_label, depth, score, parent, shared.is_leaf,
-            self._counts[node_id], score_ub)
-        # A leaf ends every path through it, so it lists no children and
-        # needs no body; a non-leaf keeps its entry until it is listed.
-        if shared.is_leaf:
-            del self._pending[digest]
-            if not self._pending:  # all built and listed: drop the shared tables
-                self._dag = self._counts = self._togo = self._height = None
-        return node
+        return self.nodes[digest]
 
     def children(self, digest: bytes) -> list[bytes]:
         """The digests of a context's children, in edge order; the first call
-        builds the context if need be and digests them."""
+        builds them."""
         kids = self._children.get(digest)
         if kids is not None:
             return kids
-        if self.node(digest).is_leaf:
+        node = self.nodes[digest]
+        if node.is_leaf:
             return []
-        node_id, body, _, score, depth = self._pending[digest]
-        dag, counts, pending = self._dag, self._counts, self._pending
+        node_id, body = self._unlisted.pop(digest)
+        kids = self._children[digest] = self._list(
+            digest, self._dag.children_of(node_id), body, node.prefix_score,
+            node.depth)
+        return kids
+
+    def _list(self, parent: bytes | None, edges: list[tuple[int, str]],
+              body: bytes, score: float, depth: int) -> list[bytes]:
+        """Build the contexts at ``edges`` below ``parent`` (path body, prefix
+        score and depth given) that have a leaf below them."""
+        dag, counts, togo, height = self._dag, self._counts, self._togo, self._height
+        nodes, unlisted = self.nodes, self._unlisted
         kids = []
-        for order, child_id in dag.children_of(node_id):
+        for order, child_id in edges:
             if counts[child_id] == 0:
                 continue  # no leaf below: never built
             child = dag.nodes[child_id]
             child_body = body + _path_entry(child.state_label, order)
             child_digest = _digest(self._head, depth + 2, child_body)
-            if child_digest in pending or child_digest in self.nodes:
+            if child_digest in nodes:
                 raise DigestCollisionError(
                     f"digest collision at child #{order} of the "
-                    f"{self.nodes[digest].state_label!r} context at depth {depth}")
-            pending[child_digest] = (child_id, child_body, digest,
-                                     score - child.det_score_delta, depth + 1)
+                    f"{nodes[parent].state_label!r} context at depth {depth}")
+            # The best leaf's float score subtracts the h <= height - 1 costs
+            # below one by one, and score + togo sums them in another order:
+            # at most 2h roundings, each within half an ulp of |score_ub|, so
+            # 2h ulps round the sum up past it.  A childless leaf gets none.
+            child_score = score - child.det_score_delta
+            score_ub = child_score + togo[child_id]
+            ulps = 2 * (height[child_id] - 1)
+            if ulps and score_ub > -math.inf:
+                score_ub += ulps * math.ulp(score_ub)
+            nodes[child_digest] = PrefixNode(
+                child_digest, child.state_label, depth + 1, child_score, parent,
+                child.is_leaf, counts[child_id], score_ub)
+            # A leaf ends every path through it, so it lists no children and
+            # needs no body; a non-leaf keeps its body until it is listed.
+            if not child.is_leaf:
+                unlisted[child_digest] = (child_id, child_body)
             kids.append(child_digest)
-        del pending[digest]
-        self._children[digest] = kids
+        if not unlisted:  # all built and listed: drop the shared tables
+            self._dag = self._counts = self._togo = self._height = None
         return kids
 
     def walk(self, digest: bytes | None = None) -> Iterator[PrefixNode]:
         """The contexts below ``digest`` (the root by default), itself
         included, in preorder: a parent before its children, siblings in
-        edge order.  Builds each context it reaches; it is the one loop
+        edge order.  Lists each context it reaches; it is the one loop
         over contexts that every whole-graph or subtree pass reads."""
         stack = [self.root if digest is None else digest]
         while stack:
@@ -324,10 +321,6 @@ class PrefixDag:
         for _ in self.walk():
             pass
         return self.nodes
-
-    def suffix_count(self, digest: bytes) -> int:
-        """Exact number of canonical leaves below a node."""
-        return self.node(digest).n_exact
 
     def public_counts(self) -> dict[str, int]:
         """ctx_digest hex -> exact leaf count, for validator tightening."""
@@ -398,7 +391,8 @@ def compile_dag(dag: SharedDag) -> tuple[PrefixDag, CompileCertificate]:
     Compile does shared-DAG work only: one walk over the shared nodes gives
     their counts, and a cycle, a path beyond the depth cap (an error, never
     a silent truncation) or a root without leaves raises here.  It builds
-    the root context; every other context is built when first reached.
+    the root context; every other context is built when its parent is
+    first listed.
     """
     counts, togo, height = _shared_counts(dag)
     graph = PrefixDag(dag, counts, togo, height)

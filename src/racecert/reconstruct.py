@@ -20,12 +20,12 @@ from .race import (RawLookup, arrival, exact_step, race_arrival,  # noqa: F401
 
 def exact_race(graph: PrefixDag, lookup: RawLookup) -> dict[bytes, float]:
     """Arrival time of every node under the lazily-propagated exact race."""
-    arrivals = {graph.root: race_arrival(graph.root, graph.suffix_count(graph.root),
-                                         lookup, 0.0)[1]}
+    arrivals = {graph.root: race_arrival(
+        graph.root, graph.node(graph.root).n_exact, lookup, 0.0)[1]}
     for node in graph.walk():  # a parent's arrival is set before its children
         if not node.is_leaf:
             kids = graph.children(node.ctx_digest)
-            counts = [graph.suffix_count(c) for c in kids]
+            counts = [graph.node(c).n_exact for c in kids]
             _, _, child_arrivals = exact_step(
                 node.ctx_digest, arrivals[node.ctx_digest], kids, counts, lookup)
             arrivals.update(zip(kids, child_arrivals))

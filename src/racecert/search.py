@@ -281,7 +281,8 @@ class _Engine:
     def n_ub(self, digest: bytes) -> int:
         """Surrogate Nub: the given map's (on replay), else ``surrogate_nub`` of N."""
         if self.cfg.n_ub_map is None:
-            return surrogate_nub(self.graph.suffix_count(digest), self.cfg.n_ub_factor)
+            return surrogate_nub(self.graph.node(digest).n_exact,
+                                 self.cfg.n_ub_factor)
         try:
             return self.cfg.n_ub_map[digest]
         except KeyError:
@@ -360,7 +361,7 @@ class _Engine:
         """Pick the strongest mode the counts allow and push the root."""
         graph = self.graph
         # The root count is the largest count the search can reach.
-        root_count = graph.suffix_count(graph.root)
+        root_count = graph.node(graph.root).n_exact
         bounded = self.cfg.n_ub_map is not None
         needs_counts = (self.mode is Mode.EXACT
                         or (self.mode is Mode.SURROGATE and not bounded))

@@ -39,7 +39,6 @@ from racecert.prefix_dag import compile_dag
 from racecert.race import (
     RngStream,
     exp_from_uniform,
-    prf_raw,
     stream_lookup,
 )
 from racecert.reconstruct import (
@@ -157,7 +156,7 @@ def test_criterion_3():
     for graph_seed in range(200):
         graph = _compiled(random_tree(graph_seed))
         assert sum(n.is_leaf for n in graph.walk()) <= 200
-        cfg_m = MtauConfig()  # R2 envelope
+        cfg_m = MtauConfig()  # R3 score-to-go, the default
         for run_seed in range(5):
             for mode in (Mode.EXACT, Mode.SURROGATE):
                 cfg = RunConfig(mtau=cfg_m, seed=run_seed, n_ub_factor=1.5)
@@ -228,7 +227,7 @@ def test_criterion_5(tmp_path):
         ledger = result.ledger
         for index, kappa_q, key_tight in verdict.tightened:
             rec = ledger.records[index]
-            n = graph.suffix_count(bytes.fromhex(rec["ctx_digest"]))
+            n = graph.node(bytes.fromhex(rec["ctx_digest"])).n_exact
             u = fp.q0_64_value(rec["U"])
             k = (-math.log(exp_from_uniform(u, n))
                  - -math.log(exp_from_uniform(u, rec["Nub"])))

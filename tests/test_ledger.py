@@ -145,9 +145,12 @@ def test_empty_file():
 
 
 def test_bad_guard_name_rejected():
-    text = HEAD + '{"event":"guard","guards":["Gremlin"]}\n'
-    with pytest.raises(lg.SchemaViolationError):
-        lg.Ledger.parse_text(text)
+    # A nested list or an object is refused like an unknown name, not with
+    # the TypeError a set of unhashable entries raises.
+    for guards in ('["Gremlin"]', '[["CountFail"]]', '[{}]'):
+        text = HEAD + '{"event":"guard","guards":%s}\n' % guards
+        with pytest.raises(lg.SchemaViolationError, match="bad guards"):
+            lg.Ledger.parse_text(text)
 
 
 def test_save_and_parse(tmp_path):

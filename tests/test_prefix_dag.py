@@ -55,7 +55,7 @@ def test_toy_compiles_with_certificates():
     graph, cert = compile_dag(toy_graph())
     assert cert.ok
     assert cert.total_leaves == 4
-    assert graph.suffix_count(graph.root) == 4
+    assert graph.node(graph.root).n_exact == 4
     assert sum(n.is_leaf for n in graph.walk()) == 4
 
 
@@ -67,7 +67,7 @@ def test_shared_dag_counts_match_brute_force_paths():
     assert len(shared.nodes) >= 10
     graph, cert = compile_dag(shared)
     assert cert.ok
-    assert graph.suffix_count(graph.root) == _brute_force_paths(shared, "root")
+    assert graph.node(graph.root).n_exact == _brute_force_paths(shared, "root")
 
 
 def test_partition_certificate_on_random_trees():
@@ -77,8 +77,8 @@ def test_partition_certificate_on_random_trees():
         for digest, node in graph.unfold().items():
             if node.is_leaf:
                 continue
-            assert graph.suffix_count(digest) == sum(
-                graph.suffix_count(c) for c in graph.children(digest))
+            assert graph.node(digest).n_exact == sum(
+                graph.node(c).n_exact for c in graph.children(digest))
 
 
 def test_digest_collision_is_an_error(monkeypatch):
@@ -90,16 +90,16 @@ def test_digest_collision_is_an_error(monkeypatch):
         graph.children(graph.root)
 
 
-def test_digest_collision_with_a_context_not_built_is_an_error(monkeypatch):
+def test_digest_collision_with_a_context_not_listed_is_an_error(monkeypatch):
     # Both grandchildren get one digest: the second listed collides with
-    # the first, which is digested but neither built nor listed.
+    # the first, which listing its parent built but which is never listed.
     digest = prefix_dag._digest
     monkeypatch.setattr(prefix_dag, "_digest", lambda head, n, body: (
         b"\x01" * 32 if n == 3 else digest(head, n, body)))
     graph, _ = compile_dag(_graph(
         [("r", "a", 0), ("r", "b", 1), ("a", "x", 0), ("b", "y", 0)], {"x", "y"}, 3))
     first, second = graph.children(graph.root)
-    assert graph.children(first) == [b"\x01" * 32] and b"\x01" * 32 not in graph.nodes
+    assert graph.children(first) == [b"\x01" * 32]
     with pytest.raises(DigestCollisionError, match="child #0 of the 'b' context"):
         graph.children(second)
 
@@ -235,7 +235,7 @@ def test_shared_node_unfolds_to_distinct_contexts():
     shared_contexts = [n for n in graph.unfold().values()
                        if n.state_label == "s"]
     assert len(shared_contexts) == 2
-    assert graph.suffix_count(graph.root) == 2
+    assert graph.node(graph.root).n_exact == 2
 
 
 def test_dag_node_keeps_value_semantics():
@@ -258,12 +258,11 @@ def test_unfolded_graph_releases_the_shared_tables():
     graph, _ = compile_dag(shared)
     ref = weakref.ref(shared)
     del shared
-    assert ref() is not None  # contexts still pending need it
+    assert ref() is not None  # contexts not listed yet need it
     nodes = graph.unfold()
     assert ref() is None
     for digest, node in nodes.items():
         assert graph.node(digest) is node
-        assert graph.suffix_count(digest) == node.n_exact
     assert graph.public_counts() == want
 
 
@@ -289,7 +288,7 @@ def test_walk_yields_every_context_once_in_preorder():
 def test_walk_of_a_context_yields_its_subtree():
     graph, _ = compile_dag(suite_b(4, 3, seed=1))
     mid = graph.children(graph.children(graph.root)[-1])[0]
-    assert mid not in graph.nodes  # listed, not built yet
+    assert mid in graph.nodes  # listing its parent built it
     assert [n.ctx_digest for n in graph.walk(mid)] == _preorder(graph, mid)
     leaf = next(n for n in graph.walk() if n.is_leaf)
     assert list(graph.walk(leaf.ctx_digest)) == [leaf]
@@ -457,9 +456,13 @@ _PY_NODES = {"r": DagNode("r", "r", False), "a": DagNode("a", "a", True)}
     (lambda: SharedDag(_PY_NODES, [("r", "a", 0.5)], "r", _PY_CAPS),
      "edge_order 0.5 at r not an int in [0, 2**32)"),
     (lambda: PublicCaps(max_depth=3.9, c_s_max=1.0, c_s_min=1.0),
-     "max_depth must be int: 3.9")],
+     "max_depth must be int: 3.9"),
+    # This one compiled and routed, but its saved spec failed to load.
+    (lambda: SharedDag({"r": DagNode("x", "r", False), "a": _PY_NODES["a"]},
+                       [("r", "a", 0)], "r", _PY_CAPS),
+     "node 'x' filed under key 'r'")],
     ids=["non-string-state", "string-leaf", "string-cost", "fractional-order",
-         "fractional-depth"])
+         "fractional-depth", "misfiled-node"])
 def test_graph_built_in_python_is_type_checked(build, reason):
     # One check for every graph, however it was built: the state 7 and the
     # order 0.5 ended in an AttributeError or struct.error at compile, and
